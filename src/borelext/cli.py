@@ -29,7 +29,9 @@ def _add_common(sp):
     sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     sp.add_argument("--f", type=int, default=1, help="field extension degree")
     sp.add_argument("--n", type=int, default=2, help="matrix size")
-    sp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
+    sp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto",
+                    help="cocycle solve mode; the Shapiro route (ext-ps, thm1, the mackey "
+                         "G-level dim) always solves exhaustively over N")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget-mb", type=int, default=1024)
     sp.add_argument("--threads", type=int, default=0,

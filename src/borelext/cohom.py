@@ -13,6 +13,15 @@ Two modes:
                    construction, so a fully verified candidate basis makes
                    the sampled answer exact; any violation falls back to the
                    exhaustive sweep.
+
+Principal-series Ext by Shapiro's lemma is H^1(B, Hom_{F_q}(F_q[chi1],
+Res_B Ind chi2)).  h1_isotypic_dims computes it at the unipotent level: as
+p does not divide |T| = (q-1)^n, inflation-restriction gives H^1(B, M) =
+H^1(N, M)^T, and twisting by chi1^{-1} leaves the N-action unchanged.  So one
+exhaustive solve of H^1(N, Res_N Ind chi2), with the action of T and of the
+F_q-scalars on it as small F_p matrices, gives the dimension for every chi1
+by a nullity.  ext1_dim_shapiro keeps the B-level solve as an independent
+reference for the tests.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from . import linalg
 from .chars import TorusChar, evaluate, simple_root
 from .gmodule import (
     FpModule,
+    ModuleError,
     char_module,
     fixed_points_dim,
     fq_hom_module,
@@ -199,6 +209,72 @@ def h1_dim(
             raise StructureError("representative count does not match dim H^1")
         basis = [Cocycle(H, M, v.reshape(S, d)) for v in reps]
     return H1Result(dim_z1, dim_b1, dim_h1, final_mode, basis, used, seed)
+
+
+def h1_isotypic_dims(N: MatrixGroup, T: MatrixGroup, M: FpModule, chis: list[TorusChar],
+                     budget_mb: int = 1024) -> list[int]:
+    """dim_{F_p} H^1(T N, Hom_{F_q}(F_q[chi], M)) for every chi, from one
+    exhaustive cocycle solve over N.
+
+    M is an F_q-form module over a group containing T and N, T normalizes
+    N, and p does not divide |T|.  Then H^1(T N, M') = H^1(N, M')^T
+    (inflation-restriction), and twisting by chi^{-1} leaves the N-action
+    alone, so every chi reads the same H^1(N, M): the answer for chi is the
+    F_p-nullity of chi(t)^{-1} A_t - 1 stacked over the generators of T,
+    where A_t is the action (t.f)(n) = t f(t^{-1} n t) on H^1(N, M) and
+    chi(t)^{-1} acts as an F_q-scalar.
+    """
+    p = M.p
+    if T.order % p == 0:
+        raise StructureError("inflation-restriction needs p to be prime to |T|")
+    if not M.fq_form:
+        raise ModuleError("the F_q-scalar action needs a module in fq form")
+    if not N.generators:
+        return [0] * len(chis)  # H^1 of the trivial group
+    MN = restrict(M, N)
+    r = h1_dim(N, MN, mode="exhaustive", budget_mb=budget_mb, want_basis=True)
+    h = r.dim_h1
+    if h == 0:
+        return [0] * len(chis)
+    S, d = len(N.generators), MN.dim
+    nu = S * d
+    V = np.stack([c.values.reshape(-1) for c in r.basis])
+    # rows [B^1 | 0] and [basis | 1]: reducing [z | 0] for z in Z^1 leaves
+    # [0 | -x], where x are z's coordinates in the basis modulo B^1
+    red = linalg.RowReducer(p, nu + h)
+    red.add_rows(np.hstack([_coboundary_rows(MN), np.zeros((d, h), dtype=np.int64)]))
+    red.add_rows(np.hstack([V, np.eye(h, dtype=np.int64)]))
+
+    def coords(images: np.ndarray) -> np.ndarray:
+        rest = red.reduce(np.hstack([images.reshape(h, nu), np.zeros((h, h), dtype=np.int64)]))
+        if rest[:, :nu].any():
+            raise StructureError("the image of an H^1 basis cocycle is not a cocycle")
+        return (-rest[:, nu:]) % p
+
+    fld = M.group.field
+    # multiplication by the field generator on values, blockwise in fq form
+    gen_block = np.kron(np.eye(d // fld.f, dtype=np.int64), fld.mult_matrix(fld.generator_code))
+    scalar = coords(V.reshape(h, S, d) @ gen_block.T % p)
+    powers = [np.eye(h, dtype=np.int64)]
+    for _ in range(fld.q - 2):
+        powers.append(powers[-1] @ scalar % p)
+
+    fvals = np.stack([c.propagate() for c in r.basis])  # (h, |N|, d)
+    acts = []
+    for t in T.generators:
+        ti = t.inv()
+        conj = [N.element_id((ti * s) * t) for s in N.generators]
+        rho_t = M.act(M.group.element_id(t))
+        acts.append((t, coords(fvals[:, conj, :] @ rho_t.T % p)))
+
+    eye = np.eye(h, dtype=np.int64)
+    out = []
+    for chi in chis:
+        # coordinates are rows, so x is invariant iff x (A_t L - 1) = 0 for all t
+        blocks = [(A @ powers[-fld.dlog_code(evaluate(chi, t).code) % (fld.q - 1)] - eye).T % p
+                  for t, A in acts]
+        out.append(h - linalg.rank_mod(np.vstack(blocks), p))
+    return out
 
 
 def _propagate(H, rho, values, p):

@@ -402,18 +402,6 @@ def make_field(p: int, f: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:
     return FieldCtx(p, f, max_q=max_q)
 
 
-def add(a: Fq, b: Fq) -> Fq:
-    return a + b
-
-
-def mul(a: Fq, b: Fq) -> Fq:
-    return a * b
-
-
-def inv(a: Fq) -> Fq:
-    return a.inv()
-
-
 def frobenius(a: Fq, k: int = 1) -> Fq:
     """a^(p^k); a field automorphism, the identity when k = f."""
     return Fq(a.field, a.field.frob_code(a.code, k))

@@ -78,9 +78,6 @@ class FpModule:
             self._memo[j] = m
         return self._memo[elt_id]
 
-    def act_mat(self, m: Mat) -> np.ndarray:
-        return self.act(self.group.element_id(m))
-
     def act_all(self) -> np.ndarray:
         """Action of every element, shape (|H|, d, d), filled level by level
         along the BFS tree with batched products."""
@@ -270,10 +267,6 @@ def fixed_points_dim(M: FpModule) -> int:
     eye = np.eye(M.dim, dtype=np.int64)
     rows = np.vstack([(a - eye) % M.p for a in M.gen_action])
     return M.dim - linalg.rank_mod(rows, M.p)
-
-
-def invariant_maps_dim(M1: FpModule, M2: FpModule) -> int:
-    return fixed_points_dim(hom_module(M1, M2))
 
 
 def _torus_char_module(A: MatrixGroup, chi: TorusChar) -> FpModule:

@@ -115,10 +115,6 @@ class Mat:
                         rows[i][j] = fld.sub_code(rows[i][j], fld.mul_code(fac, rows[c][j]))
         return det
 
-    def entry_grid(self) -> list[list[Fq]]:
-        n = self.n
-        return [[self.entry(i + 1, j + 1) for j in range(n)] for i in range(n)]
-
     def __repr__(self):
         n, fld = self.n, self.field
         rows = [
@@ -305,9 +301,6 @@ class MatrixGroup:
             j = self.index[self.elements[i].inv().codes]
             self._inv_ids[i] = j
         return j
-
-    def gen_ids(self) -> list[int]:
-        return [self.index[g.codes] for g in self.generators]
 
     def is_subgroup_of(self, other: "MatrixGroup") -> bool:
         return all(m.codes in other.index for m in self.elements)

@@ -17,6 +17,13 @@ Statements and their contracts:
                    only some w != 1 works are findings.
   mackey           per-pair ledger over w of B∩B^w contributions summing to
                    the principal-series Ext dimension.
+
+Principal-series Ext comes from Instance.shapiro_dim.  It needs p to be prime
+to |T| = (q-1)^n, which always holds over F_q.  Then H^1(B, M) = H^1(N, M)^T,
+so one exhaustive cocycle solve over N per chi2 gives the Ext dimension for
+every chi1 (cohom.h1_isotypic_dims).  Those rows report mode `exhaustive`
+whatever VerifyConfig.mode says.  thm1 also runs the G-level direct solve
+where it is cheap, and reports any pair where the two paths disagree.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .chars import (
     simple_root,
     trivial_char,
 )
-from .cohom import ext1_dim, h1_dim
+from .cohom import ext1_dim, h1_dim, h1_isotypic_dims
 from .field import make_field
 from .gmodule import (
     abelian_quotient_with_torus_action,
@@ -47,7 +54,6 @@ from .gmodule import (
     det_char_module,
     fq_hom_module,
     induced_module,
-    restrict,
     right_coset_data,
 )
 from .group import (
@@ -226,6 +232,14 @@ def _pmap(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
+def _pair_table(inst, fn, threads: int) -> list:
+    """fn(chi1, chi2) over all character pairs, chi1-major.  One task runs
+    all pairs of a chi2, so its Shapiro solve happens once under threads."""
+    chars = inst.chars
+    cols = _pmap(lambda chi2: [fn(chi1, chi2) for chi1 in chars], chars, threads)
+    return [col[i] for i in range(len(chars)) for col in cols]
+
+
 class Instance:
     """Groups, characters and module caches for one (p, f, n)."""
 
@@ -234,7 +248,6 @@ class Instance:
         self.field = make_field(p, f)
         self.qm1 = self.field.q - 1
         self._ind: dict[tuple, object] = {}
-        self._res: dict[tuple, object] = {}
         self._bw: dict[tuple, object] = {}
         self._np: dict[tuple, object] = {}
         self._eig: dict[tuple, list] = {}
@@ -278,13 +291,6 @@ class Instance:
             self._ind[chi.exps] = got
         return got
 
-    def res_induced(self, chi: TorusChar):
-        got = self._res.get(chi.exps)
-        if got is None:
-            got = restrict(self.induced(chi), self.B)
-            self._res[chi.exps] = got
-        return got
-
     def bw(self, w):
         got = self._bw.get(w.perm)
         if got is None:
@@ -314,13 +320,16 @@ class Instance:
         return h1_dim(self.B, M, **cfg.h1_kwargs())
 
     def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig):
-        key = (chi1.exps, chi2.exps, cfg.mode, cfg.seed)
+        """(dim, mode) of Ext^1_G(Ind chi1, Ind chi2).  The first call for a
+        chi2 solves over N once and fills the cache for every chi1."""
+        key = (chi1.exps, chi2.exps)
         got = self._shap.get(key)
         if got is None:
-            M = fq_hom_module(char_module(self.B, chi1), self.res_induced(chi2))
-            r = h1_dim(self.B, M, **cfg.h1_kwargs())
-            got = (r.dim_h1, r.mode)
-            self._shap[key] = got
+            dims = h1_isotypic_dims(self.N, self.T, self.induced(chi2), self.chars,
+                                    budget_mb=cfg.budget_mb)
+            for chi, dim in zip(self.chars, dims):
+                self._shap[(chi.exps, chi2.exps)] = (dim, "exhaustive")
+            got = self._shap[key]
         return got
 
 
@@ -444,8 +453,7 @@ def verify_thm1(inst: Instance, cfg: VerifyConfig | None = None) -> list[ExtRepo
     paths = thm1_paths(inst)
     mismatches = []
 
-    def compute(pair):
-        chi1, chi2 = pair
+    def compute(chi1, chi2):
         dim, mode = inst.shapiro_dim(chi1, chi2, cfg)
         if "direct" in paths:
             rd = ext1_dim(inst.G, inst.induced(chi1), inst.induced(chi2), **cfg.h1_kwargs())
@@ -454,8 +462,7 @@ def verify_thm1(inst: Instance, cfg: VerifyConfig | None = None) -> list[ExtRepo
                                    "shapiro": dim, "direct": rd.dim_h1})
         return chi1, chi2, dim, mode
 
-    pairs = [(c1, c2) for c1 in inst.chars for c2 in inst.chars]
-    computed = _pmap(compute, pairs, cfg.threads)
+    computed = _pair_table(inst, compute, cfg.threads)
     mismatches.sort(key=lambda m: (m["chi1"], m["chi2"]))
 
     rows_nec, rows_suf, findings = [], [], []
@@ -534,13 +541,7 @@ def mackey_ledger(inst: Instance, chi1: TorusChar, chi2: TorusChar,
 
 def mackey_all(inst: Instance, cfg: VerifyConfig | None = None) -> list[ExtReport]:
     cfg = cfg or VerifyConfig()
-
-    def one(pair):
-        chi1, chi2 = pair
-        return mackey_ledger(inst, chi1, chi2, cfg)
-
-    pairs = [(c1, c2) for c1 in inst.chars for c2 in inst.chars]
-    return _pmap(one, pairs, cfg.threads)
+    return _pair_table(inst, lambda chi1, chi2: mackey_ledger(inst, chi1, chi2, cfg), cfg.threads)
 
 
 REGISTRY: list[tuple[str, tuple]] = [

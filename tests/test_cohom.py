@@ -2,6 +2,8 @@
 cocycle/coboundary mechanics, the explicit root extension, and the
 two-step inflation computation of H^1(B, F_q[chi])."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from borelext.cohom import (
     ext1_dim,
     ext1_dim_shapiro,
     h1_dim,
+    h1_isotypic_dims,
     is_coboundary,
 )
 from borelext.field import make_field
@@ -21,6 +24,8 @@ from borelext.gmodule import (
     char_module,
     hom_module,
     induced_module,
+    restrict,
+    right_coset_data,
     trivial_module,
 )
 from borelext.group import (
@@ -287,15 +292,50 @@ def test_memory_budget_error(F3):
         h1_dim(G, hom_module(i1, i1), budget_mb=0)
 
 
-def test_two_path_ext_gl2_f3_all_pairs(F3):
-    G = build_gl(F3, 2)
-    B = build_borel(F3, 2)
-    inds = {c.exps: induced_module(G, B, c) for c in all_chars(2, 2)}
-    for c1 in all_chars(2, 2):
-        for c2 in all_chars(2, 2):
-            direct = ext1_dim(G, inds[c1.exps], inds[c2.exps]).dim_h1
-            shap = ext1_dim_shapiro(G, B, c1, c2).dim_h1
-            assert direct == shap
+@functools.lru_cache(maxsize=None)
+def _gl_setup(p, f, n):
+    """G, B, T, N, the characters and one induced module per character."""
+    fld = make_field(p, f)
+    G, B = build_gl(fld, n), build_borel(fld, n)
+    coset_data = right_coset_data(G, B)
+    chars = all_chars(n, fld.q - 1)
+    inds = {c.exps: induced_module(G, B, c, coset_data=coset_data) for c in chars}
+    return G, B, build_torus(fld, n), build_unipotent(fld, n), chars, inds
+
+
+@pytest.mark.parametrize(
+    "p,f,n,direct,chi2s",
+    [(3, 1, 2, True, None), (5, 1, 2, False, None), (3, 2, 2, False, [(1, 2)])],
+    ids=["3-1-2", "5-1-2", "3-2-2"],
+)
+def test_two_path_ext_gl2_f3_all_pairs(p, f, n, direct, chi2s):
+    # Ext^1_G(Ind chi1, Ind chi2) three ways: the G-level solve (only where
+    # |G| is small), the B-level Shapiro solve, and the N-level T-isotypic
+    # route; at f = 2 one chi2 is checked against all 64 chi1
+    G, B, T, N, chars, inds = _gl_setup(p, f, n)
+    targets = chars if chi2s is None else [TorusChar(e, G.field.q - 1) for e in chi2s]
+    seen = 0
+    for c2 in targets:
+        iso = h1_isotypic_dims(N, T, inds[c2.exps], chars)
+        res = restrict(inds[c2.exps], B)
+        for c1, got in zip(chars, iso):
+            shap = ext1_dim_shapiro(G, B, c1, c2, res_ind=res).dim_h1
+            assert got == shap
+            if direct:
+                assert ext1_dim(G, inds[c1.exps], inds[c2.exps]).dim_h1 == shap
+            seen += got
+    assert seen > 0
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 2)], ids=["3-1-2", "3-2-2"])
+def test_isotypic_dims_sum_to_h1_over_unipotent(p, f, n):
+    # T is semisimple and split over F_q, so H^1(N, M) is the sum of its
+    # chi1-isotypic pieces
+    G, B, T, N, chars, inds = _gl_setup(p, f, n)
+    for c2 in chars:
+        M = inds[c2.exps]
+        total = h1_dim(N, restrict(M, N), want_basis=False).dim_h1
+        assert sum(h1_isotypic_dims(N, T, M, chars)) == total > 0
 
 
 def test_ext_gl2_f5_twist_pair():

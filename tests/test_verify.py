@@ -1,0 +1,61 @@
+"""The verification layer: report bytes independent of the thread count, the
+two oracle paths of thm1, the principal-series oracle at GL_3(F_3), and the
+n = 1 instances, where N is trivial."""
+
+import json
+import sys
+
+import pytest
+
+from borelext import cli
+from borelext import verify as V
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_thm1_report_bytes_do_not_depend_on_threads(threads, monkeypatch):
+    solves = []
+    real = V.h1_isotypic_dims
+
+    def counted(N, T, M, chis, **kw):
+        solves.append(M.chi.exps)
+        return real(N, T, M, chis, **kw)
+
+    monkeypatch.setattr(V, "h1_isotypic_dims", counted)
+    one = V.reports_to_json(V.verify_thm1(V.Instance(3, 1, 2), V.VerifyConfig(threads=1)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a shared-cache race would show
+    try:
+        many = V.reports_to_json(V.verify_thm1(V.Instance(3, 1, 2), V.VerifyConfig(threads=threads)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert one == many
+    # one N-level solve per chi2 and per instance, threads or not
+    assert sorted(solves) == sorted(2 * [c.exps for c in V.Instance(3, 1, 2).chars])
+
+
+def test_thm1_direct_and_shapiro_paths_agree():
+    nec, _ = V.verify_thm1(V.Instance(3, 1, 2))
+    assert nec.extras["paths"] == ["direct", "shapiro"]
+    assert nec.extras["path_mismatches"] == []
+    assert any(r.dim > 0 for r in nec.pairs)
+    assert {r.mode for r in nec.pairs} == {"exhaustive"}
+
+
+def test_gl3_oracle_dims_at_the_open_pairs():
+    # the two pairs without a (w, i, k) witness; the verdict stays open, so
+    # only the oracle values are pinned
+    nec, _ = V.verify_thm1(V.Instance(3, 1, 3))
+    dims = {(r.chi1, r.chi2): r.dim for r in nec.pairs}
+    assert dims[(0, 1, 0), (1, 1, 1)] == 2
+    assert dims[(1, 0, 1), (0, 0, 0)] == 2
+
+
+@pytest.mark.parametrize("command", [["ext-ps"], ["verify", "thm1"]], ids=["ext-ps", "thm1"])
+def test_n1_principal_series_ext_vanishes(command, capsys):
+    # N is trivial at n = 1, so H^1(B, M) = H^1(T, M) = 0
+    code = cli.main(command + ["--p", "3", "--n", "1", "--threads", "1", "--output", "json"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    reports = out if isinstance(out, list) else [out]
+    dims = [r["dim"] for rep in reports for r in rep["pairs"]]
+    assert len(dims) >= 4 and not any(dims)
