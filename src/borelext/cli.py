@@ -29,10 +29,6 @@ def _add_common(sp):
     sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
     sp.add_argument("--f", type=int, default=1, help="field extension degree")
     sp.add_argument("--n", type=int, default=2, help="matrix size")
-    sp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto",
-                    help="cocycle solve mode; the Shapiro route (ext-ps, thm1, the mackey "
-                         "G-level dim) always solves exhaustively over N")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget-mb", type=int, default=1024)
     sp.add_argument("--threads", type=int, default=0,
                     help="pair-level parallelism; 0 = machine parallelism")
@@ -95,8 +91,7 @@ def _parse_char(text: str | None, n: int, qm1: int) -> TorusChar | None:
 
 def _cfg(args) -> V.VerifyConfig:
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    return V.VerifyConfig(mode=args.mode, seed=args.seed, budget_mb=args.budget_mb,
-                          threads=threads)
+    return V.VerifyConfig(budget_mb=args.budget_mb, threads=threads)
 
 
 def _emit(args, text: str) -> None:
@@ -115,7 +110,7 @@ def _report_text(reports) -> str:
         lines.append(head)
         lines.append("-" * len(head))
         widths = None
-        header = ["chi1", "chi2", "w", "dim", "expected", "predicted", "witness", "mode"]
+        header = ["chi1", "chi2", "w", "dim", "expected", "predicted", "witness"]
         rows = []
         for r in rep.pairs:
             wit = ""
@@ -125,7 +120,7 @@ def _report_text(reports) -> str:
             rows.append([
                 str(r.chi1), str(r.chi2), str(r.w) if r.w else "",
                 str(r.dim), "" if r.expected_dim is None else str(r.expected_dim),
-                "yes" if r.predicted else "no", wit, r.mode,
+                "yes" if r.predicted else "no", wit,
             ])
         widths = [max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
                   for i in range(len(header))]
@@ -210,10 +205,9 @@ def _cmd_ext_b(args) -> int:
 
     for chi1 in chars1:
         for chi2 in chars2:
-            r = inst.ext_b(chi1, chi2, cfg)
             wit = match_simple_root_twist(chi1.inverse() * chi2)
             rows.append(V.PairRow(chi1.exps, chi2.exps, wit is not None, wit,
-                                  r.dim_h1, r.mode))
+                                  inst.ext_b(chi1, chi2, cfg)))
     rep = V.ExtReport(args.p, args.f, args.n, "ext-b", rows)
     return _emit_reports(args, [rep])
 
@@ -226,18 +220,14 @@ def _cmd_ext_ps(args) -> int:
     chars1 = [c1] if c1 else inst.chars
     chars2 = [c2] if c2 else inst.chars
     from .chars import match_theorem1_condition
-    from .cohom import ext1_dim
 
+    dim_of = inst.direct_dim if args.path == "direct" else inst.shapiro_dim
     rows = []
     for chi1 in chars1:
         for chi2 in chars2:
-            if args.path == "direct":
-                r = ext1_dim(inst.G, inst.induced(chi1), inst.induced(chi2), **cfg.h1_kwargs())
-                dim, mode = r.dim_h1, r.mode
-            else:
-                dim, mode = inst.shapiro_dim(chi1, chi2, cfg)
             wit = match_theorem1_condition(chi1, chi2, inst.weyls)
-            rows.append(V.PairRow(chi1.exps, chi2.exps, wit is not None, wit, dim, mode))
+            rows.append(V.PairRow(chi1.exps, chi2.exps, wit is not None, wit,
+                                  dim_of(chi1, chi2, cfg)))
     rep = V.ExtReport(args.p, args.f, args.n, "ext-ps", rows, extras={"path": args.path})
     return _emit_reports(args, [rep])
 

@@ -14,15 +14,16 @@ Statements and their contracts:
   thm1_sufficient_w1  pairs satisfying the w = 1 twist condition are nonzero.
   prop4            Ext from a character of G into a principal series: dim = f
                    at w = 1 condition pairs, 0 where no w works; pairs where
-                   only some w != 1 works are findings.
+                   only some w != 1 works are findings.  By Shapiro's lemma
+                   Ext^1_G(det^a, Ind chi2) = Ext^1_B(det^a|_B, chi2), so it
+                   is computed at the B level.
   mackey           per-pair ledger over w of B∩B^w contributions summing to
                    the principal-series Ext dimension.
 
 Principal-series Ext comes from Instance.shapiro_dim.  It needs p to be prime
 to |T| = (q-1)^n, which always holds over F_q.  Then H^1(B, M) = H^1(N, M)^T,
-so one exhaustive cocycle solve over N per chi2 gives the Ext dimension for
-every chi1 (cohom.h1_isotypic_dims).  Those rows report mode `exhaustive`
-whatever VerifyConfig.mode says.  thm1 also runs the G-level direct solve
+so one cocycle solve over N per chi2 gives the Ext dimension for
+every chi1 (cohom.h1_isotypic_dims).  thm1 also runs the G-level direct solve
 where it is cheap, and reports any pair where the two paths disagree.
 """
 
@@ -45,14 +46,14 @@ from .chars import (
     simple_root,
     trivial_char,
 )
-from .cohom import ext1_dim, h1_dim, h1_isotypic_dims
+from .cohom import h1_dim, h1_isotypic_dims
 from .field import make_field
 from .gmodule import (
     abelian_quotient_with_torus_action,
     char_module,
     char_modules_isomorphic,
-    det_char_module,
     fq_hom_module,
+    hom_module,
     induced_module,
     right_coset_data,
 )
@@ -66,19 +67,18 @@ from .group import (
     weyl_elements,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
 class VerifyConfig:
-    mode: str = "auto"  # exhaustive | sampled | auto
-    seed: int = 0
     budget_mb: int = 1024
     threads: int = 1
 
-    def h1_kwargs(self) -> dict:
-        return {"mode": self.mode, "seed": self.seed, "budget_mb": self.budget_mb,
-                "want_basis": False}
+
+def _h1(H, M, cfg: VerifyConfig) -> int:
+    """dim H^1(H, M) from the cocycle solver, within cfg's memory budget."""
+    return h1_dim(H, M, budget_mb=cfg.budget_mb, want_basis=False).dim_h1
 
 
 @dataclass
@@ -88,7 +88,6 @@ class PairRow:
     predicted: bool
     witness: TwistWitness | None
     dim: int
-    mode: str
     expected_dim: int | None = None
     asserted: bool = True
     note: str = ""
@@ -108,7 +107,6 @@ class PairRow:
             "predicted": self.predicted,
             "witness": wit,
             "dim": self.dim,
-            "mode": self.mode,
             "expected_dim": self.expected_dim,
             "asserted": self.asserted,
         }
@@ -179,7 +177,7 @@ class ExtReport:
 CSV_FIELDS = [
     "schema", "p", "f", "n", "statement", "chi1", "chi2", "predicted",
     "witness_w", "witness_i", "witness_k", "dim", "expected_dim", "asserted",
-    "mode", "row_w", "note", "verdict",
+    "row_w", "note", "verdict",
 ]
 
 
@@ -202,7 +200,6 @@ def csv_rows(reports) -> list[dict]:
                 "dim": r.dim,
                 "expected_dim": "" if r.expected_dim is None else r.expected_dim,
                 "asserted": int(r.asserted),
-                "mode": r.mode,
                 "row_w": ";".join(map(str, r.w)) if r.w else "",
                 "note": r.note,
                 "verdict": verdict,
@@ -251,7 +248,7 @@ class Instance:
         self._bw: dict[tuple, object] = {}
         self._np: dict[tuple, object] = {}
         self._eig: dict[tuple, list] = {}
-        self._shap: dict[tuple, tuple[int, str]] = {}
+        self._shap: dict[tuple, int] = {}
 
     @cached_property
     def G(self):
@@ -314,21 +311,25 @@ class Instance:
             self._eig[w.perm] = got
         return got
 
-    def ext_b(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig):
-        """Ext between two Borel characters, F_q-linearly."""
+    def ext_b(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
+        """dim Ext between two Borel characters, F_q-linearly."""
         M = fq_hom_module(char_module(self.B, chi1), char_module(self.B, chi2))
-        return h1_dim(self.B, M, **cfg.h1_kwargs())
+        return _h1(self.B, M, cfg)
 
-    def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig):
-        """(dim, mode) of Ext^1_G(Ind chi1, Ind chi2).  The first call for a
-        chi2 solves over N once and fills the cache for every chi1."""
+    def direct_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
+        """dim Ext^1_G(Ind chi1, Ind chi2) by a G-level solve."""
+        return _h1(self.G, hom_module(self.induced(chi1), self.induced(chi2)), cfg)
+
+    def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
+        """dim Ext^1_G(Ind chi1, Ind chi2).  The first call for a chi2 solves
+        over N once and fills the cache for every chi1."""
         key = (chi1.exps, chi2.exps)
         got = self._shap.get(key)
         if got is None:
             dims = h1_isotypic_dims(self.N, self.T, self.induced(chi2), self.chars,
                                     budget_mb=cfg.budget_mb)
             for chi, dim in zip(self.chars, dims):
-                self._shap[(chi.exps, chi2.exps)] = (dim, "exhaustive")
+                self._shap[(chi.exps, chi2.exps)] = dim
             got = self._shap[key]
         return got
 
@@ -352,8 +353,7 @@ def verify_prop1(inst: Instance, cfg: VerifyConfig | None = None) -> ExtReport:
     def row(pair):
         chi1, chi2 = pair
         wit = match_simple_root_twist(chi1.inverse() * chi2)
-        r = inst.ext_b(chi1, chi2, cfg)
-        return PairRow(chi1.exps, chi2.exps, wit is not None, wit, r.dim_h1, r.mode,
+        return PairRow(chi1.exps, chi2.exps, wit is not None, wit, inst.ext_b(chi1, chi2, cfg),
                        expected_dim=1 if wit is not None else 0)
 
     pairs = [(c1, c2) for c1 in inst.chars for c2 in inst.chars]
@@ -377,11 +377,9 @@ def verify_prop2(inst: Instance, cfg: VerifyConfig | None = None, weyl=None) -> 
         rows = []
         triv = trivial_char(inst.n, inst.qm1)
         for chi in inst.chars:
-            M = char_module(bw, chi)
-            r = h1_dim(bw, M, **cfg.h1_kwargs())
             expected = mult.get(chi.exps, 0)
-            rows.append(PairRow(triv.exps, chi.exps, expected > 0, None, r.dim_h1, r.mode,
-                                expected_dim=expected))
+            rows.append(PairRow(triv.exps, chi.exps, expected > 0, None,
+                                _h1(bw, char_module(bw, chi), cfg), expected_dim=expected))
         extras = {
             "w": list(w.perm),
             "eigencharacters": [[list(b.exps), m] for b, m in eig],
@@ -401,8 +399,8 @@ def verify_prop3(inst: Instance, cfg: VerifyConfig | None = None) -> ExtReport:
 
     def row(chi):
         wit = match_simple_root_twist(chi)
-        r = h1_dim(inst.B, char_module(inst.B, chi), **cfg.h1_kwargs())
-        return PairRow(triv.exps, chi.exps, wit is not None, wit, r.dim_h1, r.mode)
+        return PairRow(triv.exps, chi.exps, wit is not None, wit,
+                       _h1(inst.B, char_module(inst.B, chi), cfg))
 
     rows = _pmap(row, inst.chars, cfg.threads)
     findings = [
@@ -429,7 +427,7 @@ def verify_lemma1(p: int, f: int, cfg: VerifyConfig | None = None) -> ExtReport:
             chi2 = TorusChar((e2,), qm1)
             predicted = any(e1 == (e2 * pow(p, k, qm1)) % qm1 for k in range(f))
             iso, _mu = char_modules_isomorphic(A, chi1, chi2)
-            rows.append(PairRow(chi1.exps, chi2.exps, predicted, None, int(iso), "exhaustive",
+            rows.append(PairRow(chi1.exps, chi2.exps, predicted, None, int(iso),
                                 expected_dim=int(predicted)))
     return ExtReport(p, f, 1, "lemma1", rows)
 
@@ -454,24 +452,24 @@ def verify_thm1(inst: Instance, cfg: VerifyConfig | None = None) -> list[ExtRepo
     mismatches = []
 
     def compute(chi1, chi2):
-        dim, mode = inst.shapiro_dim(chi1, chi2, cfg)
+        dim = inst.shapiro_dim(chi1, chi2, cfg)
         if "direct" in paths:
-            rd = ext1_dim(inst.G, inst.induced(chi1), inst.induced(chi2), **cfg.h1_kwargs())
-            if rd.dim_h1 != dim:
+            direct = inst.direct_dim(chi1, chi2, cfg)
+            if direct != dim:
                 mismatches.append({"chi1": list(chi1.exps), "chi2": list(chi2.exps),
-                                   "shapiro": dim, "direct": rd.dim_h1})
-        return chi1, chi2, dim, mode
+                                   "shapiro": dim, "direct": direct})
+        return chi1, chi2, dim
 
     computed = _pair_table(inst, compute, cfg.threads)
     mismatches.sort(key=lambda m: (m["chi1"], m["chi2"]))
 
     rows_nec, rows_suf, findings = [], [], []
-    for chi1, chi2, dim, mode in computed:
+    for chi1, chi2, dim in computed:
         wit = match_theorem1_condition(chi1, chi2, inst.weyls)
         w1 = match_simple_root_twist(chi1.inverse() * chi2)
-        rows_nec.append(PairRow(chi1.exps, chi2.exps, wit is not None, wit, dim, mode))
+        rows_nec.append(PairRow(chi1.exps, chi2.exps, wit is not None, wit, dim))
         if w1 is not None:
-            rows_suf.append(PairRow(chi1.exps, chi2.exps, True, w1, dim, mode))
+            rows_suf.append(PairRow(chi1.exps, chi2.exps, True, w1, dim))
         elif wit is not None:
             findings.append(
                 f"pair {chi1.exps}->{chi2.exps}: condition holds only at w={wit.weyl.perm}, "
@@ -486,22 +484,23 @@ def verify_thm1(inst: Instance, cfg: VerifyConfig | None = None) -> list[ExtRepo
 
 
 def verify_prop4(inst: Instance, cfg: VerifyConfig | None = None) -> ExtReport:
-    """Ext from a character of the full group into a principal series."""
+    """Ext from a character of the full group into a principal series, by
+    Shapiro's lemma at the B level: Ext^1_G(det^a, Ind chi2) =
+    Ext^1_B(det^a|_B, chi2)."""
     cfg = cfg or VerifyConfig()
     f = inst.f
 
     def row(pair):
         a, chi2 = pair
         chi1_t = TorusChar((a,) * inst.n, inst.qm1)  # det^a restricted to T
-        M = fq_hom_module(det_char_module(inst.G, a), inst.induced(chi2))
-        r = h1_dim(inst.G, M, **cfg.h1_kwargs())
+        dim = inst.ext_b(chi1_t, chi2, cfg)
         w1 = match_simple_root_twist(chi1_t.inverse() * chi2)
         anyw = match_theorem1_condition(chi1_t, chi2, inst.weyls)
         if w1 is not None:
-            return PairRow(chi1_t.exps, chi2.exps, True, w1, r.dim_h1, r.mode, expected_dim=f)
+            return PairRow(chi1_t.exps, chi2.exps, True, w1, dim, expected_dim=f)
         if anyw is None:
-            return PairRow(chi1_t.exps, chi2.exps, False, None, r.dim_h1, r.mode, expected_dim=0)
-        return PairRow(chi1_t.exps, chi2.exps, True, anyw, r.dim_h1, r.mode,
+            return PairRow(chi1_t.exps, chi2.exps, False, None, dim, expected_dim=0)
+        return PairRow(chi1_t.exps, chi2.exps, True, anyw, dim,
                        expected_dim=None, asserted=False,
                        note="condition holds only at w != 1; dim reported, not asserted")
 
@@ -515,27 +514,22 @@ def verify_prop4(inst: Instance, cfg: VerifyConfig | None = None) -> ExtReport:
 
 
 def mackey_ledger(inst: Instance, chi1: TorusChar, chi2: TorusChar,
-                  cfg: VerifyConfig | None = None, g_level: tuple[int, str] | None = None) -> ExtReport:
+                  cfg: VerifyConfig | None = None) -> ExtReport:
     """Per-w contributions Ext_{B∩B^w}(chi1, chi2^w) against the
     principal-series Ext dimension, with the eigencharacters of each
     N'/[N',N'] itemized."""
     cfg = cfg or VerifyConfig()
     from .chars import weyl_twist
 
-    if g_level is None:
-        g_level = inst.shapiro_dim(chi1, chi2, cfg)
-    g_dim, g_mode = g_level
     rows = []
     for w in inst.weyls:
         bw = inst.bw(w)
         eig = inst.weyl_eigen(w)
         chi2w = weyl_twist(chi2, w)
-        M = fq_hom_module(char_module(bw, chi1), char_module(bw, chi2w))
-        r = h1_dim(bw, M, **cfg.h1_kwargs())
+        dim = _h1(bw, fq_hom_module(char_module(bw, chi1), char_module(bw, chi2w)), cfg)
         note = "eigenchars: " + ",".join(f"{list(b.exps)}x{m}" for b, m in eig)
-        rows.append(PairRow(chi1.exps, chi2.exps, r.dim_h1 > 0, None, r.dim_h1, r.mode,
-                            note=note, w=w.perm))
-    extras = {"g_level_dim": g_dim, "g_level_mode": g_mode}
+        rows.append(PairRow(chi1.exps, chi2.exps, dim > 0, None, dim, note=note, w=w.perm))
+    extras = {"g_level_dim": inst.shapiro_dim(chi1, chi2, cfg)}
     return ExtReport(inst.p, inst.f, inst.n, "mackey", rows, extras=extras)
 
 

@@ -1,0 +1,74 @@
+"""The command line and the report format: removed flags are usage errors,
+CSV and JSON carry schema 2 without a solver-mode field, ExtReport.check
+rejects contract-breaking rows, and a failing report sets exit code 1."""
+
+import json
+
+import pytest
+
+from borelext import cli
+from borelext import verify as V
+from borelext.chars import TwistWitness
+
+BASE = ["ext-b", "--p", "3", "--n", "2", "--threads", "1"]
+
+
+@pytest.mark.parametrize("flag", [["--mode", "exhaustive"], ["--seed", "1"]],
+                         ids=["mode", "seed"])
+def test_removed_flags_are_usage_errors(flag, capsys):
+    assert cli.main(BASE + flag) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_csv_header_is_csv_fields(capsys):
+    assert cli.main(BASE + ["--output", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(V.CSV_FIELDS)
+    assert "mode" not in V.CSV_FIELDS
+    assert len(lines) == 1 + 16
+
+
+def test_json_schema_and_no_mode(capsys):
+    assert cli.main(BASE + ["--output", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["schema"] == V.SCHEMA_VERSION == 2
+    assert len(out["pairs"]) == 16
+    assert not any("mode" in r for r in out["pairs"])
+
+
+def test_text_has_no_mode_column(capsys):
+    assert cli.main(BASE + ["--output", "text"]) == 0
+    header = capsys.readouterr().out.splitlines()[2].split()
+    assert header == ["chi1", "chi2", "w", "dim", "expected", "predicted", "witness"]
+
+
+def _row(dim, predicted=False, witness=None, expected_dim=None):
+    return V.PairRow((0, 0), (1, 0), predicted, witness, dim, expected_dim=expected_dim)
+
+
+WIT = TwistWitness(1, 0)
+
+
+@pytest.mark.parametrize("statement,rows,extras", [
+    ("thm1_necessary", [_row(1, predicted=False, witness=None)], {}),
+    ("prop3", [_row(1, predicted=False)], {}),
+    ("prop3", [_row(0, predicted=True, witness=WIT)], {}),
+    ("prop1", [_row(0, predicted=True, witness=WIT, expected_dim=1)], {}),
+    ("mackey", [_row(1), _row(0)], {"g_level_dim": 2}),
+], ids=["thm1-no-witness", "prop3-unpredicted", "prop3-missed", "expected-dim", "mackey-sum"])
+def test_check_rejects_contract_breaking_rows(statement, rows, extras):
+    bad = V.ExtReport(3, 1, 2, statement, rows, extras=extras)
+    assert not bad.check() and bad.verdict == "fail"
+
+
+def test_check_passes_the_repaired_rows():
+    assert V.ExtReport(3, 1, 2, "thm1_necessary", [_row(1, True, WIT)]).check()
+    assert V.ExtReport(3, 1, 2, "prop1", [_row(1, True, WIT, expected_dim=1)]).check()
+    assert V.ExtReport(3, 1, 2, "mackey", [_row(1), _row(1)], extras={"g_level_dim": 2}).check()
+
+
+def test_failing_report_sets_exit_code_1(monkeypatch, capsys):
+    bad = V.ExtReport(3, 1, 2, "prop1", [_row(0, True, WIT, expected_dim=1)])
+    monkeypatch.setattr(V, "run_statement", lambda statement, args, cfg: [bad])
+    assert cli.main(["verify", "prop1", "--p", "3", "--threads", "1", "--output", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"

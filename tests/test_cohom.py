@@ -3,11 +3,16 @@ cocycle/coboundary mechanics, the explicit root extension, and the
 two-step inflation computation of H^1(B, F_q[chi])."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from borelext.chars import TorusChar, all_chars, evaluate, frobenius_twist, simple_root, trivial_char
+from borelext import cohom
 from borelext.cohom import (
     Cocycle,
     MemoryBudgetError,
@@ -20,6 +25,7 @@ from borelext.cohom import (
 )
 from borelext.field import make_field
 from borelext.gmodule import (
+    FpModule,
     abelian_quotient_with_torus_action,
     char_module,
     hom_module,
@@ -258,30 +264,88 @@ def test_build_E_alpha_rejects_wrong_root(F3):
         build_E_alpha(B, trivial_char(2, 2), 1)
 
 
-def test_sampled_equals_exhaustive(F3, F9):
-    cases = []
-    B3 = build_borel(F3, 2)
-    cases.append((B3, char_module(B3, simple_root(1, 2, 2))))
-    B9 = build_borel(F9, 2)
-    cases.append((B9, char_module(B9, TorusChar((1, 7), 8))))
-    G3 = build_gl(F3, 2)
-    B3g = build_borel(F3, 2)
-    i1 = induced_module(G3, B3g, trivial_char(2, 2))
-    i2 = induced_module(G3, B3g, TorusChar((1, 1), 2))
-    cases.append((G3, hom_module(i1, i2)))
-    for H, M in cases:
-        ex = h1_dim(H, M, mode="exhaustive")
-        for seed in (0, 1, 2):
-            sa = h1_dim(H, M, mode="sampled", seed=seed)
-            assert (sa.dim_z1, sa.dim_b1, sa.dim_h1) == (ex.dim_z1, ex.dim_b1, ex.dim_h1)
+def _solver_cases():
+    """Every character module over the Borels of GL_2(F_3) and GL_2(F_9), and
+    one Hom between principal series of GL_2(F_3)."""
+    F3, F9 = make_field(3, 1), make_field(3, 2)
+    B3, B9, G3 = build_borel(F3, 2), build_borel(F9, 2), build_gl(F3, 2)
+    i1 = induced_module(G3, B3, trivial_char(2, 2))
+    i2 = induced_module(G3, B3, TorusChar((1, 1), 2))
+    return ([(B3, char_module(B3, c)) for c in all_chars(2, 2)]
+            + [(B9, char_module(B9, c)) for c in all_chars(2, 8)]
+            + [(G3, hom_module(i1, i2))])
 
 
-def test_sampled_mode_label(F9):
-    B = build_borel(F9, 2)
-    M = char_module(B, TorusChar((1, 7), 8))
-    r = h1_dim(B, M, mode="sampled")
-    assert r.mode in ("sampled_verified", "exhaustive")
-    assert r.dim_h1 == 2
+def _non_tree_edges(H):
+    return H.order * len(H.generators) - H.order + 1
+
+
+def test_certified_sweep_equals_full_sweep(monkeypatch):
+    cases = _solver_cases()
+    got = [h1_dim(H, M) for H, M in cases]
+    # a window longer than any edge list never certifies, so every edge is fed
+    monkeypatch.setattr(cohom, "STABLE_WINDOW", 1 + max(_non_tree_edges(H) for H, _ in cases))
+    for (H, M), r in zip(cases, got):
+        full = h1_dim(H, M)
+        assert (full.mode, full.edges_used) == ("exhaustive", _non_tree_edges(H))
+        assert r.dims == full.dims
+        assert len(r.basis) == r.dim_h1 and all(c.is_valid() for c in r.basis)
+        if H.order == 12:
+            assert r.dims == brute_h1(H, M)
+    assert any(r.mode == "sampled_verified" and r.dim_h1 > 0 for r in got)
+    assert got[4 + all_chars(2, 8).index(TorusChar((1, 7), 8))].dim_h1 == 2
+
+
+def test_failed_certification_keeps_feeding(monkeypatch):
+    # one edge per chunk and a window of one chunk: candidates are checked
+    # long before the rank settles, so some fail and the sweep must go on
+    cases = _solver_cases()
+    want = [h1_dim(H, M).dims for H, M in cases]
+    defects = []
+    real = cohom._edge_defects
+
+    def counted(*args):
+        defects.append(real(*args))
+        return defects[-1]
+
+    monkeypatch.setattr(cohom, "_edge_defects", counted)
+    monkeypatch.setattr(cohom, "CHUNK_EDGES", 1)
+    monkeypatch.setattr(cohom, "STABLE_WINDOW", 1)
+    assert [h1_dim(H, M).dims for H, M in cases] == want
+    assert any(defects)
+
+
+def test_h1_with_no_or_one_non_tree_edge(F3):
+    N = build_unipotent(F3, 1)  # the trivial group: no generators, no edges
+    r = h1_dim(N, FpModule(N, [], dim=2))
+    assert (r.dims, r.mode, r.edges_used, r.basis) == ((0, 0, 0), "exhaustive", 0, [])
+    T = build_torus(F3, 1)  # cyclic of order 2 on one generator: one edge
+    N = build_unipotent(F3, 2)  # cyclic of order 3 on one generator: one edge
+    for H, M in [(T, trivial_module(T)), (T, char_module(T, TorusChar((1,), 2))),
+                 (N, trivial_module(N))]:
+        r = h1_dim(H, M)
+        assert (r.mode, r.edges_used) == ("exhaustive", 1)
+        assert r.dims == brute_h1(H, M)
+        assert len(r.basis) == r.dim_h1 and all(c.is_valid() for c in r.basis)
+
+
+def test_solver_leaves_numpy_random_unloaded():
+    code = (
+        "import sys\n"
+        "from borelext.chars import TorusChar, trivial_char\n"
+        "from borelext.cohom import h1_dim\n"
+        "from borelext.field import make_field\n"
+        "from borelext.gmodule import hom_module, induced_module\n"
+        "from borelext.group import build_borel, build_gl\n"
+        "F = make_field(3, 1)\n"
+        "G, B = build_gl(F, 2), build_borel(F, 2)\n"
+        "M = hom_module(induced_module(G, B, trivial_char(2, 2)),\n"
+        "               induced_module(G, B, TorusChar((1, 1), 2)))\n"
+        "assert h1_dim(G, M).dim_h1 == 1\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cohom.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_memory_budget_error(F3):

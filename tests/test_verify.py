@@ -1,6 +1,7 @@
 """The verification layer: report bytes independent of the thread count, the
-two oracle paths of thm1, the principal-series oracle at GL_3(F_3), and the
-n = 1 instances, where N is trivial."""
+two oracle paths of thm1, prop4's B-level route against the G-level solve,
+the principal-series oracle at GL_3(F_3), and the n = 1 instances, where N is
+trivial."""
 
 import json
 import sys
@@ -9,6 +10,8 @@ import pytest
 
 from borelext import cli
 from borelext import verify as V
+from borelext.cohom import h1_dim
+from borelext.gmodule import det_char_module, fq_hom_module
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -38,7 +41,22 @@ def test_thm1_direct_and_shapiro_paths_agree():
     assert nec.extras["paths"] == ["direct", "shapiro"]
     assert nec.extras["path_mismatches"] == []
     assert any(r.dim > 0 for r in nec.pairs)
-    assert {r.mode for r in nec.pairs} == {"exhaustive"}
+    out = json.loads(V.reports_to_json([nec]))
+    assert out["schema"] == 2
+    assert not any("mode" in r for r in out["pairs"])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_prop4_matches_the_g_level_solve(p):
+    # Shapiro: Ext^1_G(det^a, Ind chi2) = Ext^1_B(det^a|_B, chi2); the report
+    # takes the B-level side, the reference solves over G for every (a, chi2)
+    inst = V.Instance(p, 1, 2)
+    rep = V.verify_prop4(inst)
+    assert len(rep.pairs) == inst.qm1 * len(inst.chars)
+    for r in rep.pairs:
+        M = fq_hom_module(det_char_module(inst.G, r.chi1[0]), inst.induced(inst.char(r.chi2)))
+        assert r.dim == h1_dim(inst.G, M, want_basis=False).dim_h1
+    assert any(r.dim for r in rep.pairs)
 
 
 def test_gl3_oracle_dims_at_the_open_pairs():
