@@ -280,7 +280,9 @@ def _non_tree_edges(H):
     return H.order * len(H.generators) - H.order + 1
 
 
-def test_certified_sweep_equals_full_sweep(monkeypatch):
+def test_sampled_equals_exhaustive(monkeypatch):
+    # the certified sweep (mode "sampled_verified" when a check ends it) gives
+    # the same dims as a sweep that feeds every edge (mode "exhaustive")
     cases = _solver_cases()
     got = [h1_dim(H, M) for H, M in cases]
     # a window longer than any edge list never certifies, so every edge is fed
@@ -294,6 +296,16 @@ def test_certified_sweep_equals_full_sweep(monkeypatch):
             assert r.dims == brute_h1(H, M)
     assert any(r.mode == "sampled_verified" and r.dim_h1 > 0 for r in got)
     assert got[4 + all_chars(2, 8).index(TorusChar((1, 7), 8))].dim_h1 == 2
+
+
+def test_sampled_mode_label(F9):
+    B = build_borel(F9, 2)
+    M = char_module(B, TorusChar((1, 7), 8))
+    r = h1_dim(B, M)
+    assert r.mode in ("sampled_verified", "exhaustive")
+    assert r.edges_used <= _non_tree_edges(B)
+    assert (r.mode == "exhaustive") == (r.edges_used == _non_tree_edges(B))
+    assert r.dim_h1 == 2
 
 
 def test_failed_certification_keeps_feeding(monkeypatch):
