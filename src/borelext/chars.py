@@ -255,7 +255,7 @@ def _eigen_subspace(A, lam, basis, field):
             row.append(acc)
         rows.append(row)
     out = []
-    for coeffs in _fq_nullspace(rows, field, k):
+    for coeffs in linalg.fq_nullspace(rows, field, k):
         vec = [0] * dim
         for j, cj in enumerate(coeffs):
             if cj:
@@ -263,39 +263,4 @@ def _eigen_subspace(A, lam, basis, field):
                     if basis[j][c]:
                         vec[c] = field.add_code(vec[c], field.mul_code(cj, basis[j][c]))
         out.append(tuple(vec))
-    return out
-
-
-def _fq_nullspace(M, field, ncols):
-    rows = [list(r) for r in M if any(r)]
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv_code(rows[rank][c])
-        rows[rank] = [field.mul_code(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [
-                    field.sub_code(rows[i][j], field.mul_code(fac, rows[rank][j]))
-                    for j in range(ncols)
-                ]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for c in free:
-        v = [0] * ncols
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg_code(rows[r][c])
-        out.append(tuple(v))
     return out

@@ -62,21 +62,26 @@ class Cocycle:
 
     def propagate(self) -> np.ndarray:
         """f(g) for every element, shape (|H|, d), extended along the tree."""
-        return _propagate(self.group, self.module.act_all(), self.values, self.module.p)
+        rho = self.module.act_all().astype(np.int64)
+        return _propagate(self.group, rho, self.values, self.module.p)
 
     def defect_count(self) -> int:
         """How many Cayley edges violate f(gs) = f(g) + g f(s)."""
-        return _edge_defects(self.group, self.module, self.values, self.propagate())
+        H, p = self.group, self.module.p
+        rho = self.module.act_all().astype(np.int64)
+        return _edge_defects(H, rho, self.values, _propagate(H, rho, self.values, p), p)
 
     def is_valid(self) -> bool:
         return self.defect_count() == 0
 
 
-def _edge_defects(H: MatrixGroup, M: FpModule, values: np.ndarray, fvals: np.ndarray) -> int:
-    rho = M.act_all().astype(np.int64)
+def _edge_defects(H: MatrixGroup, rho: np.ndarray, values: np.ndarray, fvals: np.ndarray,
+                  p: int) -> int:
+    """Defective Cayley edges of the cocycle with these generator values and
+    propagated values fvals; rho is the int64 action table."""
     bad = 0
     for s in range(len(H.generators)):
-        lhs = (fvals + np.einsum("gij,j->gi", rho, values[s])) % M.p
+        lhs = linalg.mod(fvals + np.einsum("gij,j->gi", rho, values[s]), p)
         rhs = fvals[H.cayley[:, s]]
         bad += int(np.count_nonzero(np.any(lhs != rhs, axis=1)))
     return bad
@@ -129,57 +134,55 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024, want_basis: bool 
         )
     rho = M.act_all()
 
-    # F[g] expresses f(g) as a linear map of the stacked unknowns f(s)
+    # F[g] expresses f(g) as a linear map of the stacked unknowns f(s); a
+    # child copies its parent and adds rho(parent) in block s.  The sum t of
+    # two residues is below 2p, so min(t, t - p) in uint16 reduces it: t - p
+    # wraps above t exactly when t < p.
     F = np.zeros((size, d, nu), dtype=np.uint8)
     tree_edge = np.zeros((size, S), dtype=bool)
     for s, parents, children in H.tree_batches:
         tree_edge[parents, s] = True
-        blk = F[parents].astype(np.int64)
-        blk[:, :, s * d : (s + 1) * d] += rho[parents]
-        F[children] = blk % p
+        blk = F[parents]
+        t = np.add(blk[:, :, s * d : (s + 1) * d], rho[parents], dtype=np.uint16)
+        blk[:, :, s * d : (s + 1) * d] = np.minimum(t, t - p)
+        F[children] = blk
 
     edges = np.argwhere(~tree_edge)  # rows (g, s)
     edges = edges[_spread_order(len(edges))]
+    unit = np.arange(d)
 
     def edge_rows(batch) -> np.ndarray:
-        rows = np.empty((len(batch) * d, nu), dtype=np.int64)
-        for k, (g, s) in enumerate(batch):
-            g, s = int(g), int(s)
-            r = F[g].astype(np.int64) - F[int(H.cayley[g, s])]
-            r[:, s * d : (s + 1) * d] += rho[g]
-            rows[k * d : (k + 1) * d] = r
-        return rows % p
+        g, s = batch[:, 0], batch[:, 1]
+        rows = F[g].astype(np.int16) - F[H.cayley[g, s]]
+        cols = (s * d)[:, None] + unit  # block s of each edge
+        rows[np.arange(len(batch))[:, None, None], unit[None, :, None], cols[:, None, :]] += rho[g]
+        return rows.reshape(-1, nu)
 
     red = linalg.RowReducer(p, nu)
     cob = _coboundary_rows(M)
+    rho64 = None  # int64 action table for certification, converted once
     used = stable = 0
-    reps: list[np.ndarray] | None = None
+    found = None
     while used < len(edges):
         before = red.rank
         red.add_rows(edge_rows(edges[used : used + CHUNK_EDGES]))
         used = min(used + CHUNK_EDGES, len(edges))
         stable = stable + 1 if red.rank == before else 0
         if stable >= STABLE_WINDOW and used < len(edges):
-            cand = _h1_representatives(red, cob, p)
-            if all(_edge_defects(H, M, v.reshape(S, d), _propagate(H, rho, v.reshape(S, d), p)) == 0
-                   for v in cand):
-                reps = cand
+            cand, dim_b1 = _h1_representatives(red, cob, p)
+            if rho64 is None:
+                rho64 = rho.astype(np.int64)
+            vals = [v.reshape(S, d) for v in cand]
+            if all(_edge_defects(H, rho64, v, _propagate(H, rho64, v, p), p) == 0 for v in vals):
+                found = cand, dim_b1
                 break
             stable = 0  # a candidate is not a cocycle; keep feeding edges
     mode = "exhaustive" if used == len(edges) else "sampled_verified"
 
+    reps, dim_b1 = found if found is not None else _h1_representatives(red, cob, p)
     dim_z1 = nu - red.rank
-    dim_b1 = linalg.rank_mod(cob, p)
     dim_h1 = dim_z1 - dim_b1
-    if dim_h1 < 0:
-        raise StructureError("coboundaries exceed cocycles; inconsistent system")
-    basis = []
-    if want_basis:
-        if reps is None:
-            reps = _h1_representatives(red, cob, p)
-        if len(reps) != dim_h1:
-            raise StructureError("representative count does not match dim H^1")
-        basis = [Cocycle(H, M, v.reshape(S, d)) for v in reps]
+    basis = [Cocycle(H, M, v.reshape(S, d)) for v in reps] if want_basis else []
     return H1Result(dim_z1, dim_b1, dim_h1, mode, basis, used)
 
 
@@ -250,24 +253,38 @@ def h1_isotypic_dims(N: MatrixGroup, T: MatrixGroup, M: FpModule, chis: list[Tor
 
 
 def _propagate(H, rho, values, p):
+    """f(g) for every element from the generator values; rho is the int64
+    action table."""
     out = np.zeros((H.order, rho.shape[1]), dtype=np.int64)
-    rho64 = rho.astype(np.int64)
     for s, parents, children in H.tree_batches:
-        out[children] = (out[parents] + np.einsum("kij,j->ki", rho64[parents], values[s])) % p
+        step = np.einsum("kij,j->ki", rho[parents], values[s])
+        out[children] = linalg.mod(out[parents] + step, p)
     return out
 
 
-def _h1_representatives(red: linalg.RowReducer, cob: np.ndarray, p: int) -> list[np.ndarray]:
-    """Nullspace vectors extending the coboundary span, as raw vectors."""
+def _h1_representatives(red: linalg.RowReducer, cob: np.ndarray,
+                        p: int) -> tuple[list[np.ndarray], int]:
+    """H^1 representatives among the nullspace basis vectors, and dim B^1,
+    from one elimination of the coboundaries' coordinates.
+
+    Coboundaries satisfy every edge, so they lie in the nullspace, and their
+    coordinates in its basis are their values at the free columns.  Basis
+    vector k extends the span of the coboundaries and the vectors before it
+    unless some combination of coboundaries has its last nonzero coordinate
+    at k, that is, unless k is a pivot of the coordinates with their columns
+    reversed.
+    """
     null = red.nullspace()
-    quot = linalg.RowReducer(p, red.ncols)
-    if cob.size:
-        quot.add_rows(cob)
-    reps = []
-    for v in null:
-        if quot.add_rows(v[None, :]):
-            reps.append(v)
-    return reps
+    free = red.free_columns()
+    k = len(free)
+    coords = cob[:, free]
+    if ((coords @ null - cob) % p).any():
+        raise StructureError("a coboundary violates the cocycle system; inconsistent system")
+    quot = linalg.RowReducer(p, k)
+    if coords.size:
+        quot.add_rows(coords[:, ::-1])
+    last = {k - 1 - c for c in quot.pivots}
+    return [null[j] for j in range(k) if j not in last], quot.rank
 
 
 def ext1_dim(H: MatrixGroup, M1: FpModule, M2: FpModule, **kw) -> H1Result:

@@ -4,8 +4,9 @@ restriction, fixed points, and isomorphism testing of character modules.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element is resolved as a generator word along the
-group's BFS tree and memoized.  Modules are immutable apart from that
-idempotent memo.
+group's BFS tree and memoized.  The table of every element's action is built
+on first use, along the tree, or for a Hom module from its two factors'
+tables.  Modules are immutable apart from those idempotent caches.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class FpModule:
     """An F_p[H]-module given by generator action matrices."""
 
     def __init__(self, group: MatrixGroup, gen_action, label: str = "", dim: int | None = None,
-                 fq_form: bool = False):
+                 fq_form: bool = False, derived: bool = False):
         self.group = group
         self.p = group.field.p
         if self.p >= 256:
@@ -53,9 +54,12 @@ class FpModule:
         # multiplication by F_q acts block-diagonally and commutes with the
         # group action (true for character and induced modules)
         self.fq_form = fq_form
-        for a in self.gen_action:
-            if not linalg.is_invertible_mod(a, self.p):
-                raise ModuleError("generator action is singular")
+        # derived: built by hom, F_q-hom or restriction from checked modules,
+        # whose generators act by products of invertible maps
+        if not derived:
+            for a in self.gen_action:
+                if not linalg.is_invertible_mod(a, self.p):
+                    raise ModuleError("generator action is singular")
         self.label = label
         self._memo: dict[int, np.ndarray] = {group.identity_id: np.eye(self.dim, dtype=np.int64)}
         self._all: np.ndarray | None = None
@@ -79,16 +83,20 @@ class FpModule:
         return self._memo[elt_id]
 
     def act_all(self) -> np.ndarray:
-        """Action of every element, shape (|H|, d, d), filled level by level
-        along the BFS tree with batched products."""
+        """Action of every element, shape (|H|, d, d), as uint8."""
         if self._all is None:
-            size = self.group.order
-            out = np.zeros((size, self.dim, self.dim), dtype=np.int64)
-            out[self.group.identity_id] = np.eye(self.dim, dtype=np.int64)
-            for s, parents, children in self.group.tree_batches:
-                out[children] = out[parents] @ self.gen_action[s] % self.p
-            self._all = out.astype(np.uint8)
+            self._all = self._build_all()
         return self._all
+
+    def _build_all(self) -> np.ndarray:
+        """The table filled level by level along the BFS tree with batched
+        products."""
+        size = self.group.order
+        out = np.zeros((size, self.dim, self.dim), dtype=np.int64)
+        out[self.group.identity_id] = np.eye(self.dim, dtype=np.int64)
+        for s, parents, children in self.group.tree_batches:
+            out[children] = linalg.mod(out[parents] @ self.gen_action[s], self.p)
+        return out.astype(np.uint8)
 
     def __repr__(self):
         return f"FpModule({self.label or 'module'}, dim={self.dim} over F_{self.p}, group={self.group.label})"
@@ -176,18 +184,35 @@ def induced_module(G: MatrixGroup, B: MatrixGroup, chi: TorusChar, coset_data=No
     return InducedModule(G, B, chi, coset_data=coset_data)
 
 
-def hom_module(M1: FpModule, M2: FpModule) -> FpModule:
+class HomModule(FpModule):
     """Hom_{F_p}(M1, M2) with g acting by phi -> rho2(g) phi rho1(g)^{-1},
     flattened row-major so the action matrix is kron(rho2, rho1^{-T})."""
-    if M1.group is not M2.group:
-        raise ModuleError("hom requires modules over the same group")
-    G = M1.group
-    acts = []
-    for s, g in enumerate(G.generators):
-        a2 = M2.gen_action[s]
-        a1_inv = M1.act(G.inv_id(G.element_id(g)))
-        acts.append(np.kron(a2, a1_inv.T) % M1.p)
-    return FpModule(G, acts, label=f"hom({M1.label},{M2.label})")
+
+    def __init__(self, M1: FpModule, M2: FpModule):
+        if M1.group is not M2.group:
+            raise ModuleError("hom requires modules over the same group")
+        G = M1.group
+        acts = []
+        for s, g in enumerate(G.generators):
+            a2 = M2.gen_action[s]
+            a1_inv = M1.act(G.inv_id(G.element_id(g)))
+            acts.append(np.kron(a2, a1_inv.T) % M1.p)
+        super().__init__(G, acts, label=f"hom({M1.label},{M2.label})", derived=True)
+        self.factors = (M1, M2)
+
+    def _build_all(self) -> np.ndarray:
+        """kron(rho2(g), rho1(g^{-1})^T) for every g, from the factors'
+        tables; a product of two residues fits in uint16."""
+        M1, M2 = self.factors
+        A2 = M2.act_all().astype(np.uint16)
+        A1 = M1.act_all()[self.group.inverse_ids()]
+        out = linalg.mod(np.einsum("gij,glk->gikjl", A2, A1), self.p)
+        return out.astype(np.uint8).reshape(self.group.order, self.dim, self.dim)
+
+
+def hom_module(M1: FpModule, M2: FpModule) -> HomModule:
+    """Hom_{F_p}(M1, M2) with the conjugation action."""
+    return HomModule(M1, M2)
 
 
 def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:
@@ -197,7 +222,9 @@ def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:
     Extensions between F_q-representations live here: over F_p the full
     Hom splits into f Frobenius-skewed summands and Ext dimensions pick up
     a factor of f, so pairing the modules F_q-linearly is what matches the
-    one-dimensional-over-F_q statements being verified.  For f = 1 this is
+    one-dimensional-over-F_q statements being verified.  For f = 1 it has
+    hom_module's action matrices: a one-dimensional M1 gives M2 twisted by
+    M1's character, whose table is M2-sized, and a larger M1 gives
     hom_module itself.
     """
     if M1.group is not M2.group:
@@ -207,8 +234,6 @@ def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:
     G = M1.group
     fld = G.field
     f = fld.f
-    if f == 1:
-        return hom_module(M1, M2)
     p = M1.p
     d1, d2 = M1.dim, M2.dim
     if d1 == f:
@@ -219,7 +244,10 @@ def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:
             u = fld.coeffs_code([int(c) for c in a1[:, 0]])
             tw = _block_diag(fld.mult_matrix(fld.inv_code(u)), d2 // f)
             acts.append(M2.gen_action[s] @ tw % p)
-        return FpModule(G, acts, label=f"fqhom({M1.label},{M2.label})", fq_form=True)
+        return FpModule(G, acts, label=f"fqhom({M1.label},{M2.label})", fq_form=True,
+                        derived=True)
+    if f == 1:
+        return hom_module(M1, M2)
     mx = fld.mult_matrix(fld._pp[1])  # multiplication by x
     bx1 = _block_diag(mx, d1 // f)
     bx2 = _block_diag(mx, d2 // f)
@@ -238,7 +266,7 @@ def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:
         big = np.kron(a2, a1_inv.T) % p
         # columns are images of the subspace basis, read off at free slots
         acts.append((big @ P.T)[free, :] % p)
-    return FpModule(G, acts, label=f"fqhom({M1.label},{M2.label})")
+    return FpModule(G, acts, label=f"fqhom({M1.label},{M2.label})", derived=True)
 
 
 def _block_diag(block: np.ndarray, count: int) -> np.ndarray:
@@ -257,7 +285,8 @@ def restrict(M: FpModule, H: MatrixGroup) -> FpModule:
     if not H.is_subgroup_of(G):
         raise ModuleError("restriction target is not a subgroup")
     acts = [M.act(G.element_id(g)) for g in H.generators]
-    return FpModule(H, acts, label=f"res({M.label})->{H.label}", fq_form=M.fq_form)
+    return FpModule(H, acts, label=f"res({M.label})->{H.label}", fq_form=M.fq_form,
+                    derived=True)
 
 
 def fixed_points_dim(M: FpModule) -> int:

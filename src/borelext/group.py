@@ -92,28 +92,10 @@ class Mat:
         return Mat(self.field, self.n, tuple(c for row in out for c in row))
 
     def det_code(self) -> int:
-        n, fld = self.n, self.field
-        rows = [list(self.codes[i * n : (i + 1) * n]) for i in range(n)]
-        det = 1
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if rows[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = fld.neg_code(det)
-            det = fld.mul_code(det, rows[c][c])
-            inv = fld.inv_code(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    fac = fld.mul_code(rows[i][c], inv)
-                    for j in range(c, n):
-                        rows[i][j] = fld.sub_code(rows[i][j], fld.mul_code(fac, rows[c][j]))
-        return det
+        n = self.n
+        rows = [self.codes[i * n : (i + 1) * n] for i in range(n)]
+        _, pivots, det = linalg.fq_eliminate(rows, self.field)
+        return det if len(pivots) == n else 0
 
     def __repr__(self):
         n, fld = self.n, self.field
@@ -238,6 +220,7 @@ class MatrixGroup:
         self.identity_id = self.index[identity_mat(field, n).codes]
         self._build_bfs()
         self._inv_ids: dict[int, int] = {}
+        self._inv_table: np.ndarray | None = None
 
     def _build_bfs(self):
         size = len(self.elements)
@@ -301,6 +284,17 @@ class MatrixGroup:
             j = self.index[self.elements[i].inv().codes]
             self._inv_ids[i] = j
         return j
+
+    def inverse_ids(self) -> np.ndarray:
+        """The id of every element's inverse, computed once."""
+        if self._inv_table is None:
+            out = np.full(self.order, -1, dtype=np.int64)
+            for i in range(self.order):
+                if out[i] < 0:
+                    j = self.index[self.elements[i].inv().codes]
+                    out[i], out[j] = j, i
+            self._inv_table = out
+        return self._inv_table
 
     def is_subgroup_of(self, other: "MatrixGroup") -> bool:
         return all(m.codes in other.index for m in self.elements)

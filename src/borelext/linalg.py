@@ -1,21 +1,39 @@
-"""Linear algebra over prime fields F_p, plus small dense elimination over
+"""Linear algebra over prime fields F_p, plus one small dense eliminator over
 extension fields F_q driven by a field context's arithmetic tables.
 
 The central object is RowReducer: an incremental row-reduced basis that rows
-can be streamed through in batches.  Reducing a batch against the basis is a
-single matrix product, so constraint systems far larger than memory-resident
-matrices can be ranked while storage stays bounded by ncols^2.
+can be streamed through in batches.  A batch is reduced against the basis
+with one matrix product, then eliminated BLOCK_ROWS rows at a time: each
+block is brought to reduced echelon form on its own, and the rest of the
+batch and the basis are cleared at the block's pivots with one product each.
+Storage stays bounded by ncols^2, so constraint systems far larger than
+memory-resident matrices can be ranked.
+
+Reduction is delayed.  Entries are reduced mod p only where they are read:
+a row before its leading entry is found, and a pivot column before it serves
+as multipliers.  Each pivot step subtracts (residue) x (residue), which is
+less than p^2 in absolute value, so a block of BLOCK_ROWS rows stays below
+BLOCK_ROWS * p^2 + p.  A product of two residue matrices sums at most ncols
+such terms; large ones are taken in int32 by einsum, which vectorizes them
+without BLAS or its threads.  FpModule keeps p < 256, and RowReducer
+requires p < 256 and ncols * (p-1)^2 < 2^31, so every intermediate is exact
+and the basis is the unique RREF of the rows fed, whatever the batching.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+BLOCK_ROWS = 32  # rows brought to echelon form before the rest of a batch is updated
+
 
 class RowReducer:
     """Incremental RREF basis over F_p for streamed rank/nullspace work."""
 
     def __init__(self, p: int, ncols: int):
+        if not 2 <= p < 256 or ncols * (p - 1) ** 2 >= 1 << 31:
+            raise ValueError("delayed reduction is exact only for p < 256 and "
+                             "ncols * (p-1)^2 < 2^31")
         self.p = p
         self.ncols = ncols
         self.rows = np.zeros((0, ncols), dtype=np.int64)
@@ -27,32 +45,32 @@ class RowReducer:
 
     def reduce(self, batch) -> np.ndarray:
         """Reduce rows against the current basis without inserting them."""
-        B = np.asarray(batch, dtype=np.int64) % self.p
+        B = mod(np.asarray(batch, dtype=np.int64), self.p)
         if B.ndim == 1:
             B = B[None, :]
         if self.pivots:
-            B = (B - B[:, self.pivots] @ self.rows) % self.p
+            B = mod(B - _dot(B[:, self.pivots], self.rows), self.p)
         return B
 
     def add_rows(self, batch) -> int:
         """Insert a batch of rows; returns how many new pivots appeared."""
+        p = self.p
         B = self.reduce(batch)
-        B = B[np.any(B, axis=1)]
+        B = B[B.any(axis=1)]
         added = 0
         while B.shape[0]:
-            r = B[0]
-            c = int(np.nonzero(r)[0][0])
-            r = (r * pow(int(r[c]), -1, self.p)) % self.p
-            B = B[1:]
+            R, piv = _rref_block(B[:BLOCK_ROWS], p)
+            B = B[BLOCK_ROWS:]
+            if not piv:
+                continue
+            # R is zero at the old pivots, so clearing its pivot columns
+            # keeps the old rows and the rest of the batch reduced there
+            self.rows = np.vstack([mod(self.rows - _dot(self.rows[:, piv], R), p), R])
+            self.pivots.extend(piv)
+            added += len(piv)
             if B.shape[0]:
-                B = (B - np.outer(B[:, c], r)) % self.p
-                B = B[np.any(B, axis=1)]
-            if self.rows.shape[0]:
-                # keep RREF: clear the new pivot column everywhere
-                self.rows = (self.rows - np.outer(self.rows[:, c], r)) % self.p
-            self.rows = np.vstack([self.rows, r[None, :]])
-            self.pivots.append(c)
-            added += 1
+                B = mod(B - _dot(B[:, piv], R), p)
+                B = B[B.any(axis=1)]
         if added:
             order = np.argsort(self.pivots, kind="stable")
             self.rows = self.rows[order]
@@ -69,11 +87,52 @@ class RowReducer:
         in this basis can be read off at the free columns."""
         free = self.free_columns()
         out = np.zeros((len(free), self.ncols), dtype=np.int64)
-        for k, c in enumerate(free):
-            out[k, c] = 1
-            if self.pivots:
-                out[k, self.pivots] = (-self.rows[:, c]) % self.p
+        out[np.arange(len(free)), free] = 1
+        if self.pivots:
+            out[:, self.pivots] = (-self.rows[:, free].T) % self.p
         return out
+
+
+def mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p elementwise.  NumPy vectorizes floor division by a scalar but
+    divides element by element in %, so a - a // p * p, computed in one new
+    array as % would be, is several times faster on large arrays; on small
+    ones % makes fewer calls."""
+    if a.size < 1024:
+        return a % p
+    r = a // p
+    r *= p
+    return np.subtract(a, r, out=r)
+
+
+def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for residue matrices.  Large products go through einsum in
+    int32, exact by the module docstring, which vectorizes them without
+    BLAS; small ones through @, which makes fewer calls."""
+    if A.shape[0] * A.shape[1] * B.shape[1] < 8192:
+        return A @ B
+    return np.einsum("ij,jk->ik", A.astype(np.int32), B.astype(np.int32))
+
+
+def _rref_block(X: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon rows of a small block of residues, and their pivot
+    columns in the order found.  Pivot rows and columns are reduced mod p
+    when read; the other entries only at the end."""
+    X = X.copy()
+    piv_rows: list[int] = []
+    piv_cols: list[int] = []
+    for i in range(X.shape[0]):
+        r = mod(X[i], p)
+        nz = np.flatnonzero(r)
+        if not nz.size:
+            continue
+        c = int(nz[0])
+        r = r * pow(int(r[c]), -1, p) % p
+        X -= np.outer(mod(X[:, c], p), r)
+        X[i] = r
+        piv_rows.append(i)
+        piv_cols.append(c)
+    return mod(X[piv_rows], p), piv_cols
 
 
 def rank_mod(A, p: int) -> int:
@@ -105,37 +164,49 @@ def is_invertible_mod(A, p: int) -> bool:
     return A.shape[0] == A.shape[1] and rank_mod(A, p) == A.shape[0]
 
 
-def fq_rank(rows, field) -> int:
-    """Rank of a matrix with entries given as F_q codes, via the field's
-    arithmetic.  Intended for the small systems that arise in eigenspace
-    and intertwiner computations."""
+def fq_eliminate(rows, field, ncols: int | None = None):
+    """Gauss-Jordan elimination over F_q on rows of codes.
+
+    Pivots are sought in the first ncols columns (all by default); row
+    operations act on whole rows, so an augmented block rides along.
+    Returns (rows, pivots, det): the reduced rows (zero rows included), the
+    pivot columns, and (-1)^swaps times the product of the pivots, which is
+    the determinant of a square matrix of full rank.  Intended for the small
+    systems that arise in eigenspace, intertwiner and group computations.
+    """
     M = [list(r) for r in rows]
-    if not M:
-        return 0
-    ncols = len(M[0])
-    rank = 0
+    if ncols is None:
+        ncols = len(M[0]) if M else 0
+    mul, add = field.mul_code, field.add_code
+    pivots: list[int] = []
+    det = 1
     for c in range(ncols):
-        piv = None
-        for i in range(rank, len(M)):
-            if M[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = field.inv_code(M[rank][c])
-        M[rank] = [field.mul_code(inv, v) for v in M[rank]]
-        for i in range(len(M)):
-            if i != rank and M[i][c] != 0:
-                fac = M[i][c]
-                M[i] = [
-                    field.sub_code(M[i][j], field.mul_code(fac, M[rank][j]))
-                    for j in range(ncols)
-                ]
-        rank += 1
+        rank = len(pivots)
         if rank == len(M):
             break
-    return rank
+        for piv in range(rank, len(M)):
+            if M[piv][c]:
+                break
+        else:
+            continue
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
+            det = field.neg_code(det)
+        lead = M[rank][c]
+        det = mul(det, lead)
+        inv = field.inv_code(lead)
+        prow = M[rank] = [mul(inv, v) for v in M[rank]]
+        for i, row in enumerate(M):
+            if row[c] and i != rank:
+                neg = field.neg_code(row[c])
+                M[i] = [add(a, mul(neg, b)) for a, b in zip(row, prow)]
+        pivots.append(c)
+    return M, pivots, det
+
+
+def fq_rank(rows, field) -> int:
+    """Rank of a matrix with entries given as F_q codes."""
+    return len(fq_eliminate(rows, field)[1])
 
 
 def fq_nullity(rows, field, ncols: int) -> int:
@@ -144,28 +215,27 @@ def fq_nullity(rows, field, ncols: int) -> int:
     return ncols - fq_rank(rows, field)
 
 
+def fq_nullspace(rows, field, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {x : rows x = 0} over F_q, one vector per free column,
+    1 there and 0 at the other free columns."""
+    R, pivots, _ = fq_eliminate(rows, field, ncols)
+    out = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [0] * ncols
+        v[c] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg_code(R[r][c])
+        out.append(tuple(v))
+    return out
+
+
 def fq_invert(mat, field):
     """Inverse of a square matrix of F_q codes, or None if singular."""
     n = len(mat)
-    M = [list(mat[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    row = 0
-    for c in range(n):
-        piv = None
-        for i in range(row, n):
-            if M[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        M[row], M[piv] = M[piv], M[row]
-        inv = field.inv_code(M[row][c])
-        M[row] = [field.mul_code(inv, v) for v in M[row]]
-        for i in range(n):
-            if i != row and M[i][c] != 0:
-                fac = M[i][c]
-                M[i] = [
-                    field.sub_code(M[i][j], field.mul_code(fac, M[row][j]))
-                    for j in range(2 * n)
-                ]
-        row += 1
-    return [tuple(M[i][n:]) for i in range(n)]
+    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    R, pivots, _ = fq_eliminate(aug, field, n)
+    if len(pivots) < n:
+        return None
+    return [tuple(row[n:]) for row in R]

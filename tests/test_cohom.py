@@ -422,3 +422,46 @@ def test_ext_gl2_f5_twist_pair():
                     char_module(B, simple_root(1, 2, 4))).dim_h1 == 1
     assert ext1_dim(B, char_module(B, TorusChar((1, 2), 4)),
                     char_module(B, TorusChar((1, 2), 4))).dim_h1 == 0
+
+
+def test_h1_representatives_match_one_by_one_extension():
+    # one elimination of the coboundaries' coordinates picks the nullspace
+    # vectors that extending the coboundary span one vector at a time picks,
+    # and its rank is dim B^1; checked at Z^1 and at systems with part of the
+    # constraints, whose nullspace is larger but still holds B^1
+    from borelext.linalg import RowReducer, nullspace_mod, rank_mod
+
+    rng = np.random.default_rng(5)
+    for H, M in _solver_cases():
+        p = M.p
+        r = h1_dim(H, M)
+        cob = cohom._coboundary_rows(M)
+        z1 = np.vstack([cob] + [c.values.reshape(1, -1) for c in r.basis])
+        constraints = nullspace_mod(z1, p)  # rows whose nullspace is Z^1
+        for keep in (constraints.shape[0], constraints.shape[0] // 2, 1):
+            red = RowReducer(p, z1.shape[1])
+            mix = rng.integers(0, p, size=(keep, constraints.shape[0]))
+            if constraints.size:
+                red.add_rows(mix @ constraints % p)
+            reps, dim_b1 = cohom._h1_representatives(red, cob, p)
+            quot = RowReducer(p, red.ncols)
+            if cob.size:
+                quot.add_rows(cob)
+            want = [v for v in red.nullspace() if quot.add_rows(v[None, :])]
+            assert dim_b1 == rank_mod(cob, p) == r.dim_b1
+            assert len(reps) == len(want) and all((a == b).all() for a, b in zip(reps, want))
+
+
+def test_h1_of_cyclic_group_of_order_251():
+    # C_251 on a 2x2 Jordan block: the norm sum_j J^j = (J - 1)^250 vanishes,
+    # so H^1 = ker(norm) / im(J - 1) has dim 2 - 1 = 1 (Brown, GTM 87, III.1).
+    # The tree reaches depth 250, so values that are not reduced as F is
+    # built overflow uint8 here.
+    F251 = make_field(251, 1)
+    N = build_unipotent(F251, 2)
+    assert N.order == 251 and len(N.generators) == 1
+    r = h1_dim(N, FpModule(N, [np.array([[1, 1], [0, 1]])]))
+    assert r.dims == (2, 1, 1)
+    assert r.mode == "exhaustive" and r.edges_used == 1
+    assert r.basis[0].is_valid()
+    assert h1_dim(N, trivial_module(N)).dims == (1, 0, 1)

@@ -7,6 +7,7 @@ import pytest
 from borelext.chars import TorusChar, all_chars, frobenius_twist, simple_root, trivial_char
 from borelext.field import make_field
 from borelext.gmodule import (
+    FpModule,
     ModuleError,
     abelian_quotient_with_torus_action,
     char_module,
@@ -302,3 +303,33 @@ def test_coset_data_partition(gl2_f3):
 
     counts = collections.Counter(int(c) for c in coset_of)
     assert all(v == B.order for v in counts.values())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hom_table_from_factors_equals_tree_table(p):
+    # GL_2(F_p): the kron-built table of a Hom module against the table a
+    # hand-built module with the same generators fills along the BFS tree
+    from borelext.linalg import is_invertible_mod
+
+    fld = make_field(p, 1)
+    G, B = build_gl(fld, 2), build_borel(fld, 2)
+    chars = all_chars(2, p - 1)
+    coset = right_coset_data(G, B)
+    ind1, ind2 = (induced_module(G, B, chars[k], coset) for k in (1, len(chars) - 2))
+    det1, det2 = det_char_module(G, 1), det_char_module(G, p - 2)
+    for M1, M2 in [(ind1, ind2), (ind2, ind2), (det1, ind1), (det1, det2)]:
+        H = hom_module(M1, M2)
+        assert H._all is None  # built lazily, on first use
+        # derived modules skip the constructor's check; their generators
+        # are invertible all the same
+        assert all(is_invertible_mod(a, p) for a in H.gen_action)
+        ref = FpModule(G, H.gen_action)
+        table = H.act_all()
+        assert table.dtype == np.uint8 and table.shape == (G.order, H.dim, H.dim)
+        assert (table == ref.act_all()).all()
+    for derived in [restrict(ind1, B), fq_hom_module(char_module(B, chars[1]), restrict(ind2, B))]:
+        assert all(is_invertible_mod(a, p) for a in derived.gen_action)
+    singular = [np.eye(2, dtype=np.int64) for _ in G.generators]
+    singular[0] = np.array([[1, 1], [1, 1]])
+    with pytest.raises(ModuleError, match="singular"):
+        FpModule(G, singular)

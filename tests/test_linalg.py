@@ -1,8 +1,20 @@
 """Streamed row reduction against plain dense elimination."""
 
 import numpy as np
+import pytest
 
-from borelext.linalg import RowReducer, fq_invert, fq_rank, is_invertible_mod, nullspace_mod, rank_mod, solvable_mod
+from borelext.linalg import (
+    BLOCK_ROWS,
+    RowReducer,
+    fq_invert,
+    fq_nullspace,
+    fq_rank,
+    is_invertible_mod,
+    mod,
+    nullspace_mod,
+    rank_mod,
+    solvable_mod,
+)
 from borelext.field import make_field
 
 from _brute import gauss_rank
@@ -74,3 +86,125 @@ def test_fq_rank_and_invert():
            F9.add_code(F9.mul_code(1, a[1]), F9.mul_code(x, b[1])))
     assert top == (1, 0)
     assert fq_invert(rows, F9) is None
+
+
+def _low_rank(rng, p, m, n, r):
+    """An m x n matrix of rank at most r: a random m x r times r x n."""
+    return (rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))) % p
+
+
+def _check_reducer(red, fed, p):
+    """The rank against the pure-python reference, the RREF invariant, and
+    the reduction and nullspace of every row fed so far."""
+    assert red.rank == gauss_rank(fed.tolist(), p)
+    R, piv = red.rows, red.pivots
+    assert R.shape == (red.rank, red.ncols)
+    assert piv == sorted(set(piv))
+    assert ((R >= 0) & (R < p)).all()
+    assert (R[:, piv] == np.eye(len(piv), dtype=np.int64)).all()
+    assert not red.reduce(fed).any()
+    N = red.nullspace()
+    assert N.shape == (red.ncols - red.rank, red.ncols)
+    assert not ((fed @ N.T) % p).any()
+
+
+def test_blocked_eliminator_chunk_shape():
+    # one chunk of the GL_2(F_5) direct solve: 8 edges x 36 rows over 108 unknowns
+    rng = np.random.default_rng(11)
+    for p in (3, 5, 7, 251):
+        for r in (30, 100):
+            A = _low_rank(rng, p, 288, 108, r)
+            red = RowReducer(p, 108)
+            assert red.add_rows(A) == red.rank
+            _check_reducer(red, A, p)
+
+
+def test_blocked_eliminator_streams_and_grows():
+    # batches smaller and larger than one block, fed into a growing basis;
+    # negative entries are reduced on the way in
+    rng = np.random.default_rng(12)
+    for p in (3, 5, 7, 251):
+        A = _low_rank(rng, p, 200, 60, 45) - p * rng.integers(0, 3, size=(200, 60))
+        red = RowReducer(p, 60)
+        start = 0
+        for size in (1, 7, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5, 200):
+            before = red.rank
+            got = red.add_rows(A[start : start + size])
+            start += size
+            assert got == red.rank - before
+            _check_reducer(red, A[:start] % p, p)
+
+
+def test_eliminator_rejects_inexact_sizes():
+    with pytest.raises(ValueError):
+        RowReducer(257, 4)
+    with pytest.raises(ValueError):
+        RowReducer(251, 1 << 16)
+
+
+def test_mod_matches_remainder():
+    a = np.arange(-3000, 3000).reshape(60, 100)
+    for p in (3, 251):
+        assert (mod(a, p) == a % p).all()
+        assert (mod(a[:2, :5], p) == a[:2, :5] % p).all()
+
+
+def _perm_det(rows, fld):
+    """Leibniz expansion over F_q, with no elimination."""
+    import itertools
+
+    n = len(rows)
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = fld.mul_code(term, rows[i][j])
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        det = fld.add_code(det, fld.neg_code(term) if inversions % 2 else term)
+    return det
+
+
+def _fq_matmul(a, b, fld):
+    n, m = len(a), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = 0
+            for k in range(len(b)):
+                acc = fld.add_code(acc, fld.mul_code(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return out
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 3), (3, 2, 2), (3, 2, 3)])
+def test_fq_eliminator_on_random_matrices(p, f, n):
+    """det_code against the Leibniz expansion; fq_invert and fq_rank against
+    it; fq_nullspace annihilated, on random GL_n(F_q) and singular matrices."""
+    from borelext.group import Mat
+
+    fld = make_field(p, f)
+    rng = np.random.default_rng(100 * p + 10 * f + n)
+    eye = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    singular = 0
+    for _ in range(150):
+        codes = tuple(int(c) for c in rng.integers(0, fld.q, size=n * n))
+        if _ == 0:
+            codes = (0,) * n * n
+        rows = [codes[i * n : (i + 1) * n] for i in range(n)]
+        det = _perm_det(rows, fld)
+        assert Mat(fld, n, codes).det_code() == det
+        inv = fq_invert(rows, fld)
+        assert (inv is None) == (det == 0)
+        if inv is not None:
+            assert _fq_matmul(rows, inv, fld) == eye
+            assert fq_rank(rows, fld) == n
+        else:
+            singular += 1
+            assert fq_rank(rows, fld) < n
+        null = fq_nullspace(rows, fld, n)
+        assert len(null) == n - fq_rank(rows, fld)
+        for v in null:
+            assert _fq_matmul(rows, [(x,) for x in v], fld) == [(0,)] * n
+    assert singular > 1
