@@ -283,17 +283,14 @@ class MatrixGroup:
         if j is None:
             j = self.index[self.elements[i].inv().codes]
             self._inv_ids[i] = j
+            self._inv_ids[j] = i
         return j
 
     def inverse_ids(self) -> np.ndarray:
-        """The id of every element's inverse, computed once."""
+        """inv_id of every element, as an array built once."""
         if self._inv_table is None:
-            out = np.full(self.order, -1, dtype=np.int64)
-            for i in range(self.order):
-                if out[i] < 0:
-                    j = self.index[self.elements[i].inv().codes]
-                    out[i], out[j] = j, i
-            self._inv_table = out
+            self._inv_table = np.fromiter(
+                (self.inv_id(i) for i in range(self.order)), np.int64, self.order)
         return self._inv_table
 
     def is_subgroup_of(self, other: "MatrixGroup") -> bool:

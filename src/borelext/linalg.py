@@ -14,7 +14,7 @@ a row before its leading entry is found, and a pivot column before it serves
 as multipliers.  Each pivot step subtracts (residue) x (residue), which is
 less than p^2 in absolute value, so a block of BLOCK_ROWS rows stays below
 BLOCK_ROWS * p^2 + p.  A product of two residue matrices sums at most ncols
-such terms; large ones are taken in int32 by einsum, which vectorizes them
+such terms; they are taken in int32 by einsum, which vectorizes them
 without BLAS or its threads.  FpModule keeps p < 256, and RowReducer
 requires p < 256 and ncols * (p-1)^2 < 2^31, so every intermediate is exact
 and the basis is the unique RREF of the rows fed, whatever the batching.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK_ROWS = 32  # rows brought to echelon form before the rest of a batch is updated
+MOD_SPLIT = 1024  # arrays below this size are reduced by %, larger ones by floor division
 
 
 class RowReducer:
@@ -95,10 +96,11 @@ class RowReducer:
 
 def mod(a: np.ndarray, p: int) -> np.ndarray:
     """a mod p elementwise.  NumPy vectorizes floor division by a scalar but
-    divides element by element in %, so a - a // p * p, computed in one new
-    array as % would be, is several times faster on large arrays; on small
-    ones % makes fewer calls."""
-    if a.size < 1024:
+    divides element by element in %, so on large arrays a - (a // p) * p,
+    computed in one new array, is several times faster; on the short rows
+    and columns that _rref_block reduces one pivot at a time, % is faster,
+    being one call instead of three."""
+    if a.size < MOD_SPLIT:
         return a % p
     r = a // p
     r *= p
@@ -106,11 +108,8 @@ def mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for residue matrices.  Large products go through einsum in
-    int32, exact by the module docstring, which vectorizes them without
-    BLAS; small ones through @, which makes fewer calls."""
-    if A.shape[0] * A.shape[1] * B.shape[1] < 8192:
-        return A @ B
+    """A @ B for residue matrices, through einsum in int32: exact by the
+    module docstring, and vectorized without BLAS or its threads."""
     return np.einsum("ij,jk->ik", A.astype(np.int32), B.astype(np.int32))
 
 
