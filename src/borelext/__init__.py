@@ -15,7 +15,7 @@ from .chars import (
     trivial_char,
     weyl_twist,
 )
-from .cohom import Cocycle, H1Result, build_E_alpha, ext1_dim, ext1_dim_shapiro, h1_dim, is_coboundary
+from .cohom import Cocycle, H1Result, build_E_alpha, ext1_dim_shapiro, h1_dim, is_coboundary
 from .field import FieldCtx, FieldError, Fq, dlog, frobenius, make_field
 from .gmodule import (
     FpModule,

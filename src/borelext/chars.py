@@ -164,33 +164,25 @@ def match_theorem1_condition(chi1: TorusChar, chi2: TorusChar, weyls) -> TwistWi
     return None
 
 
-ENUMERATION_CAP = 100_000
-
-
 def eigencharacters(Q, field) -> list[tuple[TorusChar, int]]:
     """Characters of the torus on a module after scalar extension to F_q.
 
     Q is a module over an abelian group of diagonal matrices whose order is
-    coprime to p.  For each character beta the F_q-dimension m_beta of the
-    common eigenspace {v : t v = beta(t) v for all t} is computed; pairs
-    with m_beta > 0 are returned in exponent order.  Candidates are
-    enumerated exhaustively while (q-1)^n stays small; beyond that the
-    eigenvalues are read off one torus coordinate at a time.
+    coprime to p.  For each of the (q-1)^n characters beta the F_q-dimension
+    m_beta of the common eigenspace {v : t v = beta(t) v for all t} is
+    computed; pairs with m_beta > 0 are returned in exponent order.
     """
     T = Q.group
     if T.order % field.p == 0:
         raise ValueError("group order is divisible by p; not semisimple")
     qm1 = field.q - 1
-    n = T.n
     acts = [np.asarray(a, dtype=np.int64) for a in Q.gen_action]
-    if qm1**n <= ENUMERATION_CAP:
-        out = []
-        for beta in all_chars(n, qm1):
-            m = _common_eigenspace_dim(acts, T.generators, beta, field, Q.dim)
-            if m:
-                out.append((beta, m))
-        return out
-    return _eigencharacters_by_coordinates(acts, T, field, Q.dim)
+    out = []
+    for beta in all_chars(T.n, qm1):
+        m = _common_eigenspace_dim(acts, T.generators, beta, field, Q.dim)
+        if m:
+            out.append((beta, m))
+    return out
 
 
 def _common_eigenspace_dim(acts, gens, beta, field, dim) -> int:
@@ -202,65 +194,3 @@ def _common_eigenspace_dim(acts, gens, beta, field, dim) -> int:
             row[r] = field.sub_code(row[r], lam)
             rows.append(row)
     return linalg.fq_nullity(rows, field, dim)
-
-
-def _eigencharacters_by_coordinates(acts, T, field, dim):
-    """Requires the torus generators to be the coordinate generators
-    diag(1, .., g, .., 1); then the eigenvalue at coordinate i is g^{a_i},
-    which pins the exponent vector without scanning all (q-1)^n."""
-    qm1 = field.q - 1
-    n = T.n
-    coord_of_gen = []
-    for t in T.generators:
-        diag = t.diagonal_codes()
-        hot = [i for i, c in enumerate(diag) if c != 1]
-        if len(hot) != 1 or diag[hot[0]] != field.generator_code:
-            raise ValueError("direct eigencharacter path needs coordinate generators")
-        coord_of_gen.append(hot[0])
-    if sorted(coord_of_gen) != list(range(n)):
-        raise ValueError("direct eigencharacter path needs one generator per coordinate")
-    # split the space by each coordinate generator's eigenvalue in turn
-    spaces = [([tuple(1 if r == c else 0 for r in range(dim)) for c in range(dim)], {})]
-    for A, coord in zip(acts, coord_of_gen):
-        nxt = []
-        for basis, evs in spaces:
-            for a in range(qm1):
-                lam = field.pow_code(field.generator_code, a)
-                sub = _eigen_subspace(A, lam, basis, field)
-                if sub:
-                    nxt.append((sub, {**evs, coord: a}))
-        spaces = nxt
-    out = []
-    for basis, evs in spaces:
-        beta = TorusChar(tuple(evs[i] for i in range(n)), qm1)
-        out.append((beta, len(basis)))
-    out.sort(key=lambda kv: kv[0].exps)
-    return out
-
-
-def _eigen_subspace(A, lam, basis, field):
-    """Basis of {v in span(basis) : A v = lam v}, vectors as code tuples."""
-    dim = A.shape[0]
-    k = len(basis)
-    rows = []
-    for r in range(dim):
-        row = []
-        for j in range(k):
-            acc = 0
-            for c in range(dim):
-                av = int(A[r, c]) % field.p
-                if av and basis[j][c]:
-                    acc = field.add_code(acc, field.mul_code(av, basis[j][c]))
-            acc = field.sub_code(acc, field.mul_code(lam, basis[j][r]))
-            row.append(acc)
-        rows.append(row)
-    out = []
-    for coeffs in linalg.fq_nullspace(rows, field, k):
-        vec = [0] * dim
-        for j, cj in enumerate(coeffs):
-            if cj:
-                for c in range(dim):
-                    if basis[j][c]:
-                        vec[c] = field.add_code(vec[c], field.mul_code(cj, basis[j][c]))
-        out.append(tuple(vec))
-    return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import verify as V
@@ -30,8 +29,6 @@ def _add_common(sp):
     sp.add_argument("--f", type=int, default=1, help="field extension degree")
     sp.add_argument("--n", type=int, default=2, help="matrix size")
     sp.add_argument("--budget-mb", type=int, default=1024)
-    sp.add_argument("--threads", type=int, default=0,
-                    help="pair-level parallelism; 0 = machine parallelism")
     sp.add_argument("--output", choices=("json", "csv", "text"), default="text")
     sp.add_argument("--out", type=str, default=None, help="write the report here")
 
@@ -90,8 +87,7 @@ def _parse_char(text: str | None, n: int, qm1: int) -> TorusChar | None:
 
 
 def _cfg(args) -> V.VerifyConfig:
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    return V.VerifyConfig(budget_mb=args.budget_mb, threads=threads)
+    return V.VerifyConfig(budget_mb=args.budget_mb)
 
 
 def _emit(args, text: str) -> None:

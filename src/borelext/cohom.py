@@ -38,7 +38,6 @@ from .gmodule import (
     ModuleError,
     char_module,
     fq_hom_module,
-    hom_module,
     induced_module,
     restrict,
 )
@@ -285,11 +284,6 @@ def _h1_representatives(red: linalg.RowReducer, cob: np.ndarray,
         quot.add_rows(coords[:, ::-1])
     last = {k - 1 - c for c in quot.pivots}
     return [null[j] for j in range(k) if j not in last], quot.rank
-
-
-def ext1_dim(H: MatrixGroup, M1: FpModule, M2: FpModule, **kw) -> H1Result:
-    """dim Ext^1_H(M1, M2) = dim H^1(H, Hom(M1, M2))."""
-    return h1_dim(H, hom_module(M1, M2), **kw)
 
 
 def ext1_dim_shapiro(G: MatrixGroup, B: MatrixGroup, chi1: TorusChar, chi2: TorusChar,

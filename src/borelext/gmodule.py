@@ -54,8 +54,10 @@ class FpModule:
         # multiplication by F_q acts block-diagonally and commutes with the
         # group action (true for character and induced modules)
         self.fq_form = fq_form
-        # derived: built by hom, F_q-hom or restriction from checked modules,
-        # whose generators act by products of invertible maps
+        # derived: the generators are invertible by construction, so the
+        # check is skipped: hom, F_q-hom and restriction combine checked
+        # modules' maps by invertible products, and a character acts by a
+        # nonzero field element, chi(t) for t in the torus
         if not derived:
             for a in self.gen_action:
                 if not linalg.is_invertible_mod(a, self.p):
@@ -116,7 +118,7 @@ def char_module(B: MatrixGroup, chi: TorusChar) -> FpModule:
     for g in B.generators:
         t, _ = tn_factor(g)
         acts.append(fld.mult_matrix(evaluate(chi, t).code))
-    return FpModule(B, acts, label=f"char{chi.exps}", fq_form=True)
+    return FpModule(B, acts, label=f"char{chi.exps}", fq_form=True, derived=True)
 
 
 def det_char_module(G: MatrixGroup, a: int) -> FpModule:

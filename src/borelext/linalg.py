@@ -15,7 +15,7 @@ as multipliers.  Each pivot step subtracts (residue) x (residue), which is
 less than p^2 in absolute value, so a block of BLOCK_ROWS rows stays below
 BLOCK_ROWS * p^2 + p.  A product of two residue matrices sums at most ncols
 such terms; they are taken in int32 by einsum, which vectorizes them
-without BLAS or its threads.  FpModule keeps p < 256, and RowReducer
+without BLAS or its thread pool.  FpModule keeps p < 256, and RowReducer
 requires p < 256 and ncols * (p-1)^2 < 2^31, so every intermediate is exact
 and the basis is the unique RREF of the rows fed, whatever the batching.
 """
@@ -109,7 +109,7 @@ def mod(a: np.ndarray, p: int) -> np.ndarray:
 
 def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B for residue matrices, through einsum in int32: exact by the
-    module docstring, and vectorized without BLAS or its threads."""
+    module docstring, and vectorized without BLAS or its thread pool."""
     return np.einsum("ij,jk->ik", A.astype(np.int32), B.astype(np.int32))
 
 
@@ -212,22 +212,6 @@ def fq_nullity(rows, field, ncols: int) -> int:
     if not rows:
         return ncols
     return ncols - fq_rank(rows, field)
-
-
-def fq_nullspace(rows, field, ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {x : rows x = 0} over F_q, one vector per free column,
-    1 there and 0 at the other free columns."""
-    R, pivots, _ = fq_eliminate(rows, field, ncols)
-    out = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = [0] * ncols
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg_code(R[r][c])
-        out.append(tuple(v))
-    return out
 
 
 def fq_invert(mat, field):

@@ -161,19 +161,6 @@ def test_eigencharacters_trivial_module():
     assert got == [(trivial_char(2, 2), 3)]
 
 
-def test_eigencharacters_direct_path_agrees():
-    from borelext.chars import _eigencharacters_by_coordinates
-    import numpy as np
-
-    F9 = make_field(3, 2)
-    T = build_torus(F9, 2)
-    N = build_unipotent(F9, 2)
-    Q = abelian_quotient_with_torus_action(N, T)
-    acts = [np.asarray(a) for a in Q.gen_action]
-    direct = _eigencharacters_by_coordinates(acts, T, F9, Q.dim)
-    assert direct == eigencharacters(Q, F9)
-
-
 def test_eigencharacters_rejects_bad_order():
     from borelext.gmodule import trivial_module
 

@@ -10,11 +10,11 @@ from borelext import cli
 from borelext import verify as V
 from borelext.chars import TwistWitness
 
-BASE = ["ext-b", "--p", "3", "--n", "2", "--threads", "1"]
+BASE = ["ext-b", "--p", "3", "--n", "2"]
 
 
-@pytest.mark.parametrize("flag", [["--mode", "exhaustive"], ["--seed", "1"]],
-                         ids=["mode", "seed"])
+@pytest.mark.parametrize("flag", [["--mode", "exhaustive"], ["--seed", "1"], ["--threads", "1"]],
+                         ids=["mode", "seed", "threads"])
 def test_removed_flags_are_usage_errors(flag, capsys):
     assert cli.main(BASE + flag) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -70,5 +70,5 @@ def test_check_passes_the_repaired_rows():
 def test_failing_report_sets_exit_code_1(monkeypatch, capsys):
     bad = V.ExtReport(3, 1, 2, "prop1", [_row(0, True, WIT, expected_dim=1)])
     monkeypatch.setattr(V, "run_statement", lambda statement, args, cfg: [bad])
-    assert cli.main(["verify", "prop1", "--p", "3", "--threads", "1", "--output", "json"]) == 1
+    assert cli.main(["verify", "prop1", "--p", "3", "--output", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "fail"

@@ -327,8 +327,10 @@ def test_hom_table_from_factors_equals_tree_table(p):
         table = H.act_all()
         assert table.dtype == np.uint8 and table.shape == (G.order, H.dim, H.dim)
         assert (table == ref.act_all()).all()
-    for derived in [restrict(ind1, B), fq_hom_module(char_module(B, chars[1]), restrict(ind2, B))]:
-        assert all(is_invertible_mod(a, p) for a in derived.gen_action)
+    derived = [restrict(ind1, B), fq_hom_module(char_module(B, chars[1]), restrict(ind2, B))]
+    derived += [char_module(B, chi) for chi in chars]
+    for M in derived:
+        assert all(is_invertible_mod(a, p) for a in M.gen_action)
     singular = [np.eye(2, dtype=np.int64) for _ in G.generators]
     singular[0] = np.array([[1, 1], [1, 1]])
     with pytest.raises(ModuleError, match="singular"):

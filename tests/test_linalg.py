@@ -7,7 +7,6 @@ from borelext.linalg import (
     BLOCK_ROWS,
     RowReducer,
     fq_invert,
-    fq_nullspace,
     fq_rank,
     is_invertible_mod,
     mod,
@@ -181,7 +180,7 @@ def _fq_matmul(a, b, fld):
 @pytest.mark.parametrize("p,f,n", [(3, 1, 3), (3, 2, 2), (3, 2, 3)])
 def test_fq_eliminator_on_random_matrices(p, f, n):
     """det_code against the Leibniz expansion; fq_invert and fq_rank against
-    it; fq_nullspace annihilated, on random GL_n(F_q) and singular matrices."""
+    it, on random GL_n(F_q) and singular matrices."""
     from borelext.group import Mat
 
     fld = make_field(p, f)
@@ -203,8 +202,4 @@ def test_fq_eliminator_on_random_matrices(p, f, n):
         else:
             singular += 1
             assert fq_rank(rows, fld) < n
-        null = fq_nullspace(rows, fld, n)
-        assert len(null) == n - fq_rank(rows, fld)
-        for v in null:
-            assert _fq_matmul(rows, [(x,) for x in v], fld) == [(0,)] * n
     assert singular > 1

@@ -1,10 +1,13 @@
-"""The verification layer: report bytes independent of the thread count, the
-two oracle paths of thm1, prop4's B-level route against the G-level solve,
-the principal-series oracle at GL_3(F_3), and the n = 1 instances, where N is
-trivial."""
+"""The verification layer: one N-level solve per chi2 in chi1-major order, no
+thread pool loaded by a run, the two oracle paths of thm1, prop4's B-level
+route against the G-level solve, the principal-series oracle at GL_3(F_3),
+and the n = 1 instances, where N is trivial."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +17,7 @@ from borelext.cohom import h1_dim
 from borelext.gmodule import det_char_module, fq_hom_module
 
 
-@pytest.mark.parametrize("threads", [2, 4])
-def test_thm1_report_bytes_do_not_depend_on_threads(threads, monkeypatch):
+def test_thm1_solves_once_per_chi2_in_chi1_major_order(monkeypatch):
     solves = []
     real = V.h1_isotypic_dims
 
@@ -24,16 +26,24 @@ def test_thm1_report_bytes_do_not_depend_on_threads(threads, monkeypatch):
         return real(N, T, M, chis, **kw)
 
     monkeypatch.setattr(V, "h1_isotypic_dims", counted)
-    one = V.reports_to_json(V.verify_thm1(V.Instance(3, 1, 2), V.VerifyConfig(threads=1)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so a shared-cache race would show
-    try:
-        many = V.reports_to_json(V.verify_thm1(V.Instance(3, 1, 2), V.VerifyConfig(threads=threads)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert one == many
-    # one N-level solve per chi2 and per instance, threads or not
-    assert sorted(solves) == sorted(2 * [c.exps for c in V.Instance(3, 1, 2).chars])
+    inst = V.Instance(3, 1, 2)
+    nec, _ = V.verify_thm1(inst)
+    # the first chi1 fills the Shapiro cache for every chi1 of each chi2
+    assert sorted(solves) == sorted(c.exps for c in inst.chars)
+    assert [(r.chi1, r.chi2) for r in nec.pairs] == [
+        (c1.exps, c2.exps) for c1 in inst.chars for c2 in inst.chars]
+
+
+def test_verify_run_leaves_concurrent_futures_unloaded():
+    code = (
+        "import os, sys\n"
+        "from borelext import cli\n"
+        "assert cli.main(['verify', 'thm1', '--p', '3', '--output', 'json',\n"
+        "                 '--out', os.devnull]) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(V.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_thm1_direct_and_shapiro_paths_agree():
@@ -71,7 +81,7 @@ def test_gl3_oracle_dims_at_the_open_pairs():
 @pytest.mark.parametrize("command", [["ext-ps"], ["verify", "thm1"]], ids=["ext-ps", "thm1"])
 def test_n1_principal_series_ext_vanishes(command, capsys):
     # N is trivial at n = 1, so H^1(B, M) = H^1(T, M) = 0
-    code = cli.main(command + ["--p", "3", "--n", "1", "--threads", "1", "--output", "json"])
+    code = cli.main(command + ["--p", "3", "--n", "1", "--output", "json"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     reports = out if isinstance(out, list) else [out]
