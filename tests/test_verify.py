@@ -1,5 +1,6 @@
-"""The verification layer: one N-level solve per chi2 in chi1-major order, no
-thread pool loaded by a run, the two oracle paths of thm1, prop4's B-level
+"""The verification layer: one N-level solve per chi2 in chi1-major order,
+report bytes independent of the BLAS thread count, no thread pool loaded by a
+run, the two oracle paths of thm1, prop4's B-level
 route against the G-level solve, the principal-series oracle at GL_3(F_3),
 and the n = 1 instances, where N is trivial."""
 
@@ -32,6 +33,24 @@ def test_thm1_solves_once_per_chi2_in_chi1_major_order(monkeypatch):
     assert sorted(solves) == sorted(c.exps for c in inst.chars)
     assert [(r.chi1, r.chi2) for r in nec.pairs] == [
         (c1.exps, c2.exps) for c1 in inst.chars for c2 in inst.chars]
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_thm1_report_bytes_do_not_depend_on_threads(threads):
+    # the solve runs in one Python thread; the only other threads a run could
+    # get are numpy's BLAS threads, which exact F_p arithmetic must not depend on
+    one = V.reports_to_json(V.verify_thm1(V.Instance(3, 1, 2)))
+    code = (
+        "import sys\n"
+        "from borelext import verify as V\n"
+        "sys.stdout.write(V.reports_to_json(V.verify_thm1(V.Instance(3, 1, 2))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(V.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
+    many = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+    assert one == many
 
 
 def test_verify_run_leaves_concurrent_futures_unloaded():
