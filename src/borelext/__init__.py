@@ -20,6 +20,7 @@ from .field import FieldCtx, FieldError, Fq, dlog, frobenius, make_field
 from .gmodule import (
     FpModule,
     abelian_quotient_with_torus_action,
+    bruhat_induced_module,
     char_module,
     char_modules_isomorphic,
     det_char_module,

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import verify as V
-from .chars import TorusChar, all_chars, simple_root
+from .chars import TorusChar, simple_root
 from .cohom import MemoryBudgetError
 from .field import FieldError, make_field
 from .group import SizeBudgetError, build_borel, build_gl, build_torus, build_unipotent
@@ -24,8 +24,8 @@ class UsageError(ValueError):
     pass
 
 
-def _add_common(sp):
-    sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
+def _add_common(sp, p_required: bool = True):
+    sp.add_argument("--p", type=int, required=p_required, help="odd prime characteristic")
     sp.add_argument("--f", type=int, default=1, help="field extension degree")
     sp.add_argument("--n", type=int, default=2, help="matrix size")
     sp.add_argument("--budget-mb", type=int, default=1024)
@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification statement")
     sp.add_argument("statement", choices=STATEMENTS)
-    _add_common(sp)
+    # `verify all` runs the fixed registry, so it needs no instance
+    _add_common(sp, p_required=False)
 
     sp = sub.add_parser("mackey", help="per-Weyl-element Ext ledger")
     _add_common(sp)
@@ -232,6 +233,8 @@ def _cmd_verify(args) -> int:
     cfg = _cfg(args)
     if args.statement == "all":
         reports = V.run_all(cfg)
+    elif args.p is None:
+        raise UsageError(f"verify {args.statement} needs --p")
     else:
         if args.statement == "lemma1":
             arglist = (args.p, args.f)

@@ -20,8 +20,11 @@ p does not divide |T| = (q-1)^n, inflation-restriction gives H^1(B, M) =
 H^1(N, M)^T, and twisting by chi1^{-1} leaves the N-action unchanged.  So one
 solve of H^1(N, Res_N Ind chi2), with the action of T and of the
 F_q-scalars on it as small F_p matrices, gives the dimension for every chi1
-by a nullity.  ext1_dim_shapiro keeps the B-level solve as an independent
-reference for the tests.
+by a nullity.  Res_B Ind chi2 comes from gmodule.bruhat_induced_module,
+which builds it on the right cosets B\\G found cell by cell in the Bruhat
+decomposition, so this route never enumerates G.  ext1_dim_shapiro keeps
+the B-level solve on the restriction of the G-level induced module as an
+independent reference for the tests.
 """
 
 from __future__ import annotations

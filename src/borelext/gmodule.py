@@ -1,6 +1,7 @@
 """Finite-dimensional F_p[H]-modules for the matrix groups built here:
-character modules F_q[chi], induced modules Ind_B^G chi, Hom modules,
-restriction, fixed points, and isomorphism testing of character modules.
+character modules F_q[chi], induced modules Ind_B^G chi (over G, or
+restricted to B from the Bruhat cosets), Hom modules, restriction, fixed
+points, and isomorphism testing of character modules.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element is resolved as a generator word along the
@@ -16,6 +17,7 @@ import numpy as np
 from . import linalg
 from .chars import TorusChar, evaluate
 from .group import (
+    BruhatCosets,
     Mat,
     MatrixGroup,
     StructureError,
@@ -184,6 +186,38 @@ def right_coset_data(G: MatrixGroup, B: MatrixGroup):
 
 def induced_module(G: MatrixGroup, B: MatrixGroup, chi: TorusChar, coset_data=None) -> InducedModule:
     return InducedModule(G, B, chi, coset_data=coset_data)
+
+
+class BruhatInducedModule(FpModule):
+    """Res_B Ind_B^G chi over B, on the basis (Bruhat coset) x (F_p-basis of
+    F_q), with no element table of G.
+
+    The convention is InducedModule's: when reps[i]·s = b·reps[j], block
+    (i, j) of generator s is multiplication by chi(diag b).  The coset table
+    is shared by every chi; a chi only turns its discrete logs into scalars.
+    """
+
+    def __init__(self, cosets: BruhatCosets, chi: TorusChar):
+        B = cosets.group
+        fld = B.field
+        f, qm1 = fld.f, fld.q - 1
+        k = len(cosets.reps)
+        rows = np.arange(k)
+        scalars = np.stack([fld.mult_matrix(fld.pow_code(fld.generator_code, e))
+                            for e in range(qm1)])
+        exps = cosets.logs @ np.asarray(chi.exps, dtype=np.int64) % qm1  # (k, S)
+        acts = []
+        for s in range(len(B.generators)):
+            out = np.zeros((k, f, k, f), dtype=np.int64)
+            out[rows, :, cosets.target[:, s], :] = scalars[exps[:, s]]
+            acts.append(out.reshape(k * f, k * f))
+        super().__init__(B, acts, label=f"res-induced{chi.exps}", fq_form=True)
+        self.chi = chi
+
+
+def bruhat_induced_module(cosets: BruhatCosets, chi: TorusChar) -> BruhatInducedModule:
+    """Res_B Ind_B^G chi from the Bruhat cosets of B\\G."""
+    return BruhatInducedModule(cosets, chi)
 
 
 class HomModule(FpModule):

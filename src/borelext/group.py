@@ -1,6 +1,7 @@
 """GL_n(F_q) and its Borel-related subgroups as explicit finite matrix
 groups: full element tables, Cayley edges against a fixed generator set,
-commutator subgroups, conjugate intersections and Bruhat double cosets.
+commutator subgroups, conjugate intersections and Bruhat double cosets, and
+the right cosets B\\G in Bruhat normal form, which need no table of G.
 
 Groups are immutable once built.  Elements are canonicalized as flat tuples
 of F_q codes, which makes identity tests and table lookups cheap.
@@ -510,6 +511,76 @@ def commutator_subgroup(H: MatrixGroup) -> MatrixGroup:
     closure = _mulclose(field, n, sorted(comms))
     mats = [Mat(field, n, c) for c in sorted(closure)]
     return subgroup_from_elements(field, n, mats, f"[{H.label},{H.label}]")
+
+
+def coset_normal_form(g: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The representative of the right coset B·g, and the diagonal of b in
+    g = b·rep, as codes.
+
+    Left multiplication by B scales a row and adds multiples of the rows
+    below it.  So the rows are reduced from the bottom up: each row is
+    cleared at the pivot columns of the rows below it, lowest row first,
+    then scaled to a leading 1.  The result depends only on B·g, and the
+    pivot values are the diagonal of b."""
+    fld, n = g.field, g.n
+    rows = [list(g.codes[i * n : (i + 1) * n]) for i in range(n)]
+    pivot = [0] * n
+    diag = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        for k in range(n - 1, i, -1):
+            a = row[pivot[k]]
+            if a:
+                row = [fld.sub_code(x, fld.mul_code(a, y)) for x, y in zip(row, rows[k])]
+        lead = next(j for j, x in enumerate(row) if x)
+        diag[i] = row[lead]
+        inv = fld.inv_code(row[lead])
+        rows[i] = [fld.mul_code(inv, x) for x in row]
+        pivot[i] = lead
+    return tuple(c for row in rows for c in row), tuple(diag)
+
+
+class BruhatCosets:
+    """The right cosets B\\G in Bruhat normal form, with the right action of
+    B's generators, built without an element table of G.
+
+    Each Bruhat cell B\\BwB is the orbit of the permutation matrix of w
+    under right multiplication by B, so the cosets are found cell by cell in
+    the order of `weyls`.  For generator s and coset i, reps[i]·s =
+    b·reps[target[i, s]], and logs[i, s] holds the discrete logs of b's
+    diagonal.  Nothing here depends on a character.
+    """
+
+    def __init__(self, B: MatrixGroup, weyls):
+        fld, n = B.field, B.n
+        gens = [g.codes for g in B.generators]
+        index: dict[tuple[int, ...], int] = {}
+        reps: list[tuple[int, ...]] = []
+        target, logs = [], []
+        for w in weyls:
+            start = len(reps)
+            rep = coset_normal_form(w.rep)[0]
+            index[rep] = start
+            reps.append(rep)
+            i = start
+            while i < len(reps):
+                for s in gens:
+                    rep, diag = coset_normal_form(Mat(fld, n, _mul_codes(fld, n, reps[i], s)))
+                    j = index.setdefault(rep, len(reps))
+                    if j == len(reps):
+                        reps.append(rep)
+                    target.append(j)
+                    logs.append([fld.dlog_code(c) for c in diag])
+                i += 1
+            if len(reps) - start != fld.q ** w.length:
+                raise StructureError(f"Bruhat cell of {w.perm} has {len(reps) - start} "
+                                     f"cosets, expected q^{w.length}")
+        if len(reps) != gl_order(fld.q, n) // B.order:
+            raise StructureError("Bruhat cells do not cover B\\G")
+        self.group = B
+        self.reps = [Mat(fld, n, c) for c in reps]
+        self.target = np.array(target, dtype=np.int64).reshape(len(reps), len(gens))
+        self.logs = np.array(logs, dtype=np.int64).reshape(len(reps), len(gens), n)
 
 
 def double_cosets(G: MatrixGroup, B: MatrixGroup, return_sizes: bool = False):

@@ -20,11 +20,16 @@ Statements and their contracts:
   mackey           per-pair ledger over w of B∩B^w contributions summing to
                    the principal-series Ext dimension.
 
-Principal-series Ext comes from Instance.shapiro_dim.  It needs p to be prime
-to |T| = (q-1)^n, which always holds over F_q.  Then H^1(B, M) = H^1(N, M)^T,
-so one cocycle solve over N per chi2 gives the Ext dimension for
-every chi1 (cohom.h1_isotypic_dims).  thm1 also runs the G-level direct solve
-where it is cheap, and reports any pair where the two paths disagree.
+Principal-series Ext comes from Instance.shapiro_dim: by Shapiro's lemma
+Ext^1_G(Ind chi1, Ind chi2) = Ext^1_B(chi1, Res_B Ind chi2).  Res_B Ind chi2
+is built on the right cosets B\\G found cell by cell in the Bruhat
+decomposition (group.BruhatCosets), so this route never enumerates G; the
+coset table is built once per instance and every chi2 only fills in its
+scalars.  p is prime to |T| = (q-1)^n, which always holds over F_q, so
+H^1(B, M) = H^1(N, M)^T and one cocycle solve over N per chi2 gives the Ext
+dimension for every chi1 (cohom.h1_isotypic_dims).  thm1 also runs the
+G-level direct solve on Ind_B^G over the whole of G where it is cheap
+(n = 2), and reports any pair where the two paths disagree.
 
 Pairs run one after another in one thread, chi1-major, which is the row
 order of every report.  The first pair with a given chi2 fills the Shapiro
@@ -38,6 +43,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -48,13 +54,14 @@ from .chars import (
     eigencharacters,
     match_simple_root_twist,
     match_theorem1_condition,
-    simple_root,
     trivial_char,
+    weyl_twist,
 )
 from .cohom import h1_dim, h1_isotypic_dims
 from .field import make_field
 from .gmodule import (
     abelian_quotient_with_torus_action,
+    bruhat_induced_module,
     char_module,
     char_modules_isomorphic,
     fq_hom_module,
@@ -63,6 +70,7 @@ from .gmodule import (
     right_coset_data,
 )
 from .group import (
+    BruhatCosets,
     build_borel,
     build_gl,
     build_torus,
@@ -267,10 +275,15 @@ class Instance:
     def coset_data(self):
         return right_coset_data(self.G, self.B)
 
+    @cached_property
+    def bruhat_cosets(self):
+        return BruhatCosets(self.B, self.weyls)
+
     def char(self, exps) -> TorusChar:
         return TorusChar(tuple(exps), self.qm1)
 
     def induced(self, chi: TorusChar):
+        """Ind_B^G chi over G, for the G-level direct solve."""
         got = self._ind.get(chi.exps)
         if got is None:
             got = induced_module(self.G, self.B, chi, coset_data=self.coset_data)
@@ -310,13 +323,14 @@ class Instance:
         return _h1(self.G, hom_module(self.induced(chi1), self.induced(chi2)), cfg)
 
     def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
-        """dim Ext^1_G(Ind chi1, Ind chi2).  The first call for a chi2 solves
-        over N once and fills the cache for every chi1."""
+        """dim Ext^1_G(Ind chi1, Ind chi2), from Res_B Ind chi2 on the Bruhat
+        cosets.  The first call for a chi2 solves over N once and fills the
+        cache for every chi1."""
         key = (chi1.exps, chi2.exps)
         got = self._shap.get(key)
         if got is None:
-            dims = h1_isotypic_dims(self.N, self.T, self.induced(chi2), self.chars,
-                                    budget_mb=cfg.budget_mb)
+            M = bruhat_induced_module(self.bruhat_cosets, chi2)
+            dims = h1_isotypic_dims(self.N, self.T, M, self.chars, budget_mb=cfg.budget_mb)
             for chi, dim in zip(self.chars, dims):
                 self._shap[(chi.exps, chi2.exps)] = dim
             got = self._shap[key]
@@ -402,8 +416,6 @@ def verify_lemma1(p: int, f: int, cfg: VerifyConfig | None = None) -> ExtReport:
     qm1 = fld.q - 1
     A = build_torus(fld, 1)
     rows = []
-    import math
-
     for e1 in range(qm1):
         if math.gcd(e1, qm1) != 1:
             continue  # the statement assumes the first character is surjective
@@ -495,8 +507,6 @@ def mackey_ledger(inst: Instance, chi1: TorusChar, chi2: TorusChar,
     principal-series Ext dimension, with the eigencharacters of each
     N'/[N',N'] itemized."""
     cfg = cfg or VerifyConfig()
-    from .chars import weyl_twist
-
     rows = []
     for w in inst.weyls:
         bw = inst.bw(w)

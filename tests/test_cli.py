@@ -1,6 +1,7 @@
 """The command line and the report format: removed flags are usage errors,
-CSV and JSON carry schema 2 without a solver-mode field, ExtReport.check
-rejects contract-breaking rows, and a failing report sets exit code 1."""
+`verify all` needs no --p while a single statement does, CSV and JSON carry
+schema 2 without a solver-mode field, ExtReport.check rejects
+contract-breaking rows, and a failing report sets exit code 1."""
 
 import json
 
@@ -18,6 +19,16 @@ BASE = ["ext-b", "--p", "3", "--n", "2"]
 def test_removed_flags_are_usage_errors(flag, capsys):
     assert cli.main(BASE + flag) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_all_needs_no_p(monkeypatch, capsys):
+    monkeypatch.setattr(V, "run_all", lambda cfg: [])
+    assert cli.main(["verify", "all", "--output", "json"]) == 0
+
+
+def test_verify_statement_needs_p(capsys):
+    assert cli.main(["verify", "prop1"]) == 2
+    assert "--p" in capsys.readouterr().err
 
 
 def test_csv_header_is_csv_fields(capsys):

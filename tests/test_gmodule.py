@@ -1,15 +1,24 @@
 """Modules: character/induced/hom constructions, restriction, fixed points,
-isomorphism testing, and the abelianized unipotent quotient."""
+isomorphism testing, the abelianized unipotent quotient, and Res_B Ind chi
+built from the Bruhat cosets against the restriction of Ind_B^G chi."""
 
 import numpy as np
 import pytest
 
-from borelext.chars import TorusChar, all_chars, frobenius_twist, simple_root, trivial_char
+from borelext.chars import (
+    TorusChar,
+    all_chars,
+    evaluate,
+    frobenius_twist,
+    simple_root,
+    trivial_char,
+)
 from borelext.field import make_field
 from borelext.gmodule import (
     FpModule,
     ModuleError,
     abelian_quotient_with_torus_action,
+    bruhat_induced_module,
     char_module,
     char_modules_isomorphic,
     det_char_module,
@@ -22,13 +31,16 @@ from borelext.gmodule import (
     trivial_module,
 )
 from borelext.group import (
+    BruhatCosets,
     build_borel,
     build_gl,
     build_torus,
     build_unipotent,
     intersect_conjugate,
+    tn_factor,
     weyl_elements,
 )
+from borelext.verify import get_instance
 
 
 @pytest.fixture(scope="module")
@@ -335,3 +347,27 @@ def test_hom_table_from_factors_equals_tree_table(p):
     singular[0] = np.array([[1, 1], [1, 1]])
     with pytest.raises(ModuleError, match="singular"):
         FpModule(G, singular)
+
+
+@pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)], ids=str)
+def test_bruhat_module_is_the_restricted_induced_module(args):
+    # the two modules differ by a monomial change of basis P: the Bruhat
+    # representative r of a coset goes to the enumerated representative r0
+    # of the same coset, scaled by chi(t) where r = b r0 and t is b's torus part
+    inst = get_instance(*args)
+    G, B, fld, p, f = inst.G, inst.B, inst.field, inst.p, inst.f
+    cosets = BruhatCosets(B, inst.weyls)
+    rep_ids, coset_of = inst.coset_data
+    assert len(cosets.reps) == len(rep_ids) == G.order // B.order
+    old_of = [int(coset_of[G.element_id(r)]) for r in cosets.reps]
+    assert sorted(old_of) == list(range(len(rep_ids)))
+    tori = [tn_factor(r * G.elements[rep_ids[k]].inv())[0] for r, k in zip(cosets.reps, old_of)]
+    for chi in inst.chars:
+        new = bruhat_induced_module(cosets, chi)
+        assert new.group is B and new.fq_form and new.chi == chi
+        old = restrict(inst.induced(chi), B)
+        P = np.zeros((new.dim, new.dim), dtype=np.int64)
+        for i, (k, t) in enumerate(zip(old_of, tori)):
+            P[i * f : (i + 1) * f, k * f : (k + 1) * f] = fld.mult_matrix(evaluate(chi, t).code)
+        for a_old, a_new in zip(old.gen_action, new.gen_action):
+            assert not ((P @ a_old - a_new @ P) % p).any()

@@ -1,5 +1,5 @@
 """Group construction: orders, closure, Cayley consistency, factorization,
-double cosets, conjugate intersections and commutators."""
+double cosets, coset normal forms, conjugate intersections and commutators."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from borelext.group import (
     build_torus,
     build_unipotent,
     commutator_subgroup,
+    coset_normal_form,
     double_cosets,
     gl_order,
     intersect_conjugate,
@@ -126,6 +127,35 @@ def test_double_cosets_gl3(F3):
     assert len(ws) == 6
     assert sum(sizes) == G.order
     assert len({w.perm for w in ws}) == 6
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (9, 2), (5, 3)])
+def test_coset_normal_form_is_a_function_of_the_coset(q, n):
+    # random invertible g: g = b rep with b upper-triangular and diag b as
+    # returned, and h g has the same representative for random h in B
+    fld = make_field(*{3: (3, 1), 5: (5, 1), 9: (3, 2)}[q])
+    rng = np.random.default_rng(q * 10 + n)
+
+    def rand_mat(upper):
+        codes = [int(c) for c in rng.integers(0, q, n * n)]
+        for i in range(n):
+            if upper:
+                codes[i * n : i * n + i] = [0] * i
+                codes[i * n + i] = int(rng.integers(1, q))
+        return Mat(fld, n, tuple(codes))
+
+    tried = 0
+    while tried < 20:
+        g = rand_mat(upper=False)
+        if g.det_code() == 0:
+            continue
+        tried += 1
+        rep, diag = coset_normal_form(g)
+        b = g * Mat(fld, n, rep).inv()
+        assert b.is_upper_triangular() and b.diagonal_codes() == diag
+        assert coset_normal_form(Mat(fld, n, rep)) == (rep, (1,) * n)
+        for _ in range(5):
+            assert coset_normal_form(rand_mat(upper=True) * g)[0] == rep
 
 
 def test_intersect_conjugate_gl2(F3):

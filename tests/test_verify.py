@@ -1,8 +1,9 @@
 """The verification layer: one N-level solve per chi2 in chi1-major order,
 report bytes independent of the BLAS thread count, no thread pool loaded by a
 run, the two oracle paths of thm1, prop4's B-level
-route against the G-level solve, the principal-series oracle at GL_3(F_3),
-and the n = 1 instances, where N is trivial."""
+route against the G-level solve, the principal-series oracle at GL_3(F_3)
+and GL_3(F_5) without an element table of G, and the n = 1 instances, where
+N is trivial."""
 
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from borelext import cli
 from borelext import verify as V
+from borelext.chars import match_theorem1_condition
 from borelext.cohom import h1_dim
 from borelext.gmodule import det_char_module, fq_hom_module
 
@@ -95,6 +97,23 @@ def test_gl3_oracle_dims_at_the_open_pairs():
     dims = {(r.chi1, r.chi2): r.dim for r in nec.pairs}
     assert dims[(0, 1, 0), (1, 1, 1)] == 2
     assert dims[(1, 0, 1), (0, 0, 0)] == 2
+
+
+def test_shapiro_route_never_builds_g():
+    inst = V.Instance(3, 1, 3)
+    V.verify_thm1(inst)
+    assert "G" not in inst.__dict__
+
+
+def test_shapiro_oracle_at_gl3_f5():
+    # |GL_3(F_5)| = 1,488,000 is past enumeration; the Bruhat cosets give
+    # Res_B Ind chi2 on 186 cosets.  A B2 pair: dim 1 (the Mackey ledger puts
+    # it at w = (2,1,3)) and no (w, i, k) witness
+    inst = V.Instance(5, 1, 3)
+    chi1, chi2 = inst.char((0, 1, 0)), inst.char((1, 1, 3))
+    assert inst.shapiro_dim(chi1, chi2, V.VerifyConfig()) == 1
+    assert match_theorem1_condition(chi1, chi2, inst.weyls) is None
+    assert "G" not in inst.__dict__
 
 
 @pytest.mark.parametrize("command", [["ext-ps"], ["verify", "thm1"]], ids=["ext-ps", "thm1"])
