@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import verify as V
-from .chars import TorusChar, simple_root
+from .chars import TorusChar, match_simple_root_twist, match_theorem1_condition, simple_root
 from .cohom import MemoryBudgetError
 from .field import FieldError, make_field
 from .group import SizeBudgetError, build_borel, build_gl, build_torus, build_unipotent
@@ -198,8 +198,6 @@ def _cmd_ext_b(args) -> int:
     chars1 = [c1] if c1 else inst.chars
     chars2 = [c2] if c2 else inst.chars
     rows = []
-    from .chars import match_simple_root_twist
-
     for chi1 in chars1:
         for chi2 in chars2:
             wit = match_simple_root_twist(chi1.inverse() * chi2)
@@ -216,8 +214,6 @@ def _cmd_ext_ps(args) -> int:
     c2 = _parse_char(args.chi2, args.n, inst.qm1)
     chars1 = [c1] if c1 else inst.chars
     chars2 = [c2] if c2 else inst.chars
-    from .chars import match_theorem1_condition
-
     dim_of = inst.direct_dim if args.path == "direct" else inst.shapiro_dim
     rows = []
     for chi1 in chars1:

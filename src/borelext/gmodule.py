@@ -12,6 +12,8 @@ tables.  Modules are immutable apart from those idempotent caches.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import linalg
@@ -368,9 +370,7 @@ def char_modules_isomorphic(A: MatrixGroup, chi1: TorusChar, chi2: TorusChar):
             return True, m
     # rare: search small combinations of the basis
     if p ** basis.shape[0] <= 100_000:
-        import itertools as _it
-
-        for coeffs in _it.product(range(p), repeat=basis.shape[0]):
+        for coeffs in itertools.product(range(p), repeat=basis.shape[0]):
             if not any(coeffs):
                 continue
             m = sum(c * b for c, b in zip(coeffs, basis)) % p
