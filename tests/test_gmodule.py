@@ -31,7 +31,6 @@ from borelext.gmodule import (
     trivial_module,
 )
 from borelext.group import (
-    BruhatCosets,
     build_borel,
     build_gl,
     build_torus,
@@ -356,7 +355,7 @@ def test_bruhat_module_is_the_restricted_induced_module(args):
     # of the same coset, scaled by chi(t) where r = b r0 and t is b's torus part
     inst = get_instance(*args)
     G, B, fld, p, f = inst.G, inst.B, inst.field, inst.p, inst.f
-    cosets = BruhatCosets(B, inst.weyls)
+    cosets = inst.bruhat_cosets
     rep_ids, coset_of = inst.coset_data
     assert len(cosets.reps) == len(rep_ids) == G.order // B.order
     old_of = [int(coset_of[G.element_id(r)]) for r in cosets.reps]

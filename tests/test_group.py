@@ -129,17 +129,18 @@ def test_double_cosets_gl3(F3):
     assert len({w.perm for w in ws}) == 6
 
 
-@pytest.mark.parametrize("q,n", [(3, 3), (9, 2), (5, 3)])
-def test_coset_normal_form_is_a_function_of_the_coset(q, n):
+@pytest.mark.parametrize("p,f,n", [(3, 1, 3), (3, 2, 2), (5, 1, 3)])
+def test_coset_normal_form_is_a_function_of_the_coset(p, f, n):
     # random invertible g: g = b rep with b upper-triangular and diag b as
     # returned, and h g has the same representative for random h in B
-    fld = make_field(*{3: (3, 1), 5: (5, 1), 9: (3, 2)}[q])
+    fld = make_field(p, f)
+    q = fld.q
     rng = np.random.default_rng(q * 10 + n)
 
     def rand_mat(upper):
         codes = [int(c) for c in rng.integers(0, q, n * n)]
-        for i in range(n):
-            if upper:
+        if upper:
+            for i in range(n):
                 codes[i * n : i * n + i] = [0] * i
                 codes[i * n + i] = int(rng.integers(1, q))
         return Mat(fld, n, tuple(codes))
