@@ -41,7 +41,6 @@ from .group import (
     build_torus,
     build_unipotent,
     commutator_subgroup,
-    double_cosets,
     intersect_conjugate,
     tn_factor,
     unipotent_part,

@@ -56,7 +56,8 @@ class TorusChar:
         return len(self.exps)
 
     def __mul__(self, other: "TorusChar") -> "TorusChar":
-        assert self.qm1 == other.qm1
+        if self.qm1 != other.qm1:
+            raise ValueError(f"characters mod {self.qm1} and mod {other.qm1} do not multiply")
         return TorusChar(tuple(a + b for a, b in zip(self.exps, other.exps)), self.qm1)
 
     def inverse(self) -> "TorusChar":

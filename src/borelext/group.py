@@ -1,7 +1,12 @@
 """GL_n(F_q) and its Borel-related subgroups as explicit finite matrix
 groups: full element tables, Cayley edges against a fixed generator set,
-commutator subgroups, conjugate intersections and Bruhat double cosets, and
-the right cosets B\\G in Bruhat normal form, which need no table of G.
+and the right cosets B\\G in Bruhat normal form, which need no table of G.
+
+B, T, N, B∩B^w, its unipotent part N'_w and the commutator subgroups are
+all pattern groups T·U_Φ or U_Φ for a closed set Φ of positive roots, and
+one constructor, `_pattern_group`, builds each of them from (Φ, torus): the
+elements by direct enumeration, the generators from the roots of Φ that are
+not a sum of two of its roots.  G alone is found by BFS closure.
 
 Groups are immutable once built.  Elements are canonicalized as flat tuples
 of F_q codes, which makes identity tests and table lookups cheap.
@@ -33,18 +38,6 @@ def gl_order(q: int, n: int) -> int:
     for i in range(n):
         out *= q**n - q**i
     return out
-
-
-def borel_order(q: int, n: int) -> int:
-    return (q - 1) ** n * q ** (n * (n - 1) // 2)
-
-
-def torus_order(q: int, n: int) -> int:
-    return (q - 1) ** n
-
-
-def unipotent_order(q: int, n: int) -> int:
-    return q ** (n * (n - 1) // 2)
 
 
 class Mat:
@@ -222,6 +215,7 @@ class MatrixGroup:
         self._build_bfs()
         self._inv_ids: dict[int, int] = {}
         self._inv_table: np.ndarray | None = None
+        self.pattern: tuple | None = None  # (roots, torus) of a pattern group
 
     def _build_bfs(self):
         size = len(self.elements)
@@ -297,15 +291,6 @@ class MatrixGroup:
     def is_subgroup_of(self, other: "MatrixGroup") -> bool:
         return all(m.codes in other.index for m in self.elements)
 
-    def word_for(self, i: int) -> list[int]:
-        """Generator ids multiplying to elements[i] along the BFS tree."""
-        out = []
-        while i != self.identity_id:
-            out.append(int(self.bfs_gen[i]))
-            i = int(self.bfs_parent[i])
-        out.reverse()
-        return out
-
     def dump(self) -> dict:
         return {
             "p": self.field.p,
@@ -320,44 +305,6 @@ class MatrixGroup:
 
     def __repr__(self):
         return f"MatrixGroup({self.label}, order={self.order}, gens={len(self.generators)})"
-
-
-def _mulclose(field, n, gen_codes, cap=None) -> set[tuple[int, ...]]:
-    """Closure of a generator set under multiplication (identity included)."""
-    ident = identity_mat(field, n).codes
-    seen = {ident}
-    frontier = deque([ident])
-    while frontier:
-        a = frontier.popleft()
-        for g in gen_codes:
-            b = _mul_codes(field, n, a, g)
-            if b not in seen:
-                if cap is not None and len(seen) >= cap:
-                    raise SizeBudgetError(f"closure exceeded the budget of {cap} elements")
-                seen.add(b)
-                frontier.append(b)
-    return seen
-
-
-def _greedy_generators(field, n, element_codes, candidates) -> list[Mat]:
-    """Pick generators greedily: walk the candidates, keeping any element
-    not yet inside the closure of what was kept so far."""
-    target = set(element_codes)
-    ident = identity_mat(field, n).codes
-    kept: list[tuple[int, ...]] = []
-    have = {ident}
-    for cand in candidates:
-        if cand in have:
-            continue
-        if cand not in target:
-            raise StructureError("candidate generator outside the subgroup")
-        kept.append(cand)
-        have = _mulclose(field, n, kept)
-        if len(have) == len(target):
-            break
-    if len(have) != len(target):
-        raise StructureError("candidates do not generate the subgroup")
-    return [Mat(field, n, c) for c in kept]
 
 
 def build_gl(field: FieldCtx, n: int, budget: int = DEFAULT_GROUP_BUDGET) -> MatrixGroup:
@@ -393,82 +340,70 @@ def _bfs_elements(field, n, gens) -> list[Mat]:
     return [Mat(field, n, c) for c in out]
 
 
-def _borel_candidates(field, n) -> list[tuple[int, ...]]:
-    cands = []
-    g = field.generator_code
-    for i in range(n):
-        d = [1] * n
-        d[i] = g
-        cands.append(diag_mat(field, tuple(d)).codes)
-    for off in range(1, n):
-        for i in range(1, n - off + 1):
-            for m in range(field.f):
-                cands.append(transvection(field, n, i, i + off, field._pp[m]).codes)
-    return cands
+def _positive_roots(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def build_borel(field: FieldCtx, n: int, budget: int = DEFAULT_GROUP_BUDGET) -> MatrixGroup:
-    """Invertible upper-triangular matrices, by direct enumeration."""
-    expected = borel_order(field.q, n)
-    if expected > budget:
-        raise SizeBudgetError(f"|B| = {expected} exceeds the enumeration budget of {budget}")
+def _sums_of_two(roots) -> set[tuple[int, int]]:
+    """The roots (i, k) + (k, j) = (i, j) of a set that are a sum of two of its roots."""
+    rs = set(roots)
+    return {(i, j) for i, j in rs if any((i, k) in rs and (k, j) in rs for k in range(i + 1, j))}
+
+
+def _pattern_group(field: FieldCtx, n: int, roots, torus: bool, label: str) -> MatrixGroup:
+    """T·U_Φ, or U_Φ without the torus, for a closed set Φ of positive roots.
+
+    `roots` holds the positions (i, j), 0-based with i < j, where entries
+    off the diagonal may be nonzero.  The diagonal is invertible with the
+    torus and 1 without it.  Elements are enumerated with the diagonal
+    varying slowest, then the root entries in row-major order.  The
+    generators are the n torus generators, then e_α(x^m) for each root α
+    that is not a sum of two roots of Φ, ordered by (j - i, i, m): m < f
+    without the torus, and m = 0 with it, because conjugation by T moves
+    e_α(1) through all of U_α.  The Chevalley relation [e_ik(a), e_kj(b)] =
+    e_ij(ab) gives the other roots, and MatrixGroup checks by BFS that the
+    generators reach every element.
+    """
+    roots = tuple(sorted(roots))
     q = field.q
-    nz = list(range(1, q))
-    upos = [(i, j) for i in range(n) for j in range(n) if i < j]
+    size = ((q - 1) ** n if torus else 1) * q ** len(roots)
+    if size > DEFAULT_GROUP_BUDGET:
+        raise SizeBudgetError(
+            f"|{label}| = {size} exceeds the enumeration budget of {DEFAULT_GROUP_BUDGET}")
     elements = []
-    for diag in itertools.product(nz, repeat=n):
-        for upper in itertools.product(range(q), repeat=len(upos)):
-            ent = [0] * (n * n)
-            for i in range(n):
-                ent[i * n + i] = diag[i]
-            for (i, j), c in zip(upos, upper):
+    for diag in itertools.product(range(1, q), repeat=n) if torus else [(1,) * n]:
+        base = list(diag_mat(field, diag).codes)
+        for entries in itertools.product(range(q), repeat=len(roots)):
+            ent = base[:]
+            for (i, j), c in zip(roots, entries):
                 ent[i * n + j] = c
             elements.append(Mat(field, n, tuple(ent)))
-    gens = _greedy_generators(field, n, [m.codes for m in elements], _borel_candidates(field, n))
-    grp = MatrixGroup(field, n, "B", elements, gens)
-    if grp.order != expected:
-        raise StructureError(f"|B| = {grp.order}, expected {expected}")
+    gens = []
+    if torus:
+        for i in range(n):
+            d = [1] * n
+            d[i] = field.generator_code
+            gens.append(diag_mat(field, tuple(d)))
+    sums = _sums_of_two(roots)
+    for _, i, j in sorted((j - i, i, j) for i, j in roots if (i, j) not in sums):
+        for m in range(1 if torus else field.f):
+            gens.append(transvection(field, n, i + 1, j + 1, field._pp[m]))
+    grp = MatrixGroup(field, n, label, elements, gens)
+    grp.pattern = (roots, torus)
     return grp
+
+
+def build_borel(field: FieldCtx, n: int) -> MatrixGroup:
+    """Invertible upper-triangular matrices."""
+    return _pattern_group(field, n, _positive_roots(n), True, "B")
 
 
 def build_torus(field: FieldCtx, n: int) -> MatrixGroup:
-    q = field.q
-    elements = [diag_mat(field, d) for d in itertools.product(range(1, q), repeat=n)]
-    g = field.generator_code
-    cands = []
-    for i in range(n):
-        d = [1] * n
-        d[i] = g
-        cands.append(diag_mat(field, tuple(d)).codes)
-    gens = _greedy_generators(field, n, [m.codes for m in elements], cands)
-    grp = MatrixGroup(field, n, "T", elements, gens)
-    if grp.order != torus_order(q, n):
-        raise StructureError("torus order mismatch")
-    return grp
+    return _pattern_group(field, n, (), True, "T")
 
 
 def build_unipotent(field: FieldCtx, n: int) -> MatrixGroup:
-    q = field.q
-    upos = [(i, j) for i in range(n) for j in range(n) if i < j]
-    elements = []
-    for upper in itertools.product(range(q), repeat=len(upos)):
-        ent = [1 if i == j else 0 for i in range(n) for j in range(n)]
-        for (i, j), c in zip(upos, upper):
-            ent[i * n + j] = c
-        elements.append(Mat(field, n, tuple(ent)))
-    cands = [c for c in _borel_candidates(field, n) if Mat(field, n, c).has_unit_diagonal()]
-    gens = _greedy_generators(field, n, [m.codes for m in elements], cands)
-    grp = MatrixGroup(field, n, "N", elements, gens)
-    if grp.order != unipotent_order(q, n):
-        raise StructureError("unipotent order mismatch")
-    return grp
-
-
-def subgroup_from_elements(field, n, mats, label) -> MatrixGroup:
-    """Materialize a subgroup from its element set; generators greedily."""
-    codes = [m.codes for m in mats]
-    gens = _greedy_generators(field, n, codes, codes)
-    return MatrixGroup(field, n, label, list(mats), gens)
+    return _pattern_group(field, n, _positive_roots(n), False, "N")
 
 
 def tn_factor(b: Mat) -> tuple[Mat, Mat]:
@@ -481,36 +416,27 @@ def tn_factor(b: Mat) -> tuple[Mat, Mat]:
 
 
 def intersect_conjugate(B: MatrixGroup, w: WeylElement) -> MatrixGroup:
-    """B ∩ w^{-1} B w, as a group containing the torus."""
-    wi = w.rep.inv()
-    keep = []
-    for m in B.elements:
-        conj = (w.rep * m) * wi
-        if conj.codes in B.index:
-            keep.append(m)
-    label = f"B∩B^w{w.perm}"
-    return subgroup_from_elements(B.field, B.n, keep, label)
+    """B ∩ w^{-1} B w: w m w^{-1} has entry m_ij at (perm(i), perm(j)), so
+    the roots (i, j) of B with perm(i) < perm(j) survive, and the torus."""
+    roots, torus = B.pattern
+    kept = [(i, j) for i, j in roots if w.perm[i] < w.perm[j]]
+    return _pattern_group(B.field, B.n, kept, torus, f"B∩B^w{w.perm}")
 
 
 def unipotent_part(H: MatrixGroup) -> MatrixGroup:
-    """Unit-diagonal elements of an upper-triangular group."""
-    keep = [m for m in H.elements if m.has_unit_diagonal()]
-    return subgroup_from_elements(H.field, H.n, keep, f"U({H.label})")
+    """Unit-diagonal elements of an upper-triangular pattern group."""
+    roots, _ = H.pattern
+    return _pattern_group(H.field, H.n, roots, False, f"U({H.label})")
 
 
 def commutator_subgroup(H: MatrixGroup) -> MatrixGroup:
-    """Closure of all commutators a b a^{-1} b^{-1}."""
-    field, n = H.field, H.n
-    invs = {m.codes: m.inv().codes for m in H.elements}
-    comms = set()
-    for a in H.elements:
-        for b in H.elements:
-            c = _mul_codes(field, n, _mul_codes(field, n, a.codes, b.codes),
-                           _mul_codes(field, n, invs[a.codes], invs[b.codes]))
-            comms.add(c)
-    closure = _mulclose(field, n, sorted(comms))
-    mats = [Mat(field, n, c) for c in sorted(closure)]
-    return subgroup_from_elements(field, n, mats, f"[{H.label},{H.label}]")
+    """[U_Φ, U_Φ] = U_Φ' for the roots Φ' of Φ that are a sum of two of its
+    roots; [T, T] is trivial.  On U_Φ the entries at the other roots add
+    under multiplication, so commutators vanish there."""
+    roots, torus = H.pattern
+    if torus and roots:
+        raise StructureError("commutator subgroups are built for unipotent groups and the torus")
+    return _pattern_group(H.field, H.n, _sums_of_two(roots), False, f"[{H.label},{H.label}]")
 
 
 def coset_normal_form(g: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -581,45 +507,3 @@ class BruhatCosets:
         self.reps = [Mat(fld, n, c) for c in reps]
         self.target = np.array(target, dtype=np.int64).reshape(len(reps), len(gens))
         self.logs = np.array(logs, dtype=np.int64).reshape(len(reps), len(gens), n)
-
-
-def double_cosets(G: MatrixGroup, B: MatrixGroup, return_sizes: bool = False):
-    """Partition of G into B-double cosets; one permutation representative
-    per coset, returned sorted by Bruhat length."""
-    field, n = G.field, G.n
-    perm_lookup = {}
-    for p in itertools.permutations(range(1, n + 1)):
-        perm_lookup[perm_mat(field, p).codes] = p
-    bgen = [g.codes for g in B.generators]
-    visited = np.zeros(G.order, dtype=bool)
-    found = []
-    for start in range(G.order):
-        if visited[start]:
-            continue
-        coset = {start}
-        frontier = deque([start])
-        visited[start] = True
-        while frontier:
-            i = frontier.popleft()
-            codes = G.elements[i].codes
-            for g in bgen:
-                for prod in (
-                    _mul_codes(field, n, g, codes),
-                    _mul_codes(field, n, codes, g),
-                ):
-                    j = G.index[prod]
-                    if not visited[j]:
-                        visited[j] = True
-                        coset.add(j)
-                        frontier.append(j)
-        reps = [perm_lookup[G.elements[i].codes] for i in coset if G.elements[i].codes in perm_lookup]
-        if len(reps) != 1:
-            raise StructureError(
-                f"double coset has {len(reps)} permutation representatives"
-            )
-        found.append((WeylElement(field, reps[0]), len(coset)))
-    found.sort(key=lambda t: (t[0].length, t[0].perm))
-    ws = [w for w, _ in found]
-    if return_sizes:
-        return ws, [s for _, s in found]
-    return ws

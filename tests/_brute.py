@@ -2,11 +2,18 @@
 
 Everything here deliberately avoids the library's solvers: the H^1 oracle
 sets up the full function-space linear system over all of H x H with its own
-Gaussian elimination, and the polynomial helpers work on plain coefficient
-lists.  Agreement between these and the package is what the tests freeze.
+Gaussian elimination, the polynomial helpers work on plain coefficient
+lists, and the subgroup references filter or close element tables with
+plain matrix products instead of the root data.  Agreement between these
+and the package is what the tests freeze.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections import deque
+
+from borelext.group import StructureError, WeylElement, identity_mat, perm_mat
 
 
 def gauss_rank(rows, p):
@@ -169,3 +176,78 @@ def equivariant_hom_dim(Q_actions, chi_matrices, fdim, qdim, p):
     if not rows:
         return nun
     return nun - gauss_rank(rows, p)
+
+
+def brute_intersect_conjugate(B, w):
+    """Codes of {m in B : w m w^{-1} in B}, by filtering B's element table."""
+    wi = w.rep.inv()
+    return {m.codes for m in B.elements if ((w.rep * m) * wi).codes in B.index}
+
+
+def brute_unipotent_part(H):
+    """Codes of the unit-diagonal elements of H, by filtering its table."""
+    return {m.codes for m in H.elements if m.has_unit_diagonal()}
+
+
+def mulclose(mats):
+    """Codes of the closure of a set of matrices under multiplication."""
+    mats = list(mats)
+    ident = identity_mat(mats[0].field, mats[0].n)
+    seen = {ident.codes}
+    frontier = deque([ident])
+    while frontier:
+        a = frontier.popleft()
+        for g in mats:
+            b = a * g
+            if b.codes not in seen:
+                seen.add(b.codes)
+                frontier.append(b)
+    return seen
+
+
+def brute_commutator_subgroup(H):
+    """Codes of the closure of all commutators a b a^{-1} b^{-1} in H."""
+    els = H.elements
+    invs = [m.inv() for m in els]
+    return mulclose({(a * b) * (ai * bi) for a, ai in zip(els, invs) for b, bi in zip(els, invs)})
+
+
+def word_for(G, i):
+    """Generator ids multiplying to G.elements[i] along G's BFS tree."""
+    out = []
+    while i != G.identity_id:
+        out.append(int(G.bfs_gen[i]))
+        i = int(G.bfs_parent[i])
+    out.reverse()
+    return out
+
+
+def double_cosets(G, B):
+    """B-double cosets of G by a BFS of G's table under left and right
+    multiplication by B's generators: one permutation representative per
+    coset and the coset sizes, sorted by Bruhat length."""
+    field, n = G.field, G.n
+    perm_lookup = {perm_mat(field, p).codes: p
+                   for p in itertools.permutations(range(1, n + 1))}
+    seen = [False] * G.order
+    found = []
+    for start in range(G.order):
+        if seen[start]:
+            continue
+        seen[start] = True
+        coset = [start]
+        for i in coset:
+            m = G.elements[i]
+            for g in B.generators:
+                for prod in (g * m, m * g):
+                    j = G.index[prod.codes]
+                    if not seen[j]:
+                        seen[j] = True
+                        coset.append(j)
+        reps = [perm_lookup[G.elements[i].codes] for i in coset
+                if G.elements[i].codes in perm_lookup]
+        if len(reps) != 1:
+            raise StructureError(f"double coset has {len(reps)} permutation representatives")
+        found.append((WeylElement(field, reps[0]), len(coset)))
+    found.sort(key=lambda t: (t[0].length, t[0].perm))
+    return [w for w, _ in found], [s for _, s in found]

@@ -27,6 +27,12 @@ def test_simple_roots():
         simple_root(2, 2, 4)
 
 
+def test_product_of_characters_mod_different_q_is_rejected():
+    assert (TorusChar((1, 2), 4) * TorusChar((3, 3), 4)).exps == (0, 1)
+    with pytest.raises(ValueError):
+        TorusChar((1, 2), 4) * TorusChar((1, 2), 8)
+
+
 def test_evaluate_examples():
     F3 = make_field(3, 1)
     t = diag_mat(F3, (2, 2))

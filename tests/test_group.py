@@ -4,6 +4,7 @@ double cosets, coset normal forms, conjugate intersections and commutators."""
 import numpy as np
 import pytest
 
+from borelext import group
 from borelext.field import make_field
 from borelext.group import (
     Mat,
@@ -15,12 +16,19 @@ from borelext.group import (
     build_unipotent,
     commutator_subgroup,
     coset_normal_form,
-    double_cosets,
     gl_order,
     intersect_conjugate,
     tn_factor,
     unipotent_part,
     weyl_elements,
+)
+
+from _brute import (
+    brute_commutator_subgroup,
+    brute_intersect_conjugate,
+    brute_unipotent_part,
+    double_cosets,
+    word_for,
 )
 
 
@@ -112,18 +120,18 @@ def test_weyl_elements_sorted_identity_first(F3):
 
 def test_double_cosets_gl2(F3, F5):
     G3, B3 = build_gl(F3, 2), build_borel(F3, 2)
-    ws, sizes = double_cosets(G3, B3, return_sizes=True)
+    ws, sizes = double_cosets(G3, B3)
     assert [w.perm for w in ws] == [(1, 2), (2, 1)]
     assert sizes == [12, 36]
     G5, B5 = build_gl(F5, 2), build_borel(F5, 2)
-    ws5, sizes5 = double_cosets(G5, B5, return_sizes=True)
+    ws5, sizes5 = double_cosets(G5, B5)
     assert sizes5 == [80, 400]
     assert sum(sizes5) == G5.order
 
 
 def test_double_cosets_gl3(F3):
     G, B = build_gl(F3, 3), build_borel(F3, 3)
-    ws, sizes = double_cosets(G, B, return_sizes=True)
+    ws, sizes = double_cosets(G, B)
     assert len(ws) == 6
     assert sum(sizes) == G.order
     assert len({w.perm for w in ws}) == 6
@@ -201,6 +209,8 @@ def test_commutator_subgroups(F3):
     # the center of the 3x3 unipotent group: only the far corner entry
     for m in C.elements:
         assert m.codes[1] == 0 and m.codes[5] == 0
+    with pytest.raises(StructureError):  # only unipotent groups and the torus
+        commutator_subgroup(build_borel(F3, 2))
 
 
 def test_greedy_generators_are_small(F3, F9):
@@ -208,6 +218,70 @@ def test_greedy_generators_are_small(F3, F9):
     assert len(build_borel(F9, 2).generators) == 3
     assert len(build_unipotent(F9, 2).generators) == 2
     assert len(build_unipotent(F3, 3).generators) == 2
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 3), (3, 2, 2), (5, 1, 3)])
+def test_root_subgroups_match_element_filters(p, f, n):
+    # the groups built from root sets have the element sets of the table
+    # filters and of the commutator closure, at every Weyl element
+    fld = make_field(p, f)
+    B = build_borel(fld, n)
+    for w in weyl_elements(fld, n):
+        Bw = intersect_conjugate(B, w)
+        assert {m.codes for m in Bw.elements} == brute_intersect_conjugate(B, w)
+        Np = unipotent_part(Bw)
+        assert {m.codes for m in Np.elements} == brute_unipotent_part(Bw)
+        C = commutator_subgroup(Np)
+        assert {m.codes for m in C.elements} == brute_commutator_subgroup(Np)
+
+
+# generator codes of B, T and N as the greedy closure search chose them
+PINNED_GENERATORS = {
+    (3, 1, 2): {
+        "B": [(2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)],
+        "T": [(2, 0, 0, 1), (1, 0, 0, 2)],
+        "N": [(1, 1, 0, 1)],
+    },
+    (3, 2, 2): {
+        "B": [(4, 0, 0, 1), (1, 0, 0, 4), (1, 1, 0, 1)],
+        "T": [(4, 0, 0, 1), (1, 0, 0, 4)],
+        "N": [(1, 1, 0, 1), (1, 3, 0, 1)],
+    },
+    (3, 1, 3): {
+        "B": [(2, 0, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 2, 0, 0, 0, 1),
+              (1, 0, 0, 0, 1, 0, 0, 0, 2), (1, 1, 0, 0, 1, 0, 0, 0, 1),
+              (1, 0, 0, 0, 1, 1, 0, 0, 1)],
+        "T": [(2, 0, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 2, 0, 0, 0, 1),
+              (1, 0, 0, 0, 1, 0, 0, 0, 2)],
+        "N": [(1, 1, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1, 1, 0, 0, 1)],
+    },
+}
+
+
+@pytest.mark.parametrize("p,f,n", sorted(PINNED_GENERATORS))
+def test_generators_from_root_sets(p, f, n):
+    fld = make_field(p, f)
+    B = build_borel(fld, n)
+    got = {"B": B, "T": build_torus(fld, n), "N": build_unipotent(fld, n)}
+    for label, grp in got.items():
+        assert [g.codes for g in grp.generators] == PINNED_GENERATORS[(p, f, n)][label]
+    # B∩B^w: the torus, then e_α(1) for each α of Δ_w, the roots of Φ_w
+    # that are not a sum of two roots of Φ_w
+    for w in weyl_elements(fld, n):
+        phi = {(i, j) for i in range(n) for j in range(i + 1, n) if w.perm[i] < w.perm[j]}
+        delta = [(i, j) for i, j in phi
+                 if not any((i, k) in phi and (k, j) in phi for k in range(n))]
+        assert len(intersect_conjugate(B, w).generators) == n + len(delta)
+
+
+def test_pattern_group_budget(F3, monkeypatch):
+    # |N| = 3^10 for n = 5; the guard reads the budget at call time
+    monkeypatch.setattr(group, "DEFAULT_GROUP_BUDGET", 1000)
+    monkeypatch.setattr(group, "Mat", None)  # enumeration would need it
+    with pytest.raises(SizeBudgetError):
+        build_unipotent(F3, 5)
+    with pytest.raises(SizeBudgetError):
+        build_torus(make_field(37, 1), 2)
 
 
 def test_group_dump_roundtrip(F3):
@@ -230,7 +304,7 @@ def test_bfs_words_resolve(F5):
     G = build_gl(F5, 2)
     rng = np.random.default_rng(2)
     for i in map(int, rng.integers(0, G.order, size=20)):
-        word = G.word_for(i)
+        word = word_for(G, i)
         acc = G.elements[G.identity_id]
         for s in word:
             acc = acc * G.generators[s]
