@@ -93,13 +93,17 @@ def evaluate(chi: TorusChar, t) -> Fq:
     """Value of chi at a diagonal matrix, via discrete logs."""
     if not t.is_diagonal():
         raise ValueError("character evaluation needs a diagonal matrix")
-    fld = t.field
+    return t.field.from_code(value_code(chi, t.field, t.diagonal_codes()))
+
+
+def value_code(chi: TorusChar, fld, diag) -> int:
+    """Code of chi(diag(t_1, ..., t_n)), given the codes of the t_i."""
     if fld.q - 1 != chi.qm1:
         raise ValueError("character and matrix live over different fields")
     e = 0
-    for a, code in zip(chi.exps, t.diagonal_codes()):
+    for a, code in zip(chi.exps, diag):
         e += a * fld.dlog_code(code)
-    return fld.from_code(fld.pow_code(fld.generator_code, e % chi.qm1))
+    return fld.pow_code(fld.generator_code, e % chi.qm1)
 
 
 def weyl_twist(chi: TorusChar, w) -> TorusChar:

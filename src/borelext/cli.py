@@ -200,9 +200,10 @@ def _cmd_ext_b(args) -> int:
     rows = []
     for chi1 in chars1:
         for chi2 in chars2:
-            wit = match_simple_root_twist(chi1.inverse() * chi2)
+            beta = chi1.inverse() * chi2
+            wit = match_simple_root_twist(beta)
             rows.append(V.PairRow(chi1.exps, chi2.exps, wit is not None, wit,
-                                  inst.ext_b(chi1, chi2, cfg)))
+                                  inst.char_ext(inst.weyls[0], beta, cfg)))
     rep = V.ExtReport(args.p, args.f, args.n, "ext-b", rows)
     return _emit_reports(args, [rep])
 

@@ -19,7 +19,6 @@ import itertools
 import numpy as np
 
 DEFAULT_MAX_Q = 1 << 16
-_MUL_TABLE_MAX_Q = 256  # full q x q products only at genuinely small q
 _LIST_TABLE_MAX_Q = 1024
 
 

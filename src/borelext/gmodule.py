@@ -17,14 +17,14 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .chars import TorusChar, evaluate
+from .chars import TorusChar, evaluate, value_code
 from .group import (
     BruhatCosets,
     Mat,
     MatrixGroup,
     StructureError,
-    commutator_subgroup,
     identity_mat,
+    indecomposable_roots,
     tn_factor,
 )
 
@@ -60,8 +60,8 @@ class FpModule:
         self.fq_form = fq_form
         # derived: the generators are invertible by construction, so the
         # check is skipped: hom, F_q-hom and restriction combine checked
-        # modules' maps by invertible products, and a character acts by a
-        # nonzero field element, chi(t) for t in the torus
+        # modules' maps by invertible products, and a character (or the
+        # torus on N'^ab) acts by nonzero field elements, chi(t) (or t_i/t_j)
         if not derived:
             for a in self.gen_action:
                 if not linalg.is_invertible_mod(a, self.p):
@@ -116,12 +116,13 @@ def trivial_module(H: MatrixGroup, dim: int = 1) -> FpModule:
 def char_module(B: MatrixGroup, chi: TorusChar) -> FpModule:
     """F_q as a module over an upper-triangular group: b = t n acts by
     multiplication by chi(t), an F_p-linear map of dimension f; the
-    unipotent part acts trivially."""
+    unipotent part acts trivially.  t is the diagonal of b."""
     fld = B.field
     acts = []
     for g in B.generators:
-        t, _ = tn_factor(g)
-        acts.append(fld.mult_matrix(evaluate(chi, t).code))
+        if not g.is_upper_triangular():
+            raise StructureError("element is not upper-triangular")
+        acts.append(fld.mult_matrix(value_code(chi, fld, g.diagonal_codes())))
     return FpModule(B, acts, label=f"char{chi.exps}", fq_form=True, derived=True)
 
 
@@ -254,57 +255,32 @@ def hom_module(M1: FpModule, M2: FpModule) -> HomModule:
 
 
 def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:
-    """Hom_{F_q}(M1, M2) for modules in fq form, with the same conjugation
-    action as hom_module restricted to the F_q-linear maps.
+    """Hom_{F_q}(M1, M2) for a module M1 of one F_q-dimension and M2 in fq
+    form, with the same conjugation action as hom_module restricted to the
+    F_q-linear maps: M1's action is a scalar character u(g), so the module
+    is M2 twisted by u(g)^{-1}.
 
     Extensions between F_q-representations live here: over F_p the full
     Hom splits into f Frobenius-skewed summands and Ext dimensions pick up
     a factor of f, so pairing the modules F_q-linearly is what matches the
-    one-dimensional-over-F_q statements being verified.  For f = 1 it has
-    hom_module's action matrices: a one-dimensional M1 gives M2 twisted by
-    M1's character, whose table is M2-sized, and a larger M1 gives
-    hom_module itself.
+    one-dimensional-over-F_q statements being verified.  Any other left
+    module raises ModuleError.
     """
     if M1.group is not M2.group:
         raise ModuleError("hom requires modules over the same group")
     if not (M1.fq_form and M2.fq_form):
         raise ModuleError("fq_hom_module needs both modules in fq form")
-    G = M1.group
-    fld = G.field
+    fld = M1.group.field
     f = fld.f
-    p = M1.p
-    d1, d2 = M1.dim, M2.dim
-    if d1 == f:
-        # one F_q-dimension: the action is a scalar character u(g), and
-        # Hom_{F_q}(M1, M2) is M2 twisted by u(g)^{-1}
-        acts = []
-        for s, a1 in enumerate(M1.gen_action):
-            u = fld.coeffs_code([int(c) for c in a1[:, 0]])
-            tw = _block_diag(fld.mult_matrix(fld.inv_code(u)), d2 // f)
-            acts.append(M2.gen_action[s] @ tw % p)
-        return FpModule(G, acts, label=f"fqhom({M1.label},{M2.label})", fq_form=True,
-                        derived=True)
-    if f == 1:
-        return hom_module(M1, M2)
-    mx = fld.mult_matrix(fld._pp[1])  # multiplication by x
-    bx1 = _block_diag(mx, d1 // f)
-    bx2 = _block_diag(mx, d2 // f)
-    # phi is F_q-linear iff phi bx1 = bx2 phi; phi stored row-major (d2, d1)
-    eye1 = np.eye(d1, dtype=np.int64)
-    eye2 = np.eye(d2, dtype=np.int64)
-    C = (np.kron(eye2, bx1.T) - np.kron(bx2, eye1)) % p
-    red = linalg.RowReducer(p, d1 * d2)
-    red.add_rows(C)
-    P = red.nullspace()
-    free = red.free_columns()
+    if M1.dim != f:
+        raise ModuleError("fq_hom_module needs a left module of one F_q-dimension")
     acts = []
-    for s, g in enumerate(G.generators):
-        a2 = M2.gen_action[s]
-        a1_inv = M1.act(G.inv_id(G.element_id(g)))
-        big = np.kron(a2, a1_inv.T) % p
-        # columns are images of the subspace basis, read off at free slots
-        acts.append((big @ P.T)[free, :] % p)
-    return FpModule(G, acts, label=f"fqhom({M1.label},{M2.label})", derived=True)
+    for s, a1 in enumerate(M1.gen_action):
+        u = fld.coeffs_code([int(c) for c in a1[:, 0]])
+        tw = _block_diag(fld.mult_matrix(fld.inv_code(u)), M2.dim // f)
+        acts.append(M2.gen_action[s] @ tw % M1.p)
+    return FpModule(M1.group, acts, label=f"fqhom({M1.label},{M2.label})", fq_form=True,
+                    derived=True)
 
 
 def _block_diag(block: np.ndarray, count: int) -> np.ndarray:
@@ -388,100 +364,48 @@ def char_modules_isomorphic(A: MatrixGroup, chi1: TorusChar, chi2: TorusChar):
 
 
 class AbelianQuotientModule(FpModule):
-    """N'/[N',N'] as an F_p-vector space with the conjugation action of a
-    torus; keeps the quotient map and a section for testing."""
+    """N'/[N',N'] = ⊕_{α∈Δ} U_α with the conjugation action of a diagonal
+    torus, for a unipotent pattern group N' = U_Φ; keeps the quotient map
+    and a section for testing.
+
+    Δ holds the roots of Φ that are not a sum of two of its roots, in
+    generator order.  The entry of a product at α ∈ Δ is the sum of the
+    factors' entries, because no two roots of Φ add up to α, so reading the
+    entries at Δ is a homomorphism onto ⊕ U_α whose kernel U_{Φ∖Δ} is
+    [N',N'].  The basis is x^m in U_α for α ∈ Δ and m < f, and diag(t)
+    acts on U_(i,j) by multiplication by t_i/t_j.
+    """
 
     def __init__(self, nprime: MatrixGroup, torus: MatrixGroup):
-        field, nn = nprime.field, nprime.n
-        p = field.p
-        # the torus must normalize N' (generator-level check suffices)
-        for t in torus.generators:
-            ti = t.inv()
-            for g in nprime.generators:
-                if (t * g) * ti not in nprime:
-                    raise StructureError("torus does not normalize the unipotent part")
-        comm = commutator_subgroup(nprime)
-        comm_codes = set(m.codes for m in comm.elements)
-        # cosets of [N',N'] in N'
-        coset_of: dict[tuple, int] = {}
-        reps: list[Mat] = []
-        for m in nprime.elements:
-            if m.codes in coset_of:
-                continue
-            k = len(reps)
-            reps.append(m)
-            for c in comm.elements:
-                coset_of[(m * c).codes] = k
-        count = len(reps)
-        dim = 0
-        while p**dim < count:
-            dim += 1
-        if p**dim != count:
-            raise StructureError("commutator quotient is not a p-group")
-        # elementary abelian checks on representatives
-        ident0 = identity_mat(field, nn)
-        for a in reps:
-            pw = a
-            for _ in range(p - 1):
-                pw = pw * a
-            if coset_of[pw.codes] != coset_of[ident0.codes]:
-                raise StructureError("quotient has exponent larger than p")
-        for a in reps:
-            for b in reps:
-                if coset_of[(a * b).codes] != coset_of[(b * a).codes]:
-                    raise StructureError("quotient is not abelian")
-        # coordinates: grow a basis, enumerating the span as it extends
-        zero = (0,) * dim
-        ident = identity_mat(field, nn)
-        coords: dict[int, tuple[int, ...]] = {coset_of[ident.codes]: zero}
-        rep_of_vec: dict[tuple[int, ...], Mat] = {zero: ident}
-        basis_axes = 0
-        for m in reps:
-            k = coset_of[m.codes]
-            if k in coords:
-                continue
-            e = basis_axes
-            basis_axes += 1
-            new_coords = dict(coords)
-            new_reps = dict(rep_of_vec)
-            for vec, rep in rep_of_vec.items():
-                acc = rep
-                for j in range(1, p):
-                    acc = acc * m
-                    v = list(vec)
-                    v[e] = j
-                    v = tuple(v)
-                    new_coords[coset_of[acc.codes]] = v
-                    new_reps[v] = acc
-            coords = new_coords
-            rep_of_vec = new_reps
-            if len(coords) == count:
-                break
-        if len(coords) != count or basis_axes != dim:
-            raise StructureError("independent coset generators do not span")
-        self._coset_of = coset_of
-        self._coords = coords
-        self._rep_of_vec = rep_of_vec
+        if nprime.pattern is None or nprime.pattern[1]:
+            raise StructureError("the abelian quotient is built for unipotent pattern groups")
+        if any(not t.is_diagonal() for t in torus.generators):
+            raise StructureError("the torus acts through diagonal generators")
+        fld, f = nprime.field, nprime.field.f
+        self.roots = indecomposable_roots(nprime.pattern[0])
         self.nprime = nprime
-        # conjugation action of each torus generator
+        dim = f * len(self.roots)
         acts = []
         for t in torus.generators:
-            ti = t.inv()
-            cols = np.zeros((dim, dim), dtype=np.int64)
-            for e in range(dim):
-                unit = [0] * dim
-                unit[e] = 1
-                rep = rep_of_vec[tuple(unit)]
-                img = (t * rep) * ti
-                cols[:, e] = coords[coset_of[img.codes]]
-            acts.append(cols)
-        super().__init__(torus, acts, label=f"{nprime.label}/[{nprime.label},{nprime.label}]")
+            d = t.diagonal_codes()
+            a = np.zeros((dim, dim), dtype=np.int64)
+            for k, (i, j) in enumerate(self.roots):
+                a[k * f : (k + 1) * f, k * f : (k + 1) * f] = fld.mult_matrix(
+                    fld.mul_code(d[i], fld.inv_code(d[j])))
+            acts.append(a)
+        super().__init__(torus, acts, label=f"{nprime.label}/[{nprime.label},{nprime.label}]",
+                         derived=True)
 
     def quotient_map(self, m: Mat) -> tuple[int, ...]:
-        return self._coords[self._coset_of[m.codes]]
+        n, fld = m.n, m.field
+        return tuple(c for i, j in self.roots for c in fld.code_coeffs(m.codes[i * n + j]))
 
     def section(self, vec) -> Mat:
-        return self._rep_of_vec[tuple(int(v) % self.p for v in vec)]
+        fld, n, f = self.nprime.field, self.nprime.n, self.nprime.field.f
+        ent = list(identity_mat(fld, n).codes)
+        for k, (i, j) in enumerate(self.roots):
+            ent[i * n + j] = fld.coeffs_code(vec[k * f : (k + 1) * f])
+        return Mat(fld, n, tuple(ent))
 
 
 def abelian_quotient_with_torus_action(nprime: MatrixGroup, torus: MatrixGroup) -> AbelianQuotientModule:

@@ -350,6 +350,12 @@ def _sums_of_two(roots) -> set[tuple[int, int]]:
     return {(i, j) for i, j in rs if any((i, k) in rs and (k, j) in rs for k in range(i + 1, j))}
 
 
+def indecomposable_roots(roots) -> list[tuple[int, int]]:
+    """The roots of a set that are not a sum of two of its roots, by (j - i, i)."""
+    sums = _sums_of_two(roots)
+    return [(i, j) for _, i, j in sorted((j - i, i, j) for i, j in roots if (i, j) not in sums)]
+
+
 def _pattern_group(field: FieldCtx, n: int, roots, torus: bool, label: str) -> MatrixGroup:
     """T·U_Φ, or U_Φ without the torus, for a closed set Φ of positive roots.
 
@@ -384,8 +390,7 @@ def _pattern_group(field: FieldCtx, n: int, roots, torus: bool, label: str) -> M
             d = [1] * n
             d[i] = field.generator_code
             gens.append(diag_mat(field, tuple(d)))
-    sums = _sums_of_two(roots)
-    for _, i, j in sorted((j - i, i, j) for i, j in roots if (i, j) not in sums):
+    for i, j in indecomposable_roots(roots):
         for m in range(1 if torus else field.f):
             gens.append(transvection(field, n, i + 1, j + 1, field._pp[m]))
     grp = MatrixGroup(field, n, label, elements, gens)

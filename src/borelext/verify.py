@@ -20,6 +20,9 @@ Statements and their contracts:
   mackey           per-pair ledger over w of B∩B^w contributions summing to
                    the principal-series Ext dimension.
 
+Borel-level Ext comes from Instance.char_ext, one solve of
+H^1(B∩B^w, F_q[chi1^{-1} chi2^w]) per row.
+
 Principal-series Ext comes from Instance.shapiro_dim: by Shapiro's lemma
 Ext^1_G(Ind chi1, Ind chi2) = Ext^1_B(chi1, Res_B Ind chi2).  Res_B Ind chi2
 is built on the right cosets B\\G found cell by cell in the Bruhat
@@ -64,7 +67,6 @@ from .gmodule import (
     bruhat_induced_module,
     char_module,
     char_modules_isomorphic,
-    fq_hom_module,
     hom_module,
     induced_module,
     right_coset_data,
@@ -265,6 +267,7 @@ class Instance:
 
     @cached_property
     def weyls(self):
+        """In Bruhat-length order, so weyls[0] is the identity."""
         return weyl_elements(self.field, self.n)
 
     @cached_property
@@ -313,10 +316,14 @@ class Instance:
             self._eig[w.perm] = got
         return got
 
-    def ext_b(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
-        """dim Ext between two Borel characters, F_q-linearly."""
-        M = fq_hom_module(char_module(self.B, chi1), char_module(self.B, chi2))
-        return _h1(self.B, M, cfg)
+    def char_ext(self, w, beta: TorusChar, cfg: VerifyConfig) -> int:
+        """dim H^1(B∩B^w, F_q[beta]), with B itself at w = 1.
+
+        This is dim Ext^1_{B∩B^w}(chi1, chi2), F_q-linearly, for every pair
+        with chi1^{-1} chi2 = beta, because Hom_{F_q}(F_q[chi1], F_q[chi2])
+        is F_q[chi1^{-1} chi2]."""
+        H = self.B if w.is_identity() else self.bw(w)
+        return _h1(H, char_module(H, beta), cfg)
 
     def direct_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
         """dim Ext^1_G(Ind chi1, Ind chi2) by a G-level solve."""
@@ -354,8 +361,10 @@ def verify_prop1(inst: Instance, cfg: VerifyConfig | None = None) -> ExtReport:
         raise ValueError("this criterion is stated over the prime field; use prop3 for f > 1")
 
     def row(chi1, chi2):
-        wit = match_simple_root_twist(chi1.inverse() * chi2)
-        return PairRow(chi1.exps, chi2.exps, wit is not None, wit, inst.ext_b(chi1, chi2, cfg),
+        beta = chi1.inverse() * chi2
+        wit = match_simple_root_twist(beta)
+        return PairRow(chi1.exps, chi2.exps, wit is not None, wit,
+                       inst.char_ext(inst.weyls[0], beta, cfg),
                        expected_dim=1 if wit is not None else 0)
 
     rows = [row(chi1, chi2) for chi1 in inst.chars for chi2 in inst.chars]
@@ -370,7 +379,6 @@ def verify_prop2(inst: Instance, cfg: VerifyConfig | None = None, weyl=None) -> 
     ws = [weyl] if weyl is not None else inst.weyls
     reports = []
     for w in ws:
-        bw = inst.bw(w)
         eig = inst.weyl_eigen(w)
         mult = {beta.exps: m for beta, m in eig}
         rows = []
@@ -378,7 +386,7 @@ def verify_prop2(inst: Instance, cfg: VerifyConfig | None = None, weyl=None) -> 
         for chi in inst.chars:
             expected = mult.get(chi.exps, 0)
             rows.append(PairRow(triv.exps, chi.exps, expected > 0, None,
-                                _h1(bw, char_module(bw, chi), cfg), expected_dim=expected))
+                                inst.char_ext(w, chi, cfg), expected_dim=expected))
         extras = {
             "w": list(w.perm),
             "eigencharacters": [[list(b.exps), m] for b, m in eig],
@@ -399,7 +407,7 @@ def verify_prop3(inst: Instance, cfg: VerifyConfig | None = None) -> ExtReport:
     def row(chi):
         wit = match_simple_root_twist(chi)
         return PairRow(triv.exps, chi.exps, wit is not None, wit,
-                       _h1(inst.B, char_module(inst.B, chi), cfg))
+                       inst.char_ext(inst.weyls[0], chi, cfg))
 
     rows = [row(chi) for chi in inst.chars]
     findings = [
@@ -482,8 +490,9 @@ def verify_prop4(inst: Instance, cfg: VerifyConfig | None = None) -> ExtReport:
 
     def row(a, chi2):
         chi1_t = TorusChar((a,) * inst.n, inst.qm1)  # det^a restricted to T
-        dim = inst.ext_b(chi1_t, chi2, cfg)
-        w1 = match_simple_root_twist(chi1_t.inverse() * chi2)
+        beta = chi1_t.inverse() * chi2
+        dim = inst.char_ext(inst.weyls[0], beta, cfg)
+        w1 = match_simple_root_twist(beta)
         anyw = match_theorem1_condition(chi1_t, chi2, inst.weyls)
         if w1 is not None:
             return PairRow(chi1_t.exps, chi2.exps, True, w1, dim, expected_dim=f)
@@ -509,10 +518,8 @@ def mackey_ledger(inst: Instance, chi1: TorusChar, chi2: TorusChar,
     cfg = cfg or VerifyConfig()
     rows = []
     for w in inst.weyls:
-        bw = inst.bw(w)
         eig = inst.weyl_eigen(w)
-        chi2w = weyl_twist(chi2, w)
-        dim = _h1(bw, fq_hom_module(char_module(bw, chi1), char_module(bw, chi2w)), cfg)
+        dim = inst.char_ext(w, chi1.inverse() * weyl_twist(chi2, w), cfg)
         note = "eigenchars: " + ",".join(f"{list(b.exps)}x{m}" for b, m in eig)
         rows.append(PairRow(chi1.exps, chi2.exps, dim > 0, None, dim, note=note, w=w.perm))
     extras = {"g_level_dim": inst.shapiro_dim(chi1, chi2, cfg)}

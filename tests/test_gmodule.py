@@ -41,6 +41,8 @@ from borelext.group import (
 )
 from borelext.verify import get_instance
 
+from _brute import brute_commutator_subgroup
+
 
 @pytest.fixture(scope="module")
 def F3():
@@ -253,6 +255,33 @@ def test_abelian_quotient_gl3(F3):
         assert Q.quotient_map(Q.section(vec)) == vec
 
 
+@pytest.mark.parametrize("args", [(3, 1, 3), (3, 2, 2), (5, 1, 2)], ids=str)
+def test_root_data_quotient_against_brute_commutators(args):
+    # at every w: the entries at the roots that are not a sum of two roots
+    # give a surjective homomorphism N'_w -> F_p^dim whose kernel is the
+    # brute-force commutator closure, and it intertwines conjugation by each
+    # torus generator with the module's action
+    inst = get_instance(*args)
+    p = inst.p
+    T = inst.T
+    for w in inst.weyls:
+        Np = inst.nprime(w)
+        Q = abelian_quotient_with_torus_action(Np, T)
+        image = {m.codes: np.array(Q.quotient_map(m)) for m in Np.elements}
+        assert len({tuple(v) for v in image.values()}) == p ** Q.dim
+        for a in Np.elements:
+            for b in Np.elements:
+                assert ((image[(a * b).codes] - image[a.codes] - image[b.codes]) % p == 0).all()
+        kernel = {c for c, v in image.items() if not v.any()}
+        assert kernel == brute_commutator_subgroup(Np)
+        for t, A in zip(T.generators, Q.gen_action):
+            ti = t.inv()
+            for m in Np.elements:
+                assert (image[(t * m * ti).codes] == A @ image[m.codes] % p).all()
+        for v in image.values():
+            assert (np.array(Q.quotient_map(Q.section(v))) == v).all()
+
+
 def test_det_char_module(gl2_f3):
     G, _ = gl2_f3
     M = det_char_module(G, 1)
@@ -272,22 +301,19 @@ def test_fq_hom_module_of_chars_is_ratio_char(F9):
 
 
 def test_fq_hom_module_general_vs_twist_path(F9):
-    # the subspace construction and the scalar-twist fast path agree on
-    # modules with one F_q-dimension on the left
+    # the scalar-twist path is the only one: a left module of one
+    # F_q-dimension gives a module, a larger one is refused
     G, B = build_gl(F9, 2), build_borel(F9, 2)
     chi = TorusChar((1, 7), 8)
     ind = induced_module(G, B, chi)
     M1 = char_module(B, TorusChar((2, 5), 8))
     fast = fq_hom_module(M1, restrict(ind, B))
-    # force the generic path by faking a two-F_q-dim left module
-    from borelext import gmodule as gm
-
-    big = gm.FpModule(B, [np.kron(np.eye(2, dtype=np.int64), a) for a in M1.gen_action],
-                      fq_form=True)
-    slow = fq_hom_module(big, restrict(ind, B))
-    assert slow.dim == 2 * fast.dim
+    assert fast.dim == ind.dim and fast.fq_form
     _check_homomorphism_everywhere(fast)
-    _check_homomorphism_everywhere(slow)
+    big = FpModule(B, [np.kron(np.eye(2, dtype=np.int64), a) for a in M1.gen_action],
+                   fq_form=True)
+    with pytest.raises(ModuleError, match="one F_q-dimension"):
+        fq_hom_module(big, restrict(ind, B))
 
 
 def test_fq_hom_requires_fq_form(gl2_f3):

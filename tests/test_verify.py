@@ -1,9 +1,9 @@
 """The verification layer: one N-level solve per chi2 in chi1-major order,
 report bytes independent of the BLAS thread count, no thread pool loaded by a
-run, the two oracle paths of thm1, prop4's B-level
-route against the G-level solve, the principal-series oracle at GL_3(F_3)
-and GL_3(F_5) without an element table of G, and the n = 1 instances, where
-N is trivial."""
+run, the two oracle paths of thm1, prop4's B-level route against the G-level
+solve, char_ext against the pairwise F_q-Hom module, the principal-series
+oracle at GL_3(F_3) and GL_3(F_5) without an element table of G, and the
+n = 1 instances, where N is trivial."""
 
 import json
 import os
@@ -15,9 +15,9 @@ import pytest
 
 from borelext import cli
 from borelext import verify as V
-from borelext.chars import match_theorem1_condition
+from borelext.chars import match_theorem1_condition, weyl_twist
 from borelext.cohom import h1_dim
-from borelext.gmodule import det_char_module, fq_hom_module
+from borelext.gmodule import char_module, det_char_module, fq_hom_module
 
 
 def test_thm1_solves_once_per_chi2_in_chi1_major_order(monkeypatch):
@@ -88,6 +88,31 @@ def test_prop4_matches_the_g_level_solve(p):
         M = fq_hom_module(det_char_module(inst.G, r.chi1[0]), inst.induced(inst.char(r.chi2)))
         assert r.dim == h1_dim(inst.G, M, want_basis=False).dim_h1
     assert any(r.dim for r in rep.pairs)
+
+
+@pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2), (3, 2, 2)], ids=str)
+def test_char_ext_matches_the_pairwise_hom_reference(args):
+    # Hom_{F_q}(F_q[chi1], F_q[chi2^w]) = F_q[chi1^{-1} chi2^w]: the reference
+    # builds the pairwise module over B∩B^w for every (chi1, chi2, w) and
+    # solves each distinct action once; char_ext solves each (w, beta) once
+    inst = V.Instance(*args)
+    cfg = V.VerifyConfig()
+    ref, ours = {}, {}
+    for w in inst.weyls:
+        H = inst.bw(w)
+        for chi1 in inst.chars:
+            for chi2 in inst.chars:
+                chi2w = weyl_twist(chi2, w)
+                M = fq_hom_module(char_module(H, chi1), char_module(H, chi2w))
+                key = (w.perm, b"".join(a.tobytes() for a in M.gen_action))
+                if key not in ref:
+                    ref[key] = h1_dim(H, M, want_basis=False).dim_h1
+                beta = chi1.inverse() * chi2w
+                if (w.perm, beta.exps) not in ours:
+                    ours[w.perm, beta.exps] = inst.char_ext(w, beta, cfg)
+                assert ours[w.perm, beta.exps] == ref[key]
+    assert len(ours) == len(ref) == len(inst.weyls) * len(inst.chars)
+    assert any(ours.values())
 
 
 def test_gl3_oracle_dims_at_the_open_pairs():
