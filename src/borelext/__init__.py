@@ -15,7 +15,7 @@ from .chars import (
     trivial_char,
     weyl_twist,
 )
-from .cohom import Cocycle, H1Result, build_E_alpha, ext1_dim_shapiro, h1_dim, is_coboundary
+from .cohom import Cocycle, H1Result, ext1_dim_shapiro, h1_dim
 from .field import FieldCtx, FieldError, Fq, dlog, frobenius, make_field
 from .gmodule import (
     FpModule,
@@ -24,7 +24,6 @@ from .gmodule import (
     char_module,
     char_modules_isomorphic,
     det_char_module,
-    fixed_points_dim,
     fq_hom_module,
     hom_module,
     induced_module,

@@ -6,13 +6,18 @@ edge imposes d linear constraints.  dim Z^1 is the nullity of that system,
 dim B^1 = d - dim M^H, and H^1 is the quotient.
 
 h1_dim feeds the non-tree edges to the eliminator in chunks, in a fixed
-stride order that spreads them over the group.  The nullspace of the rows fed
-so far always contains Z^1, and it is spanned by B^1 and the candidate H^1
-representatives, since coboundaries satisfy every edge.  Once the rank has
-not moved for STABLE_WINDOW chunks, each candidate is checked against every
-Cayley edge.  If all pass, the nullspace lies in Z^1 as well, so it equals
-Z^1 and the answer is exact; if one fails, feeding goes on.  A sweep that
-feeds every edge has the whole system, so its answer is exact as well.
+stride order that spreads them over the group.  An edge's rows come from
+the tree paths of its two endpoints: f(x) is the sum of rho(y) f(t) over
+the tree steps (y, t) from the identity to x, so no table of f over the
+whole group is stored.  The nullspace of the rows fed so far always
+contains Z^1, and it is spanned by B^1 and the candidate H^1
+representatives, since coboundaries satisfy every edge.  After every chunk
+each candidate is checked against every Cayley edge.  If all pass, the
+nullspace lies in Z^1 as well, so it equals Z^1 and the answer is exact;
+an empty candidate list passes at once, and the int64 action table the
+check needs is made only when there is a candidate.  If one fails, feeding
+goes on.  A sweep that feeds every edge has the whole system, so its answer
+is exact as well.
 
 Principal-series Ext by Shapiro's lemma is H^1(B, Hom_{F_q}(F_q[chi1],
 Res_B Ind chi2)).  h1_isotypic_dims computes it at the unipotent level: as
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .chars import TorusChar, evaluate, simple_root
+from .chars import TorusChar, evaluate
 from .gmodule import (
     FpModule,
     ModuleError,
@@ -44,10 +49,9 @@ from .gmodule import (
     induced_module,
     restrict,
 )
-from .group import Mat, MatrixGroup, StructureError, tn_factor
+from .group import MatrixGroup, StructureError
 
 CHUNK_EDGES = 8  # non-tree edges fed to the eliminator at a time
-STABLE_WINDOW = 2  # chunks without a new pivot before the candidates are checked
 
 
 class MemoryBudgetError(RuntimeError):
@@ -128,57 +132,37 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024, want_basis: bool 
     S = len(H.generators)
     nu = S * d
     size = H.order
-    footprint = size * d * nu + size * d * d
+    footprint = 9 * size * d * d
     if footprint > budget_mb * (1 << 20):
         raise MemoryBudgetError(
-            f"cocycle system needs about {footprint} bytes "
-            f"(|H| d S d = {size}*{d}*{S}*{d}); budget is {budget_mb} MiB"
+            f"cocycle system needs about {footprint} bytes for the uint8 action table "
+            f"and its int64 copy (9 |H| d^2 = 9*{size}*{d}^2); budget is {budget_mb} MiB"
         )
     rho = M.act_all()
-
-    # F[g] expresses f(g) as a linear map of the stacked unknowns f(s); a
-    # child copies its parent and adds rho(parent) in block s.  The sum t of
-    # two residues is below 2p, so min(t, t - p) in uint16 reduces it: t - p
-    # wraps above t exactly when t < p.
-    F = np.zeros((size, d, nu), dtype=np.uint8)
     tree_edge = np.zeros((size, S), dtype=bool)
-    for s, parents, children in H.tree_batches:
-        tree_edge[parents, s] = True
-        blk = F[parents]
-        t = np.add(blk[:, :, s * d : (s + 1) * d], rho[parents], dtype=np.uint16)
-        blk[:, :, s * d : (s + 1) * d] = np.minimum(t, t - p)
-        F[children] = blk
-
+    tree_edge[H.bfs_parent[H.bfs_order[1:]], H.bfs_gen[H.bfs_order[1:]]] = True
     edges = np.argwhere(~tree_edge)  # rows (g, s)
     edges = edges[_spread_order(len(edges))]
-    unit = np.arange(d)
-
-    def edge_rows(batch) -> np.ndarray:
-        g, s = batch[:, 0], batch[:, 1]
-        rows = F[g].astype(np.int16) - F[H.cayley[g, s]]
-        cols = (s * d)[:, None] + unit  # block s of each edge
-        rows[np.arange(len(batch))[:, None, None], unit[None, :, None], cols[:, None, :]] += rho[g]
-        return rows.reshape(-1, nu)
 
     red = linalg.RowReducer(p, nu)
     cob = _coboundary_rows(M)
     rho64 = None  # int64 action table for certification, converted once
-    used = stable = 0
+    used = 0
     found = None
     while used < len(edges):
-        before = red.rank
-        red.add_rows(edge_rows(edges[used : used + CHUNK_EDGES]))
+        red.add_rows(_edge_rows(H, rho, edges[used : used + CHUNK_EDGES]))
         used = min(used + CHUNK_EDGES, len(edges))
-        stable = stable + 1 if red.rank == before else 0
-        if stable >= STABLE_WINDOW and used < len(edges):
-            cand, dim_b1 = _h1_representatives(red, cob, p)
+        if used == len(edges):
+            break
+        cand, dim_b1 = _h1_representatives(red, cob, p)
+        if cand:
             if rho64 is None:
                 rho64 = rho.astype(np.int64)
             vals = [v.reshape(S, d) for v in cand]
-            if all(_edge_defects(H, rho64, v, _propagate(H, rho64, v, p), p) == 0 for v in vals):
-                found = cand, dim_b1
-                break
-            stable = 0  # a candidate is not a cocycle; keep feeding edges
+            if any(_edge_defects(H, rho64, v, _propagate(H, rho64, v, p), p) for v in vals):
+                continue  # a candidate is not a cocycle; keep feeding edges
+        found = cand, dim_b1
+        break
     mode = "exhaustive" if used == len(edges) else "sampled_verified"
 
     reps, dim_b1 = found if found is not None else _h1_representatives(red, cob, p)
@@ -186,6 +170,34 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024, want_basis: bool 
     dim_h1 = dim_z1 - dim_b1
     basis = [Cocycle(H, M, v.reshape(S, d)) for v in reps] if want_basis else []
     return H1Result(dim_z1, dim_b1, dim_h1, mode, basis, used)
+
+
+def _edge_rows(H: MatrixGroup, rho: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """The d rows of f(g) + rho(g) f(s) - f(g s) = 0 for each edge (g, s) of
+    the batch, over the stacked unknowns f(s'), not reduced mod p.
+
+    Along the BFS tree f(x) = f(y) + rho(y) f(t) for x = y t, so f(x) is
+    the sum of rho(y) in block t over the tree steps (y, t) on the path from
+    the identity to x.  The endpoints g and g s are walked up to the
+    identity in turn; a walk has one endpoint per edge, so each of its steps
+    writes an (edge, block) pair at most once.
+    """
+    m, d = len(batch), rho.shape[1]
+    g, s = batch[:, 0], batch[:, 1]
+    k = np.arange(m)
+    rows = np.zeros((m, d, len(H.generators), d), dtype=np.int64)
+    rows[k, :, s, :] += rho[g]
+    for ends, step in ((g, np.add), (H.cayley[g, s], np.subtract)):
+        cur = ends.astype(np.int64)
+        live = cur != H.identity_id
+        while live.any():
+            x = cur[live]
+            par = H.bfs_parent[x]
+            blk = (k[live], slice(None), H.bfs_gen[x], slice(None))
+            rows[blk] = step(rows[blk], rho[par])
+            cur[live] = par
+            live = cur != H.identity_id
+    return rows.reshape(m * d, -1)
 
 
 def h1_isotypic_dims(N: MatrixGroup, T: MatrixGroup, M: FpModule, chis: list[TorusChar],
@@ -298,75 +310,3 @@ def ext1_dim_shapiro(G: MatrixGroup, B: MatrixGroup, chi1: TorusChar, chi2: Toru
     if res_ind is None:
         res_ind = restrict(induced_module(G, B, chi2), B)
     return h1_dim(B, fq_hom_module(char_module(B, chi1), res_ind), **kw)
-
-
-def is_coboundary(H: MatrixGroup, M: FpModule, c: Cocycle) -> bool:
-    """Whether f(g) = g m - m for some m, by a linear solve."""
-    if not c.is_valid():
-        raise StructureError("input is not a cocycle")
-    A = _coboundary_rows(M).T  # columns indexed by m-coordinates
-    b = c.values.reshape(-1)
-    return linalg.solvable_mod(A, b, M.p)
-
-
-class BorelRootHom:
-    """The 2x2 upper-triangular homomorphism built from a simple root: the
-    unipotent part maps through the root entry and the torus through the
-    root character, realizing a non-split self-extension shape."""
-
-    def __init__(self, B: MatrixGroup, alpha: TorusChar, i: int):
-        self.B = B
-        self.alpha = alpha
-        self.i = i
-        self.field = B.field
-
-    def psi(self, nmat: Mat) -> int:
-        """Entry (i, i+1) of a unipotent element, as an F_q code; additive
-        on N, kills the commutator subgroup and the other simple roots."""
-        return nmat.codes[(self.i - 1) * nmat.n + self.i]
-
-    def __call__(self, b: Mat) -> Mat:
-        t, nn = tn_factor(b)
-        at = evaluate(self.alpha, t).code
-        top = self.field.mul_code(at, self.psi(nn))
-        return Mat(self.field, 2, (at, top, 0, 1))
-
-    def is_homomorphism(self) -> bool:
-        els = self.B.elements
-        for a in els:
-            ea = self(a)
-            for b in els:
-                if self(a * b) != ea * self(b):
-                    return False
-        return True
-
-
-def build_E_alpha(B: MatrixGroup, alpha: TorusChar, i: int):
-    """The explicit extension witness for a simple root: a homomorphism
-    B -> 2x2 upper-triangular matrices over F_q together with the cocycle
-    b = t n -> alpha(t) psi(n) valued in F_q[alpha]."""
-    n = B.n
-    fld = B.field
-    if simple_root(i, n, fld.q - 1) != alpha:
-        raise ValueError(f"character is not the simple root at position {i}")
-    hom = BorelRootHom(B, alpha, i)
-    # equivariance of psi under torus conjugation, checked exhaustively
-    torus_els = [m for m in B.elements if m.is_diagonal()]
-    unip_els = [m for m in B.elements if m.has_unit_diagonal()]
-    for t in torus_els:
-        ti = t.inv()
-        at_inv = evaluate(alpha, ti).code
-        for u in unip_els:
-            conj = (ti * u) * t
-            if hom.psi(conj) != fld.mul_code(at_inv, hom.psi(u)):
-                raise StructureError("root functional is not torus-equivariant")
-    M = char_module(B, alpha)
-    vals = np.zeros((len(B.generators), M.dim), dtype=np.int64)
-    for s, g in enumerate(B.generators):
-        t, nn = tn_factor(g)
-        code = fld.mul_code(evaluate(alpha, t).code, hom.psi(nn))
-        vals[s] = fld.code_coeffs(code)
-    c = Cocycle(B, M, vals)
-    if not c.is_valid():
-        raise StructureError("extension witness is not a cocycle")
-    return hom, c

@@ -1,7 +1,7 @@
 """Finite-dimensional F_p[H]-modules for the matrix groups built here:
 character modules F_q[chi], induced modules Ind_B^G chi (over G, or
-restricted to B from the Bruhat cosets), Hom modules, restriction, fixed
-points, and isomorphism testing of character modules.
+restricted to B from the Bruhat cosets), Hom modules, restriction, and
+isomorphism testing of character modules.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element is resolved as a generator word along the
@@ -60,8 +60,10 @@ class FpModule:
         self.fq_form = fq_form
         # derived: the generators are invertible by construction, so the
         # check is skipped: hom, F_q-hom and restriction combine checked
-        # modules' maps by invertible products, and a character (or the
-        # torus on N'^ab) acts by nonzero field elements, chi(t) (or t_i/t_j)
+        # modules' maps by invertible products, a character (or the torus
+        # on N'^ab) acts by nonzero field elements, chi(t) (or t_i/t_j), and
+        # a Bruhat induced module by nonzero scalar blocks placed along the
+        # coset permutations that BruhatCosets checks
         if not derived:
             for a in self.gen_action:
                 if not linalg.is_invertible_mod(a, self.p):
@@ -214,7 +216,7 @@ class BruhatInducedModule(FpModule):
             out = np.zeros((k, f, k, f), dtype=np.int64)
             out[rows, :, cosets.target[:, s], :] = scalars[exps[:, s]]
             acts.append(out.reshape(k * f, k * f))
-        super().__init__(B, acts, label=f"res-induced{chi.exps}", fq_form=True)
+        super().__init__(B, acts, label=f"res-induced{chi.exps}", fq_form=True, derived=True)
         self.chi = chi
 
 
@@ -301,15 +303,6 @@ def restrict(M: FpModule, H: MatrixGroup) -> FpModule:
     acts = [M.act(G.element_id(g)) for g in H.generators]
     return FpModule(H, acts, label=f"res({M.label})->{H.label}", fq_form=M.fq_form,
                     derived=True)
-
-
-def fixed_points_dim(M: FpModule) -> int:
-    """dim of the simultaneous kernel of rho(s) - 1 over the generators."""
-    if M.dim == 0:
-        return 0
-    eye = np.eye(M.dim, dtype=np.int64)
-    rows = np.vstack([(a - eye) % M.p for a in M.gen_action])
-    return M.dim - linalg.rank_mod(rows, M.p)
 
 
 def _torus_char_module(A: MatrixGroup, chi: TorusChar) -> FpModule:

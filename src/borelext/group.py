@@ -6,7 +6,8 @@ B, T, N, B∩B^w, its unipotent part N'_w and the commutator subgroups are
 all pattern groups T·U_Φ or U_Φ for a closed set Φ of positive roots, and
 one constructor, `_pattern_group`, builds each of them from (Φ, torus): the
 elements by direct enumeration, the generators from the roots of Φ that are
-not a sum of two of its roots.  G alone is found by BFS closure.
+not a sum of two of its roots.  G alone is found by BFS closure from
+two generators.
 
 Groups are immutable once built.  Elements are canonicalized as flat tuples
 of F_q codes, which makes identity tests and table lookups cheap.
@@ -308,15 +309,24 @@ class MatrixGroup:
 
 
 def build_gl(field: FieldCtx, n: int, budget: int = DEFAULT_GROUP_BUDGET) -> MatrixGroup:
-    """Full GL_n(F_q) by BFS closure from transvections and one torus coord."""
+    """Full GL_n(F_q) by BFS closure from Taylor's two generators (D. E.
+    Taylor, Pairs of generators for matrix groups I, 1987): diag(ζ, 1, …, 1)
+    for the field generator ζ, and the matrix with first row (−1, 0, …, 0, 1)
+    and −1 on the subdiagonal.  The closure must have |GL_n(F_q)| elements,
+    so a pair that fails to generate raises StructureError."""
     expected = gl_order(field.q, n)
     if expected > budget:
         raise SizeBudgetError(
             f"|GL_{n}(F_{field.q})| = {expected} exceeds the enumeration budget of {budget}"
         )
-    gens = [transvection(field, n, i, j, 1) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    if field.q > 2:
-        gens.append(diag_mat(field, (field.generator_code,) + (1,) * (n - 1)))
+    gens = [diag_mat(field, (field.generator_code,) + (1,) * (n - 1))]
+    if n > 1:
+        minus = field.neg_code(1)
+        ent = [0] * (n * n)
+        ent[0], ent[n - 1] = minus, 1
+        for i in range(1, n):
+            ent[i * n + i - 1] = minus
+        gens.append(Mat(field, n, tuple(ent)))
     elements = _bfs_elements(field, n, gens)
     if len(elements) != expected:
         raise StructureError(f"GL closure has {len(elements)} elements, expected {expected}")
@@ -479,7 +489,8 @@ class BruhatCosets:
     under right multiplication by B, so the cosets are found cell by cell in
     the order of `weyls`.  For generator s and coset i, reps[i]·s =
     b·reps[target[i, s]], and logs[i, s] holds the discrete logs of b's
-    diagonal.  Nothing here depends on a character.
+    diagonal.  Each column of target is checked to be a permutation, as
+    right multiplication by s must be.  Nothing here depends on a character.
     """
 
     def __init__(self, B: MatrixGroup, weyls):
@@ -508,7 +519,10 @@ class BruhatCosets:
                                      f"cosets, expected q^{w.length}")
         if len(reps) != gl_order(fld.q, n) // B.order:
             raise StructureError("Bruhat cells do not cover B\\G")
+        target = np.array(target, dtype=np.int64).reshape(len(reps), len(gens))
+        if (np.sort(target, axis=0) != np.arange(len(reps))[:, None]).any():
+            raise StructureError("a generator does not permute the cosets")
         self.group = B
         self.reps = [Mat(fld, n, c) for c in reps]
-        self.target = np.array(target, dtype=np.int64).reshape(len(reps), len(gens))
+        self.target = target
         self.logs = np.array(logs, dtype=np.int64).reshape(len(reps), len(gens), n)

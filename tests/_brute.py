@@ -6,6 +6,11 @@ Gaussian elimination, the polynomial helpers work on plain coefficient
 lists, and the subgroup references filter or close element tables with
 plain matrix products instead of the root data.  Agreement between these
 and the package is what the tests freeze.
+
+Code the package no longer needs is kept here as a reference too: the
+table of f over the whole group that the cocycle solver once built its edge
+rows from, the explicit root extension of a Borel subgroup, and the
+coboundary and fixed-point checks, which now rank with gauss_rank.
 """
 
 from __future__ import annotations
@@ -13,7 +18,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from borelext.group import StructureError, WeylElement, identity_mat, perm_mat
+import numpy as np
+
+from borelext.chars import evaluate, simple_root
+from borelext.cohom import Cocycle
+from borelext.gmodule import char_module
+from borelext.group import Mat, StructureError, WeylElement, identity_mat, perm_mat, tn_factor
 
 
 def gauss_rank(rows, p):
@@ -251,3 +261,117 @@ def double_cosets(G, B):
         found.append((WeylElement(field, reps[0]), len(coset)))
     found.sort(key=lambda t: (t[0].length, t[0].perm))
     return [w for w, _ in found], [s for _, s in found]
+
+
+def brute_edge_rows(H, M, batch):
+    """The rows of f(g) + rho(g) f(s) - f(g s) = 0 for each edge (g, s) of
+    the batch, mod p, from a table F of every f(g) as a linear map of the
+    stacked unknowns f(s'): a tree child copies its parent's map and adds
+    rho(parent) in block s.  The sum t of two residues is below 2p, so
+    min(t, t - p) in uint16 reduces it: t - p wraps above t exactly when
+    t < p."""
+    p, d = M.p, M.dim
+    S = len(H.generators)
+    nu = S * d
+    rho = M.act_all()
+    F = np.zeros((H.order, d, nu), dtype=np.uint8)
+    for s, parents, children in H.tree_batches:
+        blk = F[parents]
+        t = np.add(blk[:, :, s * d : (s + 1) * d], rho[parents], dtype=np.uint16)
+        blk[:, :, s * d : (s + 1) * d] = np.minimum(t, t - p)
+        F[children] = blk
+    g, s = batch[:, 0], batch[:, 1]
+    unit = np.arange(d)
+    rows = F[g].astype(np.int16) - F[H.cayley[g, s]]
+    cols = (s * d)[:, None] + unit  # block s of each edge
+    rows[np.arange(len(batch))[:, None, None], unit[None, :, None], cols[:, None, :]] += rho[g]
+    return rows.reshape(-1, nu) % p
+
+
+def non_tree_edges(H):
+    """Every (g, s) with g s not reached from g along the BFS tree."""
+    tree = {(int(H.bfs_parent[c]), int(H.bfs_gen[c])) for c in H.bfs_order[1:]}
+    return np.array([(g, s) for g in range(H.order) for s in range(len(H.generators))
+                     if (g, s) not in tree], dtype=np.int64).reshape(-1, 2)
+
+
+def is_coboundary(H, M, c):
+    """Whether f(g) = g m - m for some m, by comparing ranks: the values on
+    the generators lie in the column space of the stacked rho(s) - 1."""
+    if not c.is_valid():
+        raise StructureError("input is not a cocycle")
+    p = M.p
+    eye = np.eye(M.dim, dtype=np.int64)
+    A = [r for a in M.gen_action for r in ((a - eye) % p).tolist()]
+    b = [int(v) % p for v in c.values.reshape(-1)]
+    return gauss_rank(A, p) == gauss_rank([r + [v] for r, v in zip(A, b)], p)
+
+
+def fixed_points_dim(M):
+    """dim of the simultaneous kernel of rho(s) - 1 over the generators."""
+    eye = np.eye(M.dim, dtype=np.int64)
+    rows = [r for a in M.gen_action for r in ((a - eye) % M.p).tolist()]
+    return M.dim - gauss_rank(rows, M.p)
+
+
+class BorelRootHom:
+    """The 2x2 upper-triangular homomorphism built from a simple root: the
+    unipotent part maps through the root entry and the torus through the
+    root character, realizing a non-split self-extension shape."""
+
+    def __init__(self, B, alpha, i):
+        self.B = B
+        self.alpha = alpha
+        self.i = i
+        self.field = B.field
+
+    def psi(self, nmat):
+        """Entry (i, i+1) of a unipotent element, as an F_q code; additive
+        on N, kills the commutator subgroup and the other simple roots."""
+        return nmat.codes[(self.i - 1) * nmat.n + self.i]
+
+    def __call__(self, b):
+        t, nn = tn_factor(b)
+        at = evaluate(self.alpha, t).code
+        top = self.field.mul_code(at, self.psi(nn))
+        return Mat(self.field, 2, (at, top, 0, 1))
+
+    def is_homomorphism(self):
+        els = self.B.elements
+        for a in els:
+            ea = self(a)
+            for b in els:
+                if self(a * b) != ea * self(b):
+                    return False
+        return True
+
+
+def build_E_alpha(B, alpha, i):
+    """The explicit extension witness for a simple root: a homomorphism
+    B -> 2x2 upper-triangular matrices over F_q together with the cocycle
+    b = t n -> alpha(t) psi(n) valued in F_q[alpha]."""
+    n = B.n
+    fld = B.field
+    if simple_root(i, n, fld.q - 1) != alpha:
+        raise ValueError(f"character is not the simple root at position {i}")
+    hom = BorelRootHom(B, alpha, i)
+    # equivariance of psi under torus conjugation, checked exhaustively
+    torus_els = [m for m in B.elements if m.is_diagonal()]
+    unip_els = [m for m in B.elements if m.has_unit_diagonal()]
+    for t in torus_els:
+        ti = t.inv()
+        at_inv = evaluate(alpha, ti).code
+        for u in unip_els:
+            conj = (ti * u) * t
+            if hom.psi(conj) != fld.mul_code(at_inv, hom.psi(u)):
+                raise StructureError("root functional is not torus-equivariant")
+    M = char_module(B, alpha)
+    vals = np.zeros((len(B.generators), M.dim), dtype=np.int64)
+    for s, g in enumerate(B.generators):
+        t, nn = tn_factor(g)
+        code = fld.mul_code(evaluate(alpha, t).code, hom.psi(nn))
+        vals[s] = fld.code_coeffs(code)
+    c = Cocycle(B, M, vals)
+    if not c.is_valid():
+        raise StructureError("extension witness is not a cocycle")
+    return hom, c

@@ -16,11 +16,9 @@ from borelext import cohom
 from borelext.cohom import (
     Cocycle,
     MemoryBudgetError,
-    build_E_alpha,
     ext1_dim_shapiro,
     h1_dim,
     h1_isotypic_dims,
-    is_coboundary,
 )
 from borelext.field import make_field
 from borelext.gmodule import (
@@ -42,7 +40,15 @@ from borelext.group import (
     tn_factor,
 )
 
-from _brute import brute_cocycle_defects, brute_h1, equivariant_hom_dim
+from _brute import (
+    brute_cocycle_defects,
+    brute_edge_rows,
+    brute_h1,
+    build_E_alpha,
+    equivariant_hom_dim,
+    is_coboundary,
+    non_tree_edges,
+)
 
 
 @pytest.fixture(scope="module")
@@ -284,8 +290,8 @@ def test_sampled_equals_exhaustive(monkeypatch):
     # the same dims as a sweep that feeds every edge (mode "exhaustive")
     cases = _solver_cases()
     got = [h1_dim(H, M) for H, M in cases]
-    # a window longer than any edge list never certifies, so every edge is fed
-    monkeypatch.setattr(cohom, "STABLE_WINDOW", 1 + max(_non_tree_edges(H) for H, _ in cases))
+    # a chunk longer than any edge list feeds every edge before any check
+    monkeypatch.setattr(cohom, "CHUNK_EDGES", 1 + max(_non_tree_edges(H) for H, _ in cases))
     for (H, M), r in zip(cases, got):
         full = h1_dim(H, M)
         assert (full.mode, full.edges_used) == ("exhaustive", _non_tree_edges(H))
@@ -295,6 +301,25 @@ def test_sampled_equals_exhaustive(monkeypatch):
             assert r.dims == brute_h1(H, M)
     assert any(r.mode == "sampled_verified" and r.dim_h1 > 0 for r in got)
     assert got[4 + all_chars(2, 8).index(TorusChar((1, 7), 8))].dim_h1 == 2
+
+
+@pytest.mark.parametrize("p,f,n,group", [(3, 1, 2, "G"), (5, 1, 2, "G"), (3, 2, 2, "B")],
+                         ids=["G-3-1-2", "G-5-1-2", "B-3-2-2"])
+def test_tree_path_edge_rows_match_the_table_reference(p, f, n, group):
+    # the rows h1_dim builds from the tree paths of an edge's endpoints equal
+    # the rows read from the table of f over the whole group, at every
+    # non-tree edge; the module is a Hom between principal series over G and
+    # Res_B Ind chi over B
+    G, B, T, N, chars, inds = _gl_setup(p, f, n)
+    if group == "G":
+        H, M = G, hom_module(inds[chars[1].exps], inds[chars[-1].exps])
+    else:
+        H, M = B, restrict(inds[chars[1].exps], B)
+    edges = non_tree_edges(H)
+    assert len(edges) == _non_tree_edges(H)
+    rows = cohom._edge_rows(H, M.act_all(), edges)
+    assert rows.shape == (len(edges) * M.dim, len(H.generators) * M.dim)
+    assert (rows % M.p == brute_edge_rows(H, M, edges)).all()
 
 
 def test_sampled_mode_label(F9):
@@ -308,8 +333,8 @@ def test_sampled_mode_label(F9):
 
 
 def test_failed_certification_keeps_feeding(monkeypatch):
-    # one edge per chunk and a window of one chunk: candidates are checked
-    # long before the rank settles, so some fail and the sweep must go on
+    # one edge per chunk: candidates are checked long before the rank
+    # settles, so some fail and the sweep must go on
     cases = _solver_cases()
     want = [h1_dim(H, M).dims for H, M in cases]
     defects = []
@@ -321,7 +346,6 @@ def test_failed_certification_keeps_feeding(monkeypatch):
 
     monkeypatch.setattr(cohom, "_edge_defects", counted)
     monkeypatch.setattr(cohom, "CHUNK_EDGES", 1)
-    monkeypatch.setattr(cohom, "STABLE_WINDOW", 1)
     assert [h1_dim(H, M).dims for H, M in cases] == want
     assert any(defects)
 
@@ -363,8 +387,10 @@ def test_memory_budget_error(F3):
     G = build_gl(F3, 2)
     B = build_borel(F3, 2)
     i1 = induced_module(G, B, trivial_char(2, 2))
-    with pytest.raises(MemoryBudgetError):
-        h1_dim(G, hom_module(i1, i1), budget_mb=0)
+    M = hom_module(i1, i1)
+    with pytest.raises(MemoryBudgetError, match=r"9 \|H\| d\^2 = 9\*48\*16\^2"):
+        h1_dim(G, M, budget_mb=0)
+    assert M._all is None  # refused before the action table is built
 
 
 @functools.lru_cache(maxsize=None)
@@ -380,7 +406,7 @@ def _gl_setup(p, f, n):
 
 @pytest.mark.parametrize(
     "p,f,n,direct,chi2s",
-    [(3, 1, 2, True, None), (5, 1, 2, False, None), (3, 2, 2, False, [(1, 2)])],
+    [(3, 1, 2, True, None), (5, 1, 2, True, None), (3, 2, 2, False, [(1, 2)])],
     ids=["3-1-2", "5-1-2", "3-2-2"],
 )
 def test_two_path_ext_gl2_f3_all_pairs(p, f, n, direct, chi2s):
@@ -454,8 +480,8 @@ def test_h1_representatives_match_one_by_one_extension():
 def test_h1_of_cyclic_group_of_order_251():
     # C_251 on a 2x2 Jordan block: the norm sum_j J^j = (J - 1)^250 vanishes,
     # so H^1 = ker(norm) / im(J - 1) has dim 2 - 1 = 1 (Brown, GTM 87, III.1).
-    # The tree reaches depth 250, so values that are not reduced as F is
-    # built overflow uint8 here.
+    # The tree reaches depth 250, so an edge row sums 250 actions along the
+    # tree path of its endpoint before it is reduced.
     F251 = make_field(251, 1)
     N = build_unipotent(F251, 2)
     assert N.order == 251 and len(N.generators) == 1

@@ -22,7 +22,6 @@ from borelext.gmodule import (
     char_module,
     char_modules_isomorphic,
     det_char_module,
-    fixed_points_dim,
     fq_hom_module,
     hom_module,
     induced_module,
@@ -41,7 +40,7 @@ from borelext.group import (
 )
 from borelext.verify import get_instance
 
-from _brute import brute_commutator_subgroup
+from _brute import brute_commutator_subgroup, fixed_points_dim
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import pytest
 from borelext import group
 from borelext.field import make_field
 from borelext.group import (
+    BruhatCosets,
     Mat,
     SizeBudgetError,
     StructureError,
@@ -52,6 +53,23 @@ def test_gl_orders(F3, F5, F9):
     assert build_gl(F5, 2).order == 480 == (25 - 1) * (25 - 5)
     assert build_gl(F3, 3).order == 11232 == (27 - 1) * (27 - 3) * (27 - 9)
     assert build_gl(F9, 2).order == gl_order(9, 2) == 5760
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_gl_is_generated_by_two_matrices(p, f, n):
+    # Taylor's pair diag(zeta, 1, ..., 1) and the matrix with first row
+    # (-1, 0, ..., 0, 1) and -1 on the subdiagonal closes to all of GL_n(F_q)
+    fld = make_field(p, f)
+    G = build_gl(fld, n)
+    assert len(G.generators) == 2
+    assert G.order == gl_order(fld.q, n)
+    zeta, minus = fld.generator_code, fld.neg_code(1)
+    assert G.generators[0].diagonal_codes() == (zeta,) + (1,) * (n - 1)
+    assert G.generators[0].is_diagonal()
+    second = G.generators[1]
+    assert [second.codes[j] for j in range(n)] == [minus] + [0] * (n - 2) + [1]
+    assert all(second.codes[i * n + j] == (minus if j == i - 1 else 0)
+               for i in range(1, n) for j in range(n))
 
 
 def test_subgroup_orders(F3, F9):
@@ -165,6 +183,34 @@ def test_coset_normal_form_is_a_function_of_the_coset(p, f, n):
         assert coset_normal_form(Mat(fld, n, rep)) == (rep, (1,) * n)
         for _ in range(5):
             assert coset_normal_form(rand_mat(upper=True) * g)[0] == rep
+
+
+def test_bruhat_cosets_reject_a_target_that_is_not_a_permutation(F3, monkeypatch):
+    # the last image computed is sent to the identity coset, which its own
+    # generators already reach: every cell keeps its size, so only the
+    # permutation check can see the fault
+    B = build_borel(F3, 3)
+    ws = weyl_elements(F3, 3)
+    real = group.coset_normal_form
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(group, "coset_normal_form", counted)
+    cosets = BruhatCosets(B, ws)
+    total = len(calls)
+    identity_rep = cosets.reps[0].codes
+
+    def corrupted(g):
+        calls.append(g)
+        rep, diag = real(g)
+        return (identity_rep, diag) if len(calls) == 2 * total else (rep, diag)
+
+    monkeypatch.setattr(group, "coset_normal_form", corrupted)
+    with pytest.raises(StructureError, match="permute"):
+        BruhatCosets(B, ws)
 
 
 def test_intersect_conjugate_gl2(F3):
