@@ -30,6 +30,13 @@ which builds it on the right cosets B\\G found cell by cell in the Bruhat
 decomposition, so this route never enumerates G.  ext1_dim_shapiro keeps
 the B-level solve on the restriction of the G-level induced module as an
 independent reference for the tests.
+
+The G-level direct route uses the center the same way.  Z = <gamma I> has
+order q - 1, prime to p, so H^1(G, M) = H^1(G/Z, M^Z) = H^1(G, M^Z), and Z
+acts on Ind chi by the scalar chi(gamma I).  So M^Z = 0 for a Hom module
+between principal series whose central characters are not Frobenius
+conjugate, and the caller hands h1_dim the zero module, which it answers
+without assembling a system.
 """
 
 from __future__ import annotations
@@ -129,6 +136,8 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024, want_basis: bool 
     if M.group is not H:
         raise StructureError("module is not over the given group")
     p, d = M.p, M.dim
+    if d == 0:
+        return H1Result(0, 0, 0, "exhaustive")  # no unknowns, so no system
     S = len(H.generators)
     nu = S * d
     size = H.order

@@ -256,6 +256,34 @@ def hom_module(M1: FpModule, M2: FpModule) -> HomModule:
     return HomModule(M1, M2)
 
 
+def hom_invariants_vanish(M1: FpModule, M2: FpModule, elt_id: int) -> bool:
+    """Whether no nonzero vector of Hom_{F_p}(M1, M2) is fixed by the
+    element, decided from its action on the two factors alone.
+
+    When it acts on M1 and M2 (both in fq form) as the F_q-scalars c1 and
+    c2, it acts on the Hom module by kron(m(c2), m(c1)^{-T}) blockwise, whose
+    eigenvalues over the algebraic closure are c2^{p^i} / c1^{p^j}.  So
+    rho_Hom - 1 is invertible exactly when c2 is no Frobenius conjugate of
+    c1.  Any other action gives False, which claims nothing.
+    """
+    c1, c2 = (_fq_scalar(M, elt_id) for M in (M1, M2))
+    if c1 is None or c2 is None:
+        return False
+    fld = M1.group.field
+    return all(fld.frob_code(c1, k) != c2 for k in range(fld.f))
+
+
+def _fq_scalar(M: FpModule, elt_id: int) -> int | None:
+    """The code of c when the element acts on M as multiplication by the
+    F_q-scalar c, else None."""
+    if not M.fq_form:
+        return None
+    fld = M.group.field
+    a = M.act(elt_id)
+    c = fld.coeffs_code([int(x) for x in a[: fld.f, 0]])
+    return c if np.array_equal(a, _block_diag(fld.mult_matrix(c), M.dim // fld.f)) else None
+
+
 def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:
     """Hom_{F_q}(M1, M2) for a module M1 of one F_q-dimension and M2 in fq
     form, with the same conjugation action as hom_module restricted to the

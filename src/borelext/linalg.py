@@ -151,13 +151,6 @@ def nullspace_mod(A, p: int) -> np.ndarray:
     return red.nullspace()
 
 
-def solvable_mod(A, b, p: int) -> bool:
-    """Whether A x = b has a solution over F_p."""
-    A = np.asarray(A, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1, 1)
-    return rank_mod(A, p) == rank_mod(np.hstack([A, b]), p)
-
-
 def is_invertible_mod(A, p: int) -> bool:
     A = np.asarray(A)
     return A.shape[0] == A.shape[1] and rank_mod(A, p) == A.shape[0]

@@ -31,8 +31,12 @@ coset table is built once per instance and every chi2 only fills in its
 scalars.  p is prime to |T| = (q-1)^n, which always holds over F_q, so
 H^1(B, M) = H^1(N, M)^T and one cocycle solve over N per chi2 gives the Ext
 dimension for every chi1 (cohom.h1_isotypic_dims).  thm1 also runs the
-G-level direct solve on Ind_B^G over the whole of G where it is cheap
-(n = 2), and reports any pair where the two paths disagree.
+G-level direct route where it is cheap (n = 2), and reports any pair where
+the two paths disagree.  That route solves H^1(G, M^Z) for M =
+Hom(Ind chi1, Ind chi2) and the center Z of G: p is prime to |Z| = q - 1,
+so this is H^1(G, M), and M^Z = 0, with no Hom module built, when Z acts on
+the two factors by central characters that are not Frobenius conjugate
+(Instance.direct_dim).
 
 Pairs run one after another in one thread, chi1-major, which is the row
 order of every report.  The first pair with a given chi2 fills the Shapiro
@@ -67,9 +71,11 @@ from .gmodule import (
     bruhat_induced_module,
     char_module,
     char_modules_isomorphic,
+    hom_invariants_vanish,
     hom_module,
     induced_module,
     right_coset_data,
+    trivial_module,
 )
 from .group import (
     BruhatCosets,
@@ -77,6 +83,7 @@ from .group import (
     build_gl,
     build_torus,
     build_unipotent,
+    diag_mat,
     intersect_conjugate,
     unipotent_part,
     weyl_elements,
@@ -325,9 +332,25 @@ class Instance:
         H = self.B if w.is_identity() else self.bw(w)
         return _h1(H, char_module(H, beta), cfg)
 
+    @cached_property
+    def center_id(self) -> int:
+        """The id of gamma I in G, which generates the center Z."""
+        fld = self.field
+        return self.G.element_id(diag_mat(fld, (fld.generator_code,) * self.n))
+
     def direct_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
-        """dim Ext^1_G(Ind chi1, Ind chi2) by a G-level solve."""
-        return _h1(self.G, hom_module(self.induced(chi1), self.induced(chi2)), cfg)
+        """dim Ext^1_G(Ind chi1, Ind chi2) by a G-level solve of H^1(G, M^Z),
+        M = Hom(Ind chi1, Ind chi2).
+
+        p is prime to |Z| = q - 1, so H^1(G, M) = H^1(G, M^Z).  M^Z = 0 when
+        z = gamma I acts on the two factors by scalars that are not Frobenius
+        conjugate (gmodule.hom_invariants_vanish), and the Hom module is
+        never built; otherwise M itself is solved, which is exact.  Either
+        way the pair makes one h1_dim call."""
+        M1, M2 = self.induced(chi1), self.induced(chi2)
+        if hom_invariants_vanish(M1, M2, self.center_id):
+            return _h1(self.G, trivial_module(self.G, 0), cfg)
+        return _h1(self.G, hom_module(M1, M2), cfg)
 
     def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
         """dim Ext^1_G(Ind chi1, Ind chi2), from Res_B Ind chi2 on the Bruhat

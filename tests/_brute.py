@@ -10,7 +10,8 @@ and the package is what the tests freeze.
 Code the package no longer needs is kept here as a reference too: the
 table of f over the whole group that the cocycle solver once built its edge
 rows from, the explicit root extension of a Borel subgroup, and the
-coboundary and fixed-point checks, which now rank with gauss_rank.
+coboundary, fixed-point and solvability checks, which now rank with
+gauss_rank.
 """
 
 from __future__ import annotations
@@ -307,6 +308,13 @@ def is_coboundary(H, M, c):
     return gauss_rank(A, p) == gauss_rank([r + [v] for r, v in zip(A, b)], p)
 
 
+def solvable_mod(A, b, p):
+    """Whether A x = b has a solution over F_p, by comparing ranks."""
+    A = np.asarray(A, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64).reshape(-1, 1) % p
+    return gauss_rank(A.tolist(), p) == gauss_rank(np.hstack([A, b]).tolist(), p)
+
+
 def fixed_points_dim(M):
     """dim of the simultaneous kernel of rho(s) - 1 over the generators."""
     eye = np.eye(M.dim, dtype=np.int64)
@@ -337,12 +345,18 @@ class BorelRootHom:
         return Mat(self.field, 2, (at, top, 0, 1))
 
     def is_homomorphism(self):
-        els = self.B.elements
-        for a in els:
-            ea = self(a)
-            for b in els:
-                if self(a * b) != ea * self(b):
-                    return False
+        """phi(1) = 1 and phi(a s) = phi(a) phi(s) for every a in B and
+        generator s.  As the generators generate B, induction on word length
+        gives phi(a b) = phi(a) phi(b) for all pairs: if b = b' s, then
+        phi(a b' s) = phi(a b') phi(s) = phi(a) phi(b') phi(s) = phi(a) phi(b)."""
+        one = identity_mat(self.field, self.B.n)
+        if self(one) != identity_mat(self.field, 2):
+            return False
+        gens = [(s, self(s)) for s in self.B.generators]
+        for a in self.B.elements:
+            fa = self(a)
+            if any(self(a * s) != fa * fs for s, fs in gens):
+                return False
         return True
 
 

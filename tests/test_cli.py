@@ -1,7 +1,8 @@
 """The command line and the report format: removed flags are usage errors,
 `verify all` needs no --p while a single statement does, CSV and JSON carry
 schema 2 without a solver-mode field, ExtReport.check rejects
-contract-breaking rows, and a failing report sets exit code 1."""
+contract-breaking rows, a failing report sets exit code 1, and ext-ps gives
+the same dims on its direct and Shapiro paths."""
 
 import json
 
@@ -83,3 +84,18 @@ def test_failing_report_sets_exit_code_1(monkeypatch, capsys):
     monkeypatch.setattr(V, "run_statement", lambda statement, args, cfg: [bad])
     assert cli.main(["verify", "prop1", "--p", "3", "--output", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+
+
+def test_ext_ps_direct_and_shapiro_paths_agree(capsys):
+    # cli ext-ps is the other caller of Instance.direct_dim; the exit code
+    # follows the report's verdict, so it must not depend on the path either
+    dims, codes = {}, {}
+    for path in ("direct", "shapiro"):
+        codes[path] = cli.main(["ext-ps", "--p", "3", "--path", path, "--output", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["extras"] == {"path": path}
+        dims[path] = [(r["chi1"], r["chi2"], r["dim"]) for r in out["pairs"]]
+    assert len(dims["direct"]) == 16
+    assert dims["direct"] == dims["shapiro"]
+    assert codes["direct"] == codes["shapiro"]
+    assert any(d for _, _, d in dims["direct"])

@@ -228,7 +228,7 @@ def test_build_E_alpha_gl2(F3):
     B = build_borel(F3, 2)
     alpha = simple_root(1, 2, 2)
     hom, c = build_E_alpha(B, alpha, 1)
-    assert hom.is_homomorphism()  # all |B|^2 pairs
+    assert hom.is_homomorphism()  # on B x generators, which covers all |B|^2 pairs
     assert c.is_valid()
     assert not is_coboundary(B, char_module(B, alpha), c)
     # values: on the torus the cocycle vanishes, on the unipotent part not
@@ -362,6 +362,17 @@ def test_h1_with_no_or_one_non_tree_edge(F3):
         assert (r.mode, r.edges_used) == ("exhaustive", 1)
         assert r.dims == brute_h1(H, M)
         assert len(r.basis) == r.dim_h1 and all(c.is_valid() for c in r.basis)
+
+
+def test_h1_of_the_zero_module_assembles_nothing(F3):
+    # the direct route hands h1_dim the zero module when the center fixes no
+    # vector of the Hom module
+    G = build_gl(F3, 2)
+    M = trivial_module(G, 0)
+    assert M.dim == 0 and len(G.generators) > 0
+    r = h1_dim(G, M)
+    assert (r.dims, r.mode, r.edges_used, r.basis) == ((0, 0, 0), "exhaustive", 0, [])
+    assert M._all is None  # no action table was built
 
 
 def test_solver_leaves_numpy_random_unloaded():

@@ -12,11 +12,10 @@ from borelext.linalg import (
     mod,
     nullspace_mod,
     rank_mod,
-    solvable_mod,
 )
 from borelext.field import make_field
 
-from _brute import gauss_rank
+from _brute import gauss_rank, solvable_mod
 
 
 def test_rank_matches_brute_on_random_matrices():

@@ -2,8 +2,9 @@
 report bytes independent of the BLAS thread count, no thread pool loaded by a
 run, the two oracle paths of thm1, prop4's B-level route against the G-level
 solve, char_ext against the pairwise F_q-Hom module, the principal-series
-oracle at GL_3(F_3) and GL_3(F_5) without an element table of G, and the
-n = 1 instances, where N is trivial."""
+oracle at GL_3(F_3) and GL_3(F_5) without an element table of G, the
+direct route's reduction to the center-fixed part against the full Hom
+solve, and the n = 1 instances, where N is trivial."""
 
 import json
 import os
@@ -11,13 +12,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from borelext import cli
 from borelext import verify as V
 from borelext.chars import match_theorem1_condition, weyl_twist
 from borelext.cohom import h1_dim
-from borelext.gmodule import char_module, det_char_module, fq_hom_module
+from borelext.gmodule import (
+    char_module,
+    det_char_module,
+    fq_hom_module,
+    hom_invariants_vanish,
+    hom_module,
+)
+from borelext.linalg import rank_mod
 
 
 def test_thm1_solves_once_per_chi2_in_chi1_major_order(monkeypatch):
@@ -75,6 +84,64 @@ def test_thm1_direct_and_shapiro_paths_agree():
     out = json.loads(V.reports_to_json([nec]))
     assert out["schema"] == 2
     assert not any("mode" in r for r in out["pairs"])
+
+
+@pytest.mark.parametrize("args,reduced", [((3, 1, 2), 8), ((5, 1, 2), 192)], ids=str)
+def test_direct_dim_matches_the_full_hom_solve(args, reduced, monkeypatch):
+    # p is prime to |Z| = q - 1, so H^1(G, M) = H^1(G, M^Z): every pair makes
+    # one h1_dim call, on the zero module exactly where z = gamma I acts on
+    # the two induced factors by different scalars, and its answer is the
+    # full Hom module's
+    dims = []
+    real = V.h1_dim
+
+    def counted(H, M, **kw):
+        dims.append(M.dim)
+        return real(H, M, **kw)
+
+    monkeypatch.setattr(V, "h1_dim", counted)
+    inst = V.Instance(*args)
+    cfg = V.VerifyConfig()
+
+    def scalar(chi):
+        z = inst.induced(chi).act(inst.center_id)
+        assert (z == z[0, 0] * np.eye(len(z), dtype=np.int64)).all()
+        return int(z[0, 0])
+
+    apart = 0
+    for chi1 in inst.chars:
+        for chi2 in inst.chars:
+            got = inst.direct_dim(chi1, chi2, cfg)
+            differ = scalar(chi1) != scalar(chi2)
+            assert len(dims) == 1 and (dims.pop() == 0) == differ
+            apart += differ
+            M = hom_module(inst.induced(chi1), inst.induced(chi2))
+            assert got == real(inst.G, M, want_basis=False).dim_h1
+    assert apart == reduced
+
+
+@pytest.fixture(scope="module")
+def gl2_f9():
+    return V.Instance(3, 2, 2)
+
+
+@pytest.mark.parametrize("chi1,chi2,fixed", [
+    ((0, 0), (0, 1), 0),    # central characters 1 and gamma: apart
+    ((1, 0), (1, 1), 0),    # gamma and gamma^2: apart
+    ((0, 0), (1, 7), 400),  # both 1, so z acts trivially on Hom
+    ((1, 0), (0, 1), 200),  # both gamma, outside F_3
+    ((1, 0), (1, 2), 200),  # gamma and gamma^3, Frobenius conjugates
+], ids=str)
+def test_center_decision_matches_the_hom_kernel_at_f9(gl2_f9, chi1, chi2, fixed):
+    # the G-level solve does not fit at GL_2(F_9), so the factorwise decision
+    # is checked against the kernel of rho_Hom(z) - 1 on the 400 x 400 matrix
+    inst = gl2_f9
+    z = inst.center_id
+    M1, M2 = inst.induced(inst.char(chi1)), inst.induced(inst.char(chi2))
+    rho = np.kron(M2.act(z), M1.act(inst.G.inv_id(z)).T) % 3
+    d = len(rho)
+    assert d - rank_mod((rho - np.eye(d, dtype=np.int64)) % 3, 3) == fixed
+    assert hom_invariants_vanish(M1, M2, z) == (fixed == 0)
 
 
 @pytest.mark.parametrize("p", [3, 5])
