@@ -15,12 +15,11 @@ from .chars import (
     trivial_char,
     weyl_twist,
 )
-from .cohom import Cocycle, H1Result, ext1_dim_shapiro, h1_dim
+from .cohom import Cocycle, H1Result, h1_dim
 from .field import FieldCtx, FieldError, Fq, dlog, frobenius, make_field
 from .gmodule import (
     FpModule,
     abelian_quotient_with_torus_action,
-    bruhat_induced_module,
     char_module,
     char_modules_isomorphic,
     det_char_module,
@@ -41,7 +40,6 @@ from .group import (
     build_unipotent,
     commutator_subgroup,
     intersect_conjugate,
-    tn_factor,
     unipotent_part,
     weyl_elements,
 )

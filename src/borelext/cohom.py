@@ -25,11 +25,11 @@ p does not divide |T| = (q-1)^n, inflation-restriction gives H^1(B, M) =
 H^1(N, M)^T, and twisting by chi1^{-1} leaves the N-action unchanged.  So one
 solve of H^1(N, Res_N Ind chi2), with the action of T and of the
 F_q-scalars on it as small F_p matrices, gives the dimension for every chi1
-by a nullity.  Res_B Ind chi2 comes from gmodule.bruhat_induced_module,
+by a nullity.  Res_B Ind chi2 comes from gmodule.induced_module over B,
 which builds it on the right cosets B\\G found cell by cell in the Bruhat
-decomposition, so this route never enumerates G.  ext1_dim_shapiro keeps
-the B-level solve on the restriction of the G-level induced module as an
-independent reference for the tests.
+decomposition, so this route never enumerates G.  The B-level solve of
+H^1(B, Hom_{F_q}(F_q[chi1], Res_B Ind chi2)) is kept in the tests, as a
+reference for this route.
 
 The G-level direct route uses the center the same way.  Z = <gamma I> has
 order q - 1, prime to p, so H^1(G, M) = H^1(G/Z, M^Z) = H^1(G, M^Z), and Z
@@ -48,14 +48,7 @@ import numpy as np
 
 from . import linalg
 from .chars import TorusChar, evaluate
-from .gmodule import (
-    FpModule,
-    ModuleError,
-    char_module,
-    fq_hom_module,
-    induced_module,
-    restrict,
-)
+from .gmodule import FpModule, ModuleError, restrict
 from .group import MatrixGroup, StructureError
 
 CHUNK_EDGES = 8  # non-tree edges fed to the eliminator at a time
@@ -131,7 +124,7 @@ def _spread_order(E: int) -> np.ndarray:
     return np.arange(E, dtype=np.int64) * k % E
 
 
-def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024, want_basis: bool = True) -> H1Result:
+def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
     """dim_{F_p} H^1(H, M) with cocycle witnesses."""
     if M.group is not H:
         raise StructureError("module is not over the given group")
@@ -177,7 +170,7 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024, want_basis: bool 
     reps, dim_b1 = found if found is not None else _h1_representatives(red, cob, p)
     dim_z1 = nu - red.rank
     dim_h1 = dim_z1 - dim_b1
-    basis = [Cocycle(H, M, v.reshape(S, d)) for v in reps] if want_basis else []
+    basis = [Cocycle(H, M, v.reshape(S, d)) for v in reps]
     return H1Result(dim_z1, dim_b1, dim_h1, mode, basis, used)
 
 
@@ -308,14 +301,3 @@ def _h1_representatives(red: linalg.RowReducer, cob: np.ndarray,
         quot.add_rows(coords[:, ::-1])
     last = {k - 1 - c for c in quot.pivots}
     return [null[j] for j in range(k) if j not in last], quot.rank
-
-
-def ext1_dim_shapiro(G: MatrixGroup, B: MatrixGroup, chi1: TorusChar, chi2: TorusChar,
-                     res_ind=None, **kw) -> H1Result:
-    """dim Ext^1_G(Ind chi1, Ind chi2) computed at the B-level as
-    H^1(B, Hom_{F_q}(F_q[chi1], Res_B Ind_B^G chi2)); Frobenius reciprocity
-    makes this equal to the G-level number while the system stays much
-    smaller."""
-    if res_ind is None:
-        res_ind = restrict(induced_module(G, B, chi2), B)
-    return h1_dim(B, fq_hom_module(char_module(B, chi1), res_ind), **kw)

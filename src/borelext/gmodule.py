@@ -1,7 +1,11 @@
 """Finite-dimensional F_p[H]-modules for the matrix groups built here:
-character modules F_q[chi], induced modules Ind_B^G chi (over G, or
-restricted to B from the Bruhat cosets), Hom modules, restriction, and
-isomorphism testing of character modules.
+character modules F_q[chi], induced modules Ind_B^G chi, Hom modules,
+restriction, and isomorphism testing of character modules.
+
+There is one induced module, over any group H of matrices (G itself, or B
+for Res_B Ind chi), and one coset table: the right cosets B\\G in Bruhat
+normal form (group.BruhatCosets), on which right_coset_data gives the action
+of H's generators.  So no element table of G is walked to build it.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element is resolved as a generator word along the
@@ -23,9 +27,10 @@ from .group import (
     Mat,
     MatrixGroup,
     StructureError,
+    coset_action,
+    coset_normal_form,
     identity_mat,
     indecomposable_roots,
-    tn_factor,
 )
 
 
@@ -62,8 +67,8 @@ class FpModule:
         # check is skipped: hom, F_q-hom and restriction combine checked
         # modules' maps by invertible products, a character (or the torus
         # on N'^ab) acts by nonzero field elements, chi(t) (or t_i/t_j), and
-        # a Bruhat induced module by nonzero scalar blocks placed along the
-        # coset permutations that BruhatCosets checks
+        # an induced module by nonzero scalar blocks placed along the coset
+        # permutations that coset_action checks
         if not derived:
             for a in self.gen_action:
                 if not linalg.is_invertible_mod(a, self.p):
@@ -139,90 +144,51 @@ def det_char_module(G: MatrixGroup, a: int) -> FpModule:
 
 
 class InducedModule(FpModule):
-    """Ind_B^G chi on the basis (right coset of B\\G) x (F_p-basis of F_q)."""
+    """Ind_B^G chi over a group H of n x n matrices, on the basis (right
+    coset of B\\G) x (F_p-basis of F_q), with no element table of G.
 
-    def __init__(self, G: MatrixGroup, B: MatrixGroup, chi: TorusChar, coset_data=None):
-        if not B.is_subgroup_of(G):
-            raise ModuleError("induction needs B to be a subgroup of G")
-        fld = G.field
-        f = fld.f
-        if coset_data is None:
-            coset_data = right_coset_data(G, B)
-        rep_ids, coset_of = coset_data
-        self.rep_ids = rep_ids
-        self.coset_of = coset_of
-        k = len(rep_ids)
-        d = f * k
-        acts = []
-        for g in G.generators:
-            acts.append(self._gen_matrix(G, B, chi, g, d))
-        super().__init__(G, acts, label=f"induced{chi.exps}", fq_form=True)
-        self.chi = chi
-
-    def _gen_matrix(self, G, B, chi, g, d):
-        fld = G.field
-        f = fld.f
-        out = np.zeros((d, d), dtype=np.int64)
-        for i, ri in enumerate(self.rep_ids):
-            rig = G.mul_ids(ri, G.element_id(g))
-            j = int(self.coset_of[rig])
-            b = G.elements[rig] * G.elements[self.rep_ids[j]].inv()
-            t, _ = tn_factor(b)
-            block = fld.mult_matrix(evaluate(chi, t).code)
-            out[i * f : (i + 1) * f, j * f : (j + 1) * f] = block
-        return out
-
-
-def right_coset_data(G: MatrixGroup, B: MatrixGroup):
-    """Right cosets B\\G: representative ids (first seen in table order)
-    and the coset index of every element."""
-    coset_of = np.full(G.order, -1, dtype=np.int32)
-    rep_ids = []
-    b_ids = [G.element_id(m) for m in B.elements]
-    for i in range(G.order):
-        if coset_of[i] != -1:
-            continue
-        k = len(rep_ids)
-        rep_ids.append(i)
-        for bid in b_ids:
-            coset_of[G.mul_ids(bid, i)] = k
-    return rep_ids, coset_of
-
-
-def induced_module(G: MatrixGroup, B: MatrixGroup, chi: TorusChar, coset_data=None) -> InducedModule:
-    return InducedModule(G, B, chi, coset_data=coset_data)
-
-
-class BruhatInducedModule(FpModule):
-    """Res_B Ind_B^G chi over B, on the basis (Bruhat coset) x (F_p-basis of
-    F_q), with no element table of G.
-
-    The convention is InducedModule's: when reps[i]·s = b·reps[j], block
-    (i, j) of generator s is multiplication by chi(diag b).  The coset table
-    is shared by every chi; a chi only turns its discrete logs into scalars.
+    When reps[i]·s = b·reps[j] for a generator s of H, block (i, j) of s is
+    multiplication by chi(diag b).  With H = G this is Ind chi, with H = B
+    it is Res_B Ind chi.  The coset table is shared by every chi; a chi only
+    turns its discrete logs into scalars.
     """
 
-    def __init__(self, cosets: BruhatCosets, chi: TorusChar):
+    def __init__(self, cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar):
         B = cosets.group
-        fld = B.field
+        if (H.n, H.field.q) != (B.n, B.field.q):
+            raise ModuleError("induction needs a group of matrices of B's size and field")
+        fld = H.field
         f, qm1 = fld.f, fld.q - 1
+        target, logs = right_coset_data(cosets, H)
         k = len(cosets.reps)
         rows = np.arange(k)
         scalars = np.stack([fld.mult_matrix(fld.pow_code(fld.generator_code, e))
                             for e in range(qm1)])
-        exps = cosets.logs @ np.asarray(chi.exps, dtype=np.int64) % qm1  # (k, S)
+        exps = logs @ np.asarray(chi.exps, dtype=np.int64) % qm1  # (k, S)
         acts = []
-        for s in range(len(B.generators)):
+        for s in range(len(H.generators)):
             out = np.zeros((k, f, k, f), dtype=np.int64)
-            out[rows, :, cosets.target[:, s], :] = scalars[exps[:, s]]
+            out[rows, :, target[:, s], :] = scalars[exps[:, s]]
             acts.append(out.reshape(k * f, k * f))
-        super().__init__(B, acts, label=f"res-induced{chi.exps}", fq_form=True, derived=True)
+        super().__init__(H, acts, label=f"induced{chi.exps}", fq_form=True, derived=True)
         self.chi = chi
 
 
-def bruhat_induced_module(cosets: BruhatCosets, chi: TorusChar) -> BruhatInducedModule:
-    """Res_B Ind_B^G chi from the Bruhat cosets of B\\G."""
-    return BruhatInducedModule(cosets, chi)
+def right_coset_data(cosets: BruhatCosets, H: MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The right action of H's generators on the cosets, as
+    group.coset_action gives it: reps[i]·s = b·reps[target[i, s]], with the
+    discrete logs of b's diagonal in logs[i, s].  B's action was found with
+    the cosets; any other group's comes from the normal form of each
+    reps[i]·s."""
+    if H is cosets.group:
+        return cosets.target, cosets.logs
+    return coset_action(cosets, [coset_normal_form(r * s) for r in cosets.reps
+                                 for s in H.generators])
+
+
+def induced_module(cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar) -> InducedModule:
+    """Ind_B^G chi over H, from the right cosets B\\G."""
+    return InducedModule(cosets, H, chi)
 
 
 class HomModule(FpModule):
@@ -254,34 +220,6 @@ class HomModule(FpModule):
 def hom_module(M1: FpModule, M2: FpModule) -> HomModule:
     """Hom_{F_p}(M1, M2) with the conjugation action."""
     return HomModule(M1, M2)
-
-
-def hom_invariants_vanish(M1: FpModule, M2: FpModule, elt_id: int) -> bool:
-    """Whether no nonzero vector of Hom_{F_p}(M1, M2) is fixed by the
-    element, decided from its action on the two factors alone.
-
-    When it acts on M1 and M2 (both in fq form) as the F_q-scalars c1 and
-    c2, it acts on the Hom module by kron(m(c2), m(c1)^{-T}) blockwise, whose
-    eigenvalues over the algebraic closure are c2^{p^i} / c1^{p^j}.  So
-    rho_Hom - 1 is invertible exactly when c2 is no Frobenius conjugate of
-    c1.  Any other action gives False, which claims nothing.
-    """
-    c1, c2 = (_fq_scalar(M, elt_id) for M in (M1, M2))
-    if c1 is None or c2 is None:
-        return False
-    fld = M1.group.field
-    return all(fld.frob_code(c1, k) != c2 for k in range(fld.f))
-
-
-def _fq_scalar(M: FpModule, elt_id: int) -> int | None:
-    """The code of c when the element acts on M as multiplication by the
-    F_q-scalar c, else None."""
-    if not M.fq_form:
-        return None
-    fld = M.group.field
-    a = M.act(elt_id)
-    c = fld.coeffs_code([int(x) for x in a[: fld.f, 0]])
-    return c if np.array_equal(a, _block_diag(fld.mult_matrix(c), M.dim // fld.f)) else None
 
 
 def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:

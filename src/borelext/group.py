@@ -421,15 +421,6 @@ def build_unipotent(field: FieldCtx, n: int) -> MatrixGroup:
     return _pattern_group(field, n, _positive_roots(n), False, "N")
 
 
-def tn_factor(b: Mat) -> tuple[Mat, Mat]:
-    """Unique factorization b = t * n with t diagonal, n unit upper-triangular."""
-    if not b.is_upper_triangular():
-        raise StructureError("element is not upper-triangular")
-    t = diag_mat(b.field, b.diagonal_codes())
-    n = t.inv() * b
-    return t, n
-
-
 def intersect_conjugate(B: MatrixGroup, w: WeylElement) -> MatrixGroup:
     """B ∩ w^{-1} B w: w m w^{-1} has entry m_ij at (perm(i), perm(j)), so
     the roots (i, j) of B with perm(i) < perm(j) survive, and the torus."""
@@ -487,10 +478,10 @@ class BruhatCosets:
 
     Each Bruhat cell B\\BwB is the orbit of the permutation matrix of w
     under right multiplication by B, so the cosets are found cell by cell in
-    the order of `weyls`.  For generator s and coset i, reps[i]·s =
-    b·reps[target[i, s]], and logs[i, s] holds the discrete logs of b's
-    diagonal.  Each column of target is checked to be a permutation, as
-    right multiplication by s must be.  Nothing here depends on a character.
+    the order of `weyls`.  index maps a representative's codes to its
+    position in reps.  target and logs hold the right action of B's
+    generators (coset_action), from the images the search computes anyway.
+    Nothing here depends on a character.
     """
 
     def __init__(self, B: MatrixGroup, weyls):
@@ -498,7 +489,7 @@ class BruhatCosets:
         gens = [g.codes for g in B.generators]
         index: dict[tuple[int, ...], int] = {}
         reps: list[tuple[int, ...]] = []
-        target, logs = [], []
+        images = []
         for w in weyls:
             start = len(reps)
             rep = coset_normal_form(w.rep)[0]
@@ -507,22 +498,31 @@ class BruhatCosets:
             i = start
             while i < len(reps):
                 for s in gens:
-                    rep, diag = coset_normal_form(Mat(fld, n, _mul_codes(fld, n, reps[i], s)))
-                    j = index.setdefault(rep, len(reps))
-                    if j == len(reps):
-                        reps.append(rep)
-                    target.append(j)
-                    logs.append([fld.dlog_code(c) for c in diag])
+                    image = coset_normal_form(Mat(fld, n, _mul_codes(fld, n, reps[i], s)))
+                    images.append(image)
+                    if index.setdefault(image[0], len(reps)) == len(reps):
+                        reps.append(image[0])
                 i += 1
             if len(reps) - start != fld.q ** w.length:
                 raise StructureError(f"Bruhat cell of {w.perm} has {len(reps) - start} "
                                      f"cosets, expected q^{w.length}")
         if len(reps) != gl_order(fld.q, n) // B.order:
             raise StructureError("Bruhat cells do not cover B\\G")
-        target = np.array(target, dtype=np.int64).reshape(len(reps), len(gens))
-        if (np.sort(target, axis=0) != np.arange(len(reps))[:, None]).any():
-            raise StructureError("a generator does not permute the cosets")
         self.group = B
         self.reps = [Mat(fld, n, c) for c in reps]
-        self.target = target
-        self.logs = np.array(logs, dtype=np.int64).reshape(len(reps), len(gens), n)
+        self.index = index
+        self.target, self.logs = coset_action(self, images)
+
+
+def coset_action(cosets: BruhatCosets, images) -> tuple[np.ndarray, np.ndarray]:
+    """The right action of S generators on the cosets, from the images
+    coset_normal_form(reps[i]·s), i-major: reps[i]·s = b·reps[target[i, s]],
+    and logs[i, s] holds the discrete logs of b's diagonal.  Each column of
+    target is checked to be a permutation, as right multiplication by s
+    must be."""
+    fld, k, n = cosets.group.field, len(cosets.reps), cosets.group.n
+    target = np.array([cosets.index[rep] for rep, _ in images], dtype=np.int64).reshape(k, -1)
+    if (np.sort(target, axis=0) != np.arange(k)[:, None]).any():
+        raise StructureError("a generator does not permute the cosets")
+    logs = [fld.dlog_code(c) for _, diag in images for c in diag]
+    return target, np.array(logs, dtype=np.int64).reshape(k, target.shape[1], n)

@@ -23,20 +23,22 @@ Statements and their contracts:
 Borel-level Ext comes from Instance.char_ext, one solve of
 H^1(B∩B^w, F_q[chi1^{-1} chi2^w]) per row.
 
+Both principal-series routes build Ind chi the same way: one induced
+module (gmodule.induced_module) on one coset table, the right cosets B\\G
+found cell by cell in the Bruhat decomposition (group.BruhatCosets).  The
+table is built once per instance and every chi only fills in its scalars.
+
 Principal-series Ext comes from Instance.shapiro_dim: by Shapiro's lemma
-Ext^1_G(Ind chi1, Ind chi2) = Ext^1_B(chi1, Res_B Ind chi2).  Res_B Ind chi2
-is built on the right cosets B\\G found cell by cell in the Bruhat
-decomposition (group.BruhatCosets), so this route never enumerates G; the
-coset table is built once per instance and every chi2 only fills in its
-scalars.  p is prime to |T| = (q-1)^n, which always holds over F_q, so
-H^1(B, M) = H^1(N, M)^T and one cocycle solve over N per chi2 gives the Ext
-dimension for every chi1 (cohom.h1_isotypic_dims).  thm1 also runs the
-G-level direct route where it is cheap (n = 2), and reports any pair where
-the two paths disagree.  That route solves H^1(G, M^Z) for M =
-Hom(Ind chi1, Ind chi2) and the center Z of G: p is prime to |Z| = q - 1,
-so this is H^1(G, M), and M^Z = 0, with no Hom module built, when Z acts on
-the two factors by central characters that are not Frobenius conjugate
-(Instance.direct_dim).
+Ext^1_G(Ind chi1, Ind chi2) = Ext^1_B(chi1, Res_B Ind chi2), with Res_B Ind
+chi2 the induced module over B, so this route never enumerates G.  p is
+prime to |T| = (q-1)^n, which always holds over F_q, so H^1(B, M) =
+H^1(N, M)^T and one cocycle solve over N per chi2 gives the Ext dimension
+for every chi1 (cohom.h1_isotypic_dims).  thm1 also runs the G-level direct
+route where it is cheap (n = 2), and reports any pair where the two paths
+disagree.  That route solves H^1(G, M^Z) for M = Hom(Ind chi1, Ind chi2)
+and the center Z of G: p is prime to |Z| = q - 1, so this is H^1(G, M),
+and M^Z = 0, with no Hom module built, when Z acts on the two factors by
+central characters that are not Frobenius conjugate (Instance.direct_dim).
 
 Pairs run one after another in one thread, chi1-major, which is the row
 order of every report.  The first pair with a given chi2 fills the Shapiro
@@ -59,6 +61,7 @@ from .chars import (
     TwistWitness,
     all_chars,
     eigencharacters,
+    frobenius_twist,
     match_simple_root_twist,
     match_theorem1_condition,
     trivial_char,
@@ -68,13 +71,10 @@ from .cohom import h1_dim, h1_isotypic_dims
 from .field import make_field
 from .gmodule import (
     abelian_quotient_with_torus_action,
-    bruhat_induced_module,
     char_module,
     char_modules_isomorphic,
-    hom_invariants_vanish,
     hom_module,
     induced_module,
-    right_coset_data,
     trivial_module,
 )
 from .group import (
@@ -83,7 +83,6 @@ from .group import (
     build_gl,
     build_torus,
     build_unipotent,
-    diag_mat,
     intersect_conjugate,
     unipotent_part,
     weyl_elements,
@@ -99,7 +98,7 @@ class VerifyConfig:
 
 def _h1(H, M, cfg: VerifyConfig) -> int:
     """dim H^1(H, M) from the cocycle solver, within cfg's memory budget."""
-    return h1_dim(H, M, budget_mb=cfg.budget_mb, want_basis=False).dim_h1
+    return h1_dim(H, M, budget_mb=cfg.budget_mb).dim_h1
 
 
 @dataclass
@@ -165,7 +164,7 @@ class ExtReport:
         for r in self.pairs:
             if not r.asserted:
                 continue
-            if self.statement == "thm1_necessary":
+            if self.statement in ("thm1_necessary", "ext-ps"):
                 if r.dim > 0 and r.witness is None:
                     return False
             elif self.statement == "thm1_sufficient_w1":
@@ -282,10 +281,6 @@ class Instance:
         return all_chars(self.n, self.qm1)
 
     @cached_property
-    def coset_data(self):
-        return right_coset_data(self.G, self.B)
-
-    @cached_property
     def bruhat_cosets(self):
         return BruhatCosets(self.B, self.weyls)
 
@@ -296,7 +291,7 @@ class Instance:
         """Ind_B^G chi over G, for the G-level direct solve."""
         got = self._ind.get(chi.exps)
         if got is None:
-            got = induced_module(self.G, self.B, chi, coset_data=self.coset_data)
+            got = induced_module(self.bruhat_cosets, self.G, chi)
             self._ind[chi.exps] = got
         return got
 
@@ -332,25 +327,20 @@ class Instance:
         H = self.B if w.is_identity() else self.bw(w)
         return _h1(H, char_module(H, beta), cfg)
 
-    @cached_property
-    def center_id(self) -> int:
-        """The id of gamma I in G, which generates the center Z."""
-        fld = self.field
-        return self.G.element_id(diag_mat(fld, (fld.generator_code,) * self.n))
-
     def direct_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
         """dim Ext^1_G(Ind chi1, Ind chi2) by a G-level solve of H^1(G, M^Z),
         M = Hom(Ind chi1, Ind chi2).
 
-        p is prime to |Z| = q - 1, so H^1(G, M) = H^1(G, M^Z).  M^Z = 0 when
-        z = gamma I acts on the two factors by scalars that are not Frobenius
-        conjugate (gmodule.hom_invariants_vanish), and the Hom module is
+        p is prime to |Z| = q - 1, so H^1(G, M) = H^1(G, M^Z).  z = gamma I
+        acts on Ind chi as the F_q-scalar c = gamma^{sum chi}, and on M with
+        the eigenvalues c2^{p^i} / c1^{p^j}, so M^Z = 0 exactly when no k < f
+        gives sum chi2 = p^k sum chi1 (mod q - 1).  Then the Hom module is
         never built; otherwise M itself is solved, which is exact.  Either
         way the pair makes one h1_dim call."""
-        M1, M2 = self.induced(chi1), self.induced(chi2)
-        if hom_invariants_vanish(M1, M2, self.center_id):
+        z1, z2 = (TorusChar((sum(chi.exps),), self.qm1) for chi in (chi1, chi2))
+        if all(frobenius_twist(z1, k) != z2 for k in range(self.f)):
             return _h1(self.G, trivial_module(self.G, 0), cfg)
-        return _h1(self.G, hom_module(M1, M2), cfg)
+        return _h1(self.G, hom_module(self.induced(chi1), self.induced(chi2)), cfg)
 
     def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
         """dim Ext^1_G(Ind chi1, Ind chi2), from Res_B Ind chi2 on the Bruhat
@@ -359,7 +349,7 @@ class Instance:
         key = (chi1.exps, chi2.exps)
         got = self._shap.get(key)
         if got is None:
-            M = bruhat_induced_module(self.bruhat_cosets, chi2)
+            M = induced_module(self.bruhat_cosets, self.B, chi2)
             dims = h1_isotypic_dims(self.N, self.T, M, self.chars, budget_mb=cfg.budget_mb)
             for chi, dim in zip(self.chars, dims):
                 self._shap[(chi.exps, chi2.exps)] = dim

@@ -9,9 +9,10 @@ and the package is what the tests freeze.
 
 Code the package no longer needs is kept here as a reference too: the
 table of f over the whole group that the cocycle solver once built its edge
-rows from, the explicit root extension of a Borel subgroup, and the
-coboundary, fixed-point and solvability checks, which now rank with
-gauss_rank.
+rows from, the explicit root extension of a Borel subgroup, the coboundary,
+fixed-point and solvability checks, which now rank with gauss_rank, and
+Ind_B^G chi built by walking G's element table, with the B-level Shapiro
+solve on its restriction.
 """
 
 from __future__ import annotations
@@ -22,9 +23,16 @@ from collections import deque
 import numpy as np
 
 from borelext.chars import evaluate, simple_root
-from borelext.cohom import Cocycle
-from borelext.gmodule import char_module
-from borelext.group import Mat, StructureError, WeylElement, identity_mat, perm_mat, tn_factor
+from borelext.cohom import Cocycle, h1_dim
+from borelext.gmodule import FpModule, char_module, fq_hom_module
+from borelext.group import (
+    Mat,
+    StructureError,
+    WeylElement,
+    diag_mat,
+    identity_mat,
+    perm_mat,
+)
 
 
 def gauss_rank(rows, p):
@@ -187,6 +195,59 @@ def equivariant_hom_dim(Q_actions, chi_matrices, fdim, qdim, p):
     if not rows:
         return nun
     return nun - gauss_rank(rows, p)
+
+
+def tn_factor(b):
+    """Unique factorization b = t * n with t diagonal, n unit upper-triangular."""
+    if not b.is_upper_triangular():
+        raise StructureError("element is not upper-triangular")
+    t = diag_mat(b.field, b.diagonal_codes())
+    return t, t.inv() * b
+
+
+def brute_coset_data(G, B):
+    """Right cosets B\\G from G's element table: representative ids (first
+    seen in table order) and the coset index of every element."""
+    coset_of = np.full(G.order, -1, dtype=np.int32)
+    rep_ids = []
+    b_ids = [G.element_id(m) for m in B.elements]
+    for i in range(G.order):
+        if coset_of[i] != -1:
+            continue
+        k = len(rep_ids)
+        rep_ids.append(i)
+        for bid in b_ids:
+            coset_of[G.mul_ids(bid, i)] = k
+    return rep_ids, coset_of
+
+
+def brute_induced_module(G, B, chi, coset_data=None):
+    """Ind_B^G chi over G on the basis (coset of brute_coset_data) x
+    (F_p-basis of F_q): when r_i g = b r_j for a generator g, block (i, j)
+    is multiplication by chi(t), t the torus part of b.  The products are
+    looked up in G's table, and the generators are checked invertible."""
+    fld = G.field
+    f = fld.f
+    rep_ids, coset_of = coset_data if coset_data is not None else brute_coset_data(G, B)
+    d = f * len(rep_ids)
+    acts = []
+    for g in G.generators:
+        out = np.zeros((d, d), dtype=np.int64)
+        for i, ri in enumerate(rep_ids):
+            rig = G.mul_ids(ri, G.element_id(g))
+            j = int(coset_of[rig])
+            t, _ = tn_factor(G.elements[rig] * G.elements[rep_ids[j]].inv())
+            out[i * f : (i + 1) * f, j * f : (j + 1) * f] = fld.mult_matrix(evaluate(chi, t).code)
+        acts.append(out)
+    return FpModule(G, acts, label=f"brute-induced{chi.exps}", fq_form=True)
+
+
+def ext1_dim_shapiro(B, chi1, res_ind):
+    """dim Ext^1_G(Ind chi1, Ind chi2) at the B level, as H^1(B,
+    Hom_{F_q}(F_q[chi1], res_ind)) for res_ind = Res_B Ind chi2: Frobenius
+    reciprocity makes this equal to the G-level number while the system
+    stays much smaller."""
+    return h1_dim(B, fq_hom_module(char_module(B, chi1), res_ind))
 
 
 def brute_intersect_conjugate(B, w):

@@ -2,7 +2,7 @@
 `verify all` needs no --p while a single statement does, CSV and JSON carry
 schema 2 without a solver-mode field, ExtReport.check rejects
 contract-breaking rows, a failing report sets exit code 1, and ext-ps gives
-the same dims on its direct and Shapiro paths."""
+the same dims on its direct and Shapiro paths and passes at p = 3 on both."""
 
 import json
 
@@ -63,11 +63,12 @@ WIT = TwistWitness(1, 0)
 
 @pytest.mark.parametrize("statement,rows,extras", [
     ("thm1_necessary", [_row(1, predicted=False, witness=None)], {}),
+    ("ext-ps", [_row(1, predicted=False, witness=None)], {}),
     ("prop3", [_row(1, predicted=False)], {}),
     ("prop3", [_row(0, predicted=True, witness=WIT)], {}),
     ("prop1", [_row(0, predicted=True, witness=WIT, expected_dim=1)], {}),
     ("mackey", [_row(1), _row(0)], {"g_level_dim": 2}),
-], ids=["thm1-no-witness", "prop3-unpredicted", "prop3-missed", "expected-dim", "mackey-sum"])
+], ids=["thm1-no-witness", "ext-ps-no-witness", "prop3-unpredicted", "prop3-missed", "expected-dim", "mackey-sum"])
 def test_check_rejects_contract_breaking_rows(statement, rows, extras):
     bad = V.ExtReport(3, 1, 2, statement, rows, extras=extras)
     assert not bad.check() and bad.verdict == "fail"
@@ -75,6 +76,8 @@ def test_check_rejects_contract_breaking_rows(statement, rows, extras):
 
 def test_check_passes_the_repaired_rows():
     assert V.ExtReport(3, 1, 2, "thm1_necessary", [_row(1, True, WIT)]).check()
+    # the (w, i, k) condition is only necessary: a witness with dim 0 passes
+    assert V.ExtReport(3, 1, 2, "ext-ps", [_row(0, True, WIT)]).check()
     assert V.ExtReport(3, 1, 2, "prop1", [_row(1, True, WIT, expected_dim=1)]).check()
     assert V.ExtReport(3, 1, 2, "mackey", [_row(1), _row(1)], extras={"g_level_dim": 2}).check()
 
@@ -88,7 +91,8 @@ def test_failing_report_sets_exit_code_1(monkeypatch, capsys):
 
 def test_ext_ps_direct_and_shapiro_paths_agree(capsys):
     # cli ext-ps is the other caller of Instance.direct_dim; the exit code
-    # follows the report's verdict, so it must not depend on the path either
+    # follows the report's verdict, which takes thm1_necessary's rule, so
+    # both paths pass
     dims, codes = {}, {}
     for path in ("direct", "shapiro"):
         codes[path] = cli.main(["ext-ps", "--p", "3", "--path", path, "--output", "json"])
@@ -97,5 +101,5 @@ def test_ext_ps_direct_and_shapiro_paths_agree(capsys):
         dims[path] = [(r["chi1"], r["chi2"], r["dim"]) for r in out["pairs"]]
     assert len(dims["direct"]) == 16
     assert dims["direct"] == dims["shapiro"]
-    assert codes["direct"] == codes["shapiro"]
+    assert codes == {"direct": 0, "shapiro": 0}
     assert any(d for _, _, d in dims["direct"])

@@ -13,13 +13,7 @@ import pytest
 
 from borelext.chars import TorusChar, all_chars, evaluate, frobenius_twist, simple_root, trivial_char
 from borelext import cohom
-from borelext.cohom import (
-    Cocycle,
-    MemoryBudgetError,
-    ext1_dim_shapiro,
-    h1_dim,
-    h1_isotypic_dims,
-)
+from borelext.cohom import Cocycle, MemoryBudgetError, h1_dim, h1_isotypic_dims
 from borelext.field import make_field
 from borelext.gmodule import (
     FpModule,
@@ -28,26 +22,30 @@ from borelext.gmodule import (
     hom_module,
     induced_module,
     restrict,
-    right_coset_data,
     trivial_module,
 )
 from borelext.group import (
+    BruhatCosets,
     StructureError,
     build_borel,
     build_gl,
     build_torus,
     build_unipotent,
-    tn_factor,
+    weyl_elements,
 )
 
 from _brute import (
     brute_cocycle_defects,
+    brute_coset_data,
     brute_edge_rows,
     brute_h1,
+    brute_induced_module,
     build_E_alpha,
     equivariant_hom_dim,
+    ext1_dim_shapiro,
     is_coboundary,
     non_tree_edges,
+    tn_factor,
 )
 
 
@@ -274,8 +272,9 @@ def _solver_cases():
     one Hom between principal series of GL_2(F_3)."""
     F3, F9 = make_field(3, 1), make_field(3, 2)
     B3, B9, G3 = build_borel(F3, 2), build_borel(F9, 2), build_gl(F3, 2)
-    i1 = induced_module(G3, B3, trivial_char(2, 2))
-    i2 = induced_module(G3, B3, TorusChar((1, 1), 2))
+    cosets = BruhatCosets(B3, weyl_elements(F3, 2))
+    i1 = induced_module(cosets, G3, trivial_char(2, 2))
+    i2 = induced_module(cosets, G3, TorusChar((1, 1), 2))
     return ([(B3, char_module(B3, c)) for c in all_chars(2, 2)]
             + [(B9, char_module(B9, c)) for c in all_chars(2, 8)]
             + [(G3, hom_module(i1, i2))])
@@ -382,11 +381,12 @@ def test_solver_leaves_numpy_random_unloaded():
         "from borelext.cohom import h1_dim\n"
         "from borelext.field import make_field\n"
         "from borelext.gmodule import hom_module, induced_module\n"
-        "from borelext.group import build_borel, build_gl\n"
+        "from borelext.group import BruhatCosets, build_borel, build_gl, weyl_elements\n"
         "F = make_field(3, 1)\n"
         "G, B = build_gl(F, 2), build_borel(F, 2)\n"
-        "M = hom_module(induced_module(G, B, trivial_char(2, 2)),\n"
-        "               induced_module(G, B, TorusChar((1, 1), 2)))\n"
+        "C = BruhatCosets(B, weyl_elements(F, 2))\n"
+        "M = hom_module(induced_module(C, G, trivial_char(2, 2)),\n"
+        "               induced_module(C, G, TorusChar((1, 1), 2)))\n"
         "assert h1_dim(G, M).dim_h1 == 1\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
@@ -397,7 +397,7 @@ def test_solver_leaves_numpy_random_unloaded():
 def test_memory_budget_error(F3):
     G = build_gl(F3, 2)
     B = build_borel(F3, 2)
-    i1 = induced_module(G, B, trivial_char(2, 2))
+    i1 = induced_module(BruhatCosets(B, weyl_elements(F3, 2)), G, trivial_char(2, 2))
     M = hom_module(i1, i1)
     with pytest.raises(MemoryBudgetError, match=r"9 \|H\| d\^2 = 9\*48\*16\^2"):
         h1_dim(G, M, budget_mb=0)
@@ -406,12 +406,13 @@ def test_memory_budget_error(F3):
 
 @functools.lru_cache(maxsize=None)
 def _gl_setup(p, f, n):
-    """G, B, T, N, the characters and one induced module per character."""
+    """G, B, T, N, the characters and one induced module per character, built
+    from G's element table, so the checks below do not use the Bruhat cosets."""
     fld = make_field(p, f)
     G, B = build_gl(fld, n), build_borel(fld, n)
-    coset_data = right_coset_data(G, B)
+    coset_data = brute_coset_data(G, B)
     chars = all_chars(n, fld.q - 1)
-    inds = {c.exps: induced_module(G, B, c, coset_data=coset_data) for c in chars}
+    inds = {c.exps: brute_induced_module(G, B, c, coset_data) for c in chars}
     return G, B, build_torus(fld, n), build_unipotent(fld, n), chars, inds
 
 
@@ -431,7 +432,7 @@ def test_two_path_ext_gl2_f3_all_pairs(p, f, n, direct, chi2s):
         iso = h1_isotypic_dims(N, T, inds[c2.exps], chars)
         res = restrict(inds[c2.exps], B)
         for c1, got in zip(chars, iso):
-            shap = ext1_dim_shapiro(G, B, c1, c2, res_ind=res).dim_h1
+            shap = ext1_dim_shapiro(B, c1, res).dim_h1
             assert got == shap
             if direct:
                 assert h1_dim(G, hom_module(inds[c1.exps], inds[c2.exps])).dim_h1 == shap
@@ -446,7 +447,7 @@ def test_isotypic_dims_sum_to_h1_over_unipotent(p, f, n):
     G, B, T, N, chars, inds = _gl_setup(p, f, n)
     for c2 in chars:
         M = inds[c2.exps]
-        total = h1_dim(N, restrict(M, N), want_basis=False).dim_h1
+        total = h1_dim(N, restrict(M, N)).dim_h1
         assert sum(h1_isotypic_dims(N, T, M, chars)) == total > 0
 
 

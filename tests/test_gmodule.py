@@ -1,6 +1,7 @@
 """Modules: character/induced/hom constructions, restriction, fixed points,
-isomorphism testing, the abelianized unipotent quotient, and Res_B Ind chi
-built from the Bruhat cosets against the restriction of Ind_B^G chi."""
+isomorphism testing, the abelianized unipotent quotient, and Ind_B^G chi
+built from the Bruhat cosets, over G and over B, against the build that
+walks G's element table."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from borelext.gmodule import (
     FpModule,
     ModuleError,
     abelian_quotient_with_torus_action,
-    bruhat_induced_module,
     char_module,
     char_modules_isomorphic,
     det_char_module,
@@ -26,21 +26,26 @@ from borelext.gmodule import (
     hom_module,
     induced_module,
     restrict,
-    right_coset_data,
     trivial_module,
 )
 from borelext.group import (
+    BruhatCosets,
     build_borel,
     build_gl,
     build_torus,
     build_unipotent,
     intersect_conjugate,
-    tn_factor,
     weyl_elements,
 )
 from borelext.verify import get_instance
 
-from _brute import brute_commutator_subgroup, fixed_points_dim
+from _brute import (
+    brute_coset_data,
+    brute_commutator_subgroup,
+    brute_induced_module,
+    fixed_points_dim,
+    tn_factor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +61,11 @@ def F9():
 @pytest.fixture(scope="module")
 def gl2_f3(F3):
     return build_gl(F3, 2), build_borel(F3, 2)
+
+
+def _induced(G, B, chi):
+    """Ind_B^G chi over G from the Bruhat cosets."""
+    return induced_module(BruhatCosets(B, weyl_elements(G.field, G.n)), G, chi)
 
 
 def _check_homomorphism_everywhere(M):
@@ -104,17 +114,17 @@ def test_trivial_char_module_identity_action(F9):
 
 def test_induced_module_dims(F3, F9, gl2_f3):
     G, B = gl2_f3
-    ind = induced_module(G, B, trivial_char(2, 2))
+    ind = _induced(G, B, trivial_char(2, 2))
     assert ind.dim == 4  # [G:B] = 48/12
     G9, B9 = build_gl(F9, 2), build_borel(F9, 2)
-    ind9 = induced_module(G9, B9, trivial_char(2, 8))
+    ind9 = _induced(G9, B9, trivial_char(2, 8))
     assert ind9.dim == 20  # f [G:B] = 2 * 10
     _check_homomorphism_everywhere(ind)
 
 
 def test_induced_trivial_has_constant_fixed_vector(gl2_f3):
     G, B = gl2_f3
-    ind = induced_module(G, B, trivial_char(2, 2))
+    ind = _induced(G, B, trivial_char(2, 2))
     assert fixed_points_dim(ind) >= 1
     ones = np.ones(ind.dim, dtype=np.int64)
     for a in ind.gen_action:
@@ -124,7 +134,7 @@ def test_induced_trivial_has_constant_fixed_vector(gl2_f3):
 def test_induced_action_is_generalized_permutation(gl2_f3):
     G, B = gl2_f3
     chi = TorusChar((1, 0), 2)
-    ind = induced_module(G, B, chi)
+    ind = _induced(G, B, chi)
     k = ind.dim
     for a in ind.gen_action:
         # exactly one nonzero entry per row and per column
@@ -140,9 +150,6 @@ def test_hom_module_action(gl2_f3):
     assert M.dim == 1
     _check_homomorphism_everywhere(M)
     # the action is by chi1^{-1} chi2
-    from borelext.chars import evaluate
-    from borelext.group import tn_factor
-
     ratio = chi1.inverse() * chi2
     for s, g in enumerate(B.generators):
         t, _ = tn_factor(g)
@@ -153,9 +160,9 @@ def test_endomorphisms_of_induced(gl2_f3):
     # trivial character: two-dimensional endomorphism algebra; a regular
     # character: one-dimensional (computed by direct linear solve)
     G, B = gl2_f3
-    ind0 = induced_module(G, B, trivial_char(2, 2))
+    ind0 = _induced(G, B, trivial_char(2, 2))
     assert fixed_points_dim(hom_module(ind0, ind0)) == 2
-    ind10 = induced_module(G, B, TorusChar((1, 0), 2))
+    ind10 = _induced(G, B, TorusChar((1, 0), 2))
     assert fixed_points_dim(hom_module(ind10, ind10)) == 1
 
 
@@ -171,7 +178,7 @@ def test_fixed_points(F3, gl2_f3):
 def test_restrict(F3, gl2_f3):
     G, B = gl2_f3
     chi = TorusChar((1, 1), 2)
-    ind = induced_module(G, B, chi)
+    ind = _induced(G, B, chi)
     res = restrict(ind, B)
     assert res.dim == ind.dim
     assert restrict(ind, G) is ind
@@ -189,7 +196,7 @@ def test_restrict_dim_matches_bruhat_count(F3, gl2_f3):
     for w in ws:
         Bw = intersect_conjugate(B, w)
         total += B.order // Bw.order
-    ind = induced_module(G, B, trivial_char(2, 2))
+    ind = _induced(G, B, trivial_char(2, 2))
     assert restrict(ind, B).dim == total * F3.f
 
 
@@ -304,7 +311,7 @@ def test_fq_hom_module_general_vs_twist_path(F9):
     # F_q-dimension gives a module, a larger one is refused
     G, B = build_gl(F9, 2), build_borel(F9, 2)
     chi = TorusChar((1, 7), 8)
-    ind = induced_module(G, B, chi)
+    ind = _induced(G, B, chi)
     M1 = char_module(B, TorusChar((2, 5), 8))
     fast = fq_hom_module(M1, restrict(ind, B))
     assert fast.dim == ind.dim and fast.fq_form
@@ -333,7 +340,7 @@ def test_module_errors(F3, gl2_f3):
 
 def test_coset_data_partition(gl2_f3):
     G, B = gl2_f3
-    reps, coset_of = right_coset_data(G, B)
+    reps, coset_of = brute_coset_data(G, B)
     assert len(reps) == G.order // B.order
     import collections
 
@@ -350,8 +357,8 @@ def test_hom_table_from_factors_equals_tree_table(p):
     fld = make_field(p, 1)
     G, B = build_gl(fld, 2), build_borel(fld, 2)
     chars = all_chars(2, p - 1)
-    coset = right_coset_data(G, B)
-    ind1, ind2 = (induced_module(G, B, chars[k], coset) for k in (1, len(chars) - 2))
+    cosets = BruhatCosets(B, weyl_elements(fld, 2))
+    ind1, ind2 = (induced_module(cosets, G, chars[k]) for k in (1, len(chars) - 2))
     det1, det2 = det_char_module(G, 1), det_char_module(G, p - 2)
     for M1, M2 in [(ind1, ind2), (ind2, ind2), (det1, ind1), (det1, det2)]:
         H = hom_module(M1, M2)
@@ -363,7 +370,8 @@ def test_hom_table_from_factors_equals_tree_table(p):
         table = H.act_all()
         assert table.dtype == np.uint8 and table.shape == (G.order, H.dim, H.dim)
         assert (table == ref.act_all()).all()
-    derived = [restrict(ind1, B), fq_hom_module(char_module(B, chars[1]), restrict(ind2, B))]
+    derived = [ind1, ind2, restrict(ind1, B),
+               fq_hom_module(char_module(B, chars[1]), restrict(ind2, B))]
     derived += [char_module(B, chi) for chi in chars]
     for M in derived:
         assert all(is_invertible_mod(a, p) for a in M.gen_action)
@@ -375,23 +383,26 @@ def test_hom_table_from_factors_equals_tree_table(p):
 
 @pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)], ids=str)
 def test_bruhat_module_is_the_restricted_induced_module(args):
-    # the two modules differ by a monomial change of basis P: the Bruhat
+    # the modules from the Bruhat cosets, over B and over G, differ from the
+    # build that walks G's table by a monomial change of basis P: the Bruhat
     # representative r of a coset goes to the enumerated representative r0
     # of the same coset, scaled by chi(t) where r = b r0 and t is b's torus part
     inst = get_instance(*args)
     G, B, fld, p, f = inst.G, inst.B, inst.field, inst.p, inst.f
     cosets = inst.bruhat_cosets
-    rep_ids, coset_of = inst.coset_data
+    rep_ids, coset_of = brute_coset_data(G, B)
     assert len(cosets.reps) == len(rep_ids) == G.order // B.order
     old_of = [int(coset_of[G.element_id(r)]) for r in cosets.reps]
     assert sorted(old_of) == list(range(len(rep_ids)))
     tori = [tn_factor(r * G.elements[rep_ids[k]].inv())[0] for r, k in zip(cosets.reps, old_of)]
     for chi in inst.chars:
-        new = bruhat_induced_module(cosets, chi)
-        assert new.group is B and new.fq_form and new.chi == chi
-        old = restrict(inst.induced(chi), B)
-        P = np.zeros((new.dim, new.dim), dtype=np.int64)
+        new_b, new_g = induced_module(cosets, B, chi), inst.induced(chi)
+        assert new_b.group is B and new_b.fq_form and new_b.chi == chi
+        assert new_g.group is G and new_g.fq_form and new_g.chi == chi
+        old = brute_induced_module(G, B, chi, (rep_ids, coset_of))
+        P = np.zeros((old.dim, old.dim), dtype=np.int64)
         for i, (k, t) in enumerate(zip(old_of, tori)):
             P[i * f : (i + 1) * f, k * f : (k + 1) * f] = fld.mult_matrix(evaluate(chi, t).code)
-        for a_old, a_new in zip(old.gen_action, new.gen_action):
-            assert not ((P @ a_old - a_new @ P) % p).any()
+        for old_m, new_m in ((restrict(old, B), new_b), (old, new_g)):
+            for a_old, a_new in zip(old_m.gen_action, new_m.gen_action):
+                assert not ((P @ a_old - a_new @ P) % p).any()

@@ -4,7 +4,7 @@ double cosets, coset normal forms, conjugate intersections and commutators."""
 import numpy as np
 import pytest
 
-from borelext import group
+from borelext import gmodule, group
 from borelext.field import make_field
 from borelext.group import (
     BruhatCosets,
@@ -19,7 +19,6 @@ from borelext.group import (
     coset_normal_form,
     gl_order,
     intersect_conjugate,
-    tn_factor,
     unipotent_part,
     weyl_elements,
 )
@@ -29,6 +28,7 @@ from _brute import (
     brute_intersect_conjugate,
     brute_unipotent_part,
     double_cosets,
+    tn_factor,
     word_for,
 )
 
@@ -211,6 +211,23 @@ def test_bruhat_cosets_reject_a_target_that_is_not_a_permutation(F3, monkeypatch
     monkeypatch.setattr(group, "coset_normal_form", corrupted)
     with pytest.raises(StructureError, match="permute"):
         BruhatCosets(B, ws)
+    # G's generators go through the same check: the first image outside the
+    # identity coset is sent there, and the cell sizes do not see it
+    G = build_gl(F3, 3)
+    assert gmodule.right_coset_data(cosets, G)[0].shape == (len(cosets.reps), len(G.generators))
+    moved = []
+
+    def corrupted_g(g):
+        rep, diag = real(g)
+        if moved or rep == identity_rep:
+            return rep, diag
+        moved.append(g)
+        return identity_rep, diag
+
+    monkeypatch.setattr(gmodule, "coset_normal_form", corrupted_g)
+    with pytest.raises(StructureError, match="permute"):
+        gmodule.right_coset_data(cosets, G)
+    assert len(moved) == 1
 
 
 def test_intersect_conjugate_gl2(F3):

@@ -4,8 +4,10 @@ run, the two oracle paths of thm1, prop4's B-level route against the G-level
 solve, char_ext against the pairwise F_q-Hom module, the principal-series
 oracle at GL_3(F_3) and GL_3(F_5) without an element table of G, the
 direct route's reduction to the center-fixed part against the full Hom
-solve, and the n = 1 instances, where N is trivial."""
+solve, the pinned bytes of the thm1 report at GL_2(F_5), and the n = 1
+instances, where N is trivial."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,16 +19,17 @@ import pytest
 
 from borelext import cli
 from borelext import verify as V
-from borelext.chars import match_theorem1_condition, weyl_twist
-from borelext.cohom import h1_dim
-from borelext.gmodule import (
-    char_module,
-    det_char_module,
-    fq_hom_module,
-    hom_invariants_vanish,
-    hom_module,
-)
+from borelext.chars import TorusChar, frobenius_twist, match_theorem1_condition, weyl_twist
+from borelext.cohom import H1Result, h1_dim
+from borelext.gmodule import char_module, det_char_module, fq_hom_module, hom_module
+from borelext.group import diag_mat
 from borelext.linalg import rank_mod
+
+
+def _center_id(inst):
+    """The id of gamma I in G, which generates the center Z."""
+    fld = inst.field
+    return inst.G.element_id(diag_mat(fld, (fld.generator_code,) * inst.n))
 
 
 def test_thm1_solves_once_per_chi2_in_chi1_major_order(monkeypatch):
@@ -104,7 +107,7 @@ def test_direct_dim_matches_the_full_hom_solve(args, reduced, monkeypatch):
     cfg = V.VerifyConfig()
 
     def scalar(chi):
-        z = inst.induced(chi).act(inst.center_id)
+        z = inst.induced(chi).act(_center_id(inst))
         assert (z == z[0, 0] * np.eye(len(z), dtype=np.int64)).all()
         return int(z[0, 0])
 
@@ -116,7 +119,7 @@ def test_direct_dim_matches_the_full_hom_solve(args, reduced, monkeypatch):
             assert len(dims) == 1 and (dims.pop() == 0) == differ
             apart += differ
             M = hom_module(inst.induced(chi1), inst.induced(chi2))
-            assert got == real(inst.G, M, want_basis=False).dim_h1
+            assert got == real(inst.G, M).dim_h1
     assert apart == reduced
 
 
@@ -132,16 +135,27 @@ def gl2_f9():
     ((1, 0), (0, 1), 200),  # both gamma, outside F_3
     ((1, 0), (1, 2), 200),  # gamma and gamma^3, Frobenius conjugates
 ], ids=str)
-def test_center_decision_matches_the_hom_kernel_at_f9(gl2_f9, chi1, chi2, fixed):
-    # the G-level solve does not fit at GL_2(F_9), so the factorwise decision
-    # is checked against the kernel of rho_Hom(z) - 1 on the 400 x 400 matrix
+def test_center_decision_matches_the_hom_kernel_at_f9(gl2_f9, chi1, chi2, fixed, monkeypatch):
+    # the G-level solve does not fit at GL_2(F_9), so the exponent rule, and
+    # direct_dim's choice of module by it, are checked against the kernel of
+    # rho_Hom(z) - 1 on the 400 x 400 matrix
     inst = gl2_f9
-    z = inst.center_id
+    z = _center_id(inst)
     M1, M2 = inst.induced(inst.char(chi1)), inst.induced(inst.char(chi2))
     rho = np.kron(M2.act(z), M1.act(inst.G.inv_id(z)).T) % 3
     d = len(rho)
     assert d - rank_mod((rho - np.eye(d, dtype=np.int64)) % 3, 3) == fixed
-    assert hom_invariants_vanish(M1, M2, z) == (fixed == 0)
+    s1, s2 = (TorusChar((sum(chi),), inst.qm1) for chi in (chi1, chi2))
+    assert all(frobenius_twist(s1, k) != s2 for k in range(inst.f)) == (fixed == 0)
+    dims = []
+
+    def recorded(H, M, **kw):
+        dims.append(M.dim)
+        return H1Result(0, 0, 0, "exhaustive")
+
+    monkeypatch.setattr(V, "h1_dim", recorded)
+    inst.direct_dim(inst.char(chi1), inst.char(chi2), V.VerifyConfig())
+    assert dims == [0 if fixed == 0 else d]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -153,7 +167,7 @@ def test_prop4_matches_the_g_level_solve(p):
     assert len(rep.pairs) == inst.qm1 * len(inst.chars)
     for r in rep.pairs:
         M = fq_hom_module(det_char_module(inst.G, r.chi1[0]), inst.induced(inst.char(r.chi2)))
-        assert r.dim == h1_dim(inst.G, M, want_basis=False).dim_h1
+        assert r.dim == h1_dim(inst.G, M).dim_h1
     assert any(r.dim for r in rep.pairs)
 
 
@@ -173,13 +187,22 @@ def test_char_ext_matches_the_pairwise_hom_reference(args):
                 M = fq_hom_module(char_module(H, chi1), char_module(H, chi2w))
                 key = (w.perm, b"".join(a.tobytes() for a in M.gen_action))
                 if key not in ref:
-                    ref[key] = h1_dim(H, M, want_basis=False).dim_h1
+                    ref[key] = h1_dim(H, M).dim_h1
                 beta = chi1.inverse() * chi2w
                 if (w.perm, beta.exps) not in ours:
                     ours[w.perm, beta.exps] = inst.char_ext(w, beta, cfg)
                 assert ours[w.perm, beta.exps] == ref[key]
     assert len(ours) == len(ref) == len(inst.weyls) * len(inst.chars)
     assert any(ours.values())
+
+
+def test_thm1_report_bytes_at_gl2_f5_are_pinned():
+    # both oracle routes run here; the digest was taken when Ind chi over G
+    # was built from G's element table, so a change of basis in the induced
+    # modules or of the solver's path must not move a byte of the report
+    out = V.reports_to_json(V.run_statement("thm1", (5, 1, 2), V.VerifyConfig()))
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "20eece7511006889dc9cf401094ccb3be1e81e2405ff8d55a78234cad0127414"
 
 
 def test_gl3_oracle_dims_at_the_open_pairs():
