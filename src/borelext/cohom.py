@@ -20,16 +20,21 @@ goes on.  A sweep that feeds every edge has the whole system, so its answer
 is exact as well.
 
 Principal-series Ext by Shapiro's lemma is H^1(B, Hom_{F_q}(F_q[chi1],
-Res_B Ind chi2)).  h1_isotypic_dims computes it at the unipotent level: as
-p does not divide |T| = (q-1)^n, inflation-restriction gives H^1(B, M) =
+Res_B Ind chi2)).  UnipotentH1 computes it at the unipotent level: as p
+does not divide |T| = (q-1)^n, inflation-restriction gives H^1(B, M) =
 H^1(N, M)^T, and twisting by chi1^{-1} leaves the N-action unchanged.  So one
 solve of H^1(N, Res_N Ind chi2), with the action of T and of the
 F_q-scalars on it as small F_p matrices, gives the dimension for every chi1
-by a nullity.  Res_B Ind chi2 comes from gmodule.induced_module over B,
-which builds it on the right cosets B\\G found cell by cell in the Bruhat
-decomposition, so this route never enumerates G.  The B-level solve of
-H^1(B, Hom_{F_q}(F_q[chi1], Res_B Ind chi2)) is kept in the tests, as a
-reference for this route.
+by a nullity.  The solve is shared by every chi2 as well: N permutes the
+cosets B\\G with b in N (reps[i]·n = b·reps[j]), so chi2(diag b) = 1 and
+Res_N Ind chi2 is the same permutation module for every chi2; only T's
+action, read per module by UnipotentH1.isotypic_dims, depends on chi2.
+isotypic_dims refuses a module that N acts on differently from the solved
+one.  Res_B Ind chi2 comes from gmodule.induced_module over B, which builds
+it on the right cosets B\\G found cell by cell in the Bruhat decomposition,
+so this route never enumerates G.  The B-level solve of H^1(B,
+Hom_{F_q}(F_q[chi1], Res_B Ind chi2)) is kept in the tests, as a reference
+for this route.
 
 The G-level direct route uses the center the same way.  Z = <gamma I> has
 order q - 1, prime to p, so H^1(G, M) = H^1(G/Z, M^Z) = H^1(G, M^Z), and Z
@@ -202,70 +207,108 @@ def _edge_rows(H: MatrixGroup, rho: np.ndarray, batch: np.ndarray) -> np.ndarray
     return rows.reshape(m * d, -1)
 
 
-def h1_isotypic_dims(N: MatrixGroup, T: MatrixGroup, M: FpModule, chis: list[TorusChar],
-                     budget_mb: int = 1024) -> list[int]:
-    """dim_{F_p} H^1(T N, Hom_{F_q}(F_q[chi], M)) for every chi, from one
-    cocycle solve over N.
+class UnipotentH1:
+    """H^1(N, M_N) for one module M over a group containing T and N, with
+    everything about it that does not depend on how T acts: one cocycle
+    solve over N serves every module that N acts on exactly as on M.
 
-    M is an F_q-form module over a group containing T and N, T normalizes
-    N, and p does not divide |T|.  Then H^1(T N, M') = H^1(N, M')^T
-    (inflation-restriction), and twisting by chi^{-1} leaves the N-action
-    alone, so every chi reads the same H^1(N, M): the answer for chi is the
-    F_p-nullity of chi(t)^{-1} A_t - 1 stacked over the generators of T,
-    where A_t is the action (t.f)(n) = t f(t^{-1} n t) on H^1(N, M) and
-    chi(t)^{-1} acts as an F_q-scalar.
+    That is what makes the solve shareable between principal series.  Each
+    row of a normal-form representative (group.coset_normal_form) has a
+    leading 1, and right multiplication by n in N keeps every row's leading
+    entry and its column, so reps[i]·n = b·reps[j] with b in N.  Then
+    chi(diag b) = 1 and Res_N Ind chi is the permutation module F_q[B\\G]
+    whatever chi is; only T's action carries chi.  isotypic_dims checks
+    the equality on N's generators before it reads a module, so a module
+    that N acts on differently is refused, not answered from the wrong
+    solve.
+
+    T normalizes N, p does not divide |T|, and M is in fq form.  Kept from
+    the solve: N's generator action on M, the reducer that takes a cocycle
+    to its coordinates in the H^1 basis, the powers of the F_q-scalar
+    action on those coordinates, and for each generator t of T the H^1
+    basis evaluated at t^{-1} s t for N's generators s.
     """
-    p = M.p
-    if T.order % p == 0:
-        raise StructureError("inflation-restriction needs p to be prime to |T|")
-    if not M.fq_form:
-        raise ModuleError("the F_q-scalar action needs a module in fq form")
-    if not N.generators:
-        return [0] * len(chis)  # H^1 of the trivial group
-    MN = restrict(M, N)
-    r = h1_dim(N, MN, budget_mb=budget_mb)
-    h = r.dim_h1
-    if h == 0:
-        return [0] * len(chis)
-    S, d = len(N.generators), MN.dim
-    nu = S * d
-    V = np.stack([c.values.reshape(-1) for c in r.basis])
-    # rows [B^1 | 0] and [basis | 1]: reducing [z | 0] for z in Z^1 leaves
-    # [0 | -x], where x are z's coordinates in the basis modulo B^1
-    red = linalg.RowReducer(p, nu + h)
-    red.add_rows(np.hstack([_coboundary_rows(MN), np.zeros((d, h), dtype=np.int64)]))
-    red.add_rows(np.hstack([V, np.eye(h, dtype=np.int64)]))
 
-    def coords(images: np.ndarray) -> np.ndarray:
-        rest = red.reduce(np.hstack([images.reshape(h, nu), np.zeros((h, h), dtype=np.int64)]))
+    def __init__(self, N: MatrixGroup, T: MatrixGroup, M: FpModule, budget_mb: int = 1024):
+        p = M.p
+        if T.order % p == 0:
+            raise StructureError("inflation-restriction needs p to be prime to |T|")
+        if not M.fq_form:
+            raise ModuleError("the F_q-scalar action needs a module in fq form")
+        self.N, self.T, self.p, self.dim = N, T, p, M.dim
+        self.n_action: list[np.ndarray] = []
+        self.h = 0
+        if not N.generators:
+            return  # H^1 of the trivial group
+        MN = restrict(M, N)
+        self.n_action = MN.gen_action
+        r = h1_dim(N, MN, budget_mb=budget_mb)
+        h = self.h = r.dim_h1
+        if h == 0:
+            return
+        S, d = len(N.generators), MN.dim
+        self._nu = nu = S * d
+        V = np.stack([c.values.reshape(-1) for c in r.basis])
+        # rows [B^1 | 0] and [basis | 1]: reducing [z | 0] for z in Z^1 leaves
+        # [0 | -x], where x are z's coordinates in the basis modulo B^1
+        self._red = linalg.RowReducer(p, nu + h)
+        self._red.add_rows(np.hstack([_coboundary_rows(MN), np.zeros((d, h), dtype=np.int64)]))
+        self._red.add_rows(np.hstack([V, np.eye(h, dtype=np.int64)]))
+
+        fld = N.field
+        # multiplication by the field generator on values, blockwise in fq form
+        gen_block = np.kron(np.eye(d // fld.f, dtype=np.int64), fld.mult_matrix(fld.generator_code))
+        scalar = self._coords(V.reshape(h, S, d) @ gen_block.T % p)
+        self._powers = [np.eye(h, dtype=np.int64)]
+        for _ in range(fld.q - 2):
+            self._powers.append(self._powers[-1] @ scalar % p)
+
+        fvals = np.stack([c.propagate() for c in r.basis])  # (h, |N|, d)
+        self._conj_vals = []
+        for t in T.generators:
+            ti = t.inv()
+            conj = [N.element_id((ti * s) * t) for s in N.generators]
+            self._conj_vals.append(fvals[:, conj, :])
+
+    def _coords(self, images: np.ndarray) -> np.ndarray:
+        h, nu, p = self.h, self._nu, self.p
+        pad = np.zeros((h, h), dtype=np.int64)
+        rest = self._red.reduce(np.hstack([images.reshape(h, nu), pad]))
         if rest[:, :nu].any():
             raise StructureError("the image of an H^1 basis cocycle is not a cocycle")
         return (-rest[:, nu:]) % p
 
-    fld = M.group.field
-    # multiplication by the field generator on values, blockwise in fq form
-    gen_block = np.kron(np.eye(d // fld.f, dtype=np.int64), fld.mult_matrix(fld.generator_code))
-    scalar = coords(V.reshape(h, S, d) @ gen_block.T % p)
-    powers = [np.eye(h, dtype=np.int64)]
-    for _ in range(fld.q - 2):
-        powers.append(powers[-1] @ scalar % p)
+    def isotypic_dims(self, M: FpModule, chis: list[TorusChar]) -> list[int]:
+        """dim_{F_p} H^1(T N, Hom_{F_q}(F_q[chi], M)) for every chi.
 
-    fvals = np.stack([c.propagate() for c in r.basis])  # (h, |N|, d)
-    acts = []
-    for t in T.generators:
-        ti = t.inv()
-        conj = [N.element_id((ti * s) * t) for s in N.generators]
-        rho_t = M.act(M.group.element_id(t))
-        acts.append((t, coords(fvals[:, conj, :] @ rho_t.T % p)))
-
-    eye = np.eye(h, dtype=np.int64)
-    out = []
-    for chi in chis:
-        # coordinates are rows, so x is invariant iff x (A_t L - 1) = 0 for all t
-        blocks = [(A @ powers[-fld.dlog_code(evaluate(chi, t).code) % (fld.q - 1)] - eye).T % p
-                  for t, A in acts]
-        out.append(h - linalg.rank_mod(np.vstack(blocks), p))
-    return out
+        H^1(T N, M') = H^1(N, M')^T (inflation-restriction), and twisting by
+        chi^{-1} leaves the N-action alone, so every chi reads the same
+        H^1(N, M): the answer for chi is the F_p-nullity of chi(t)^{-1} A_t
+        - 1 stacked over the generators of T, where A_t is the action
+        (t.f)(n) = t f(t^{-1} n t) on H^1(N, M) and chi(t)^{-1} acts as an
+        F_q-scalar.  M must act on N's generators as the solved module does.
+        """
+        if not M.fq_form:
+            raise ModuleError("the F_q-scalar action needs a module in fq form")
+        on_n = [M.act(M.group.element_id(s)) for s in self.N.generators]
+        if M.dim != self.dim or any((a != b).any() for a, b in zip(on_n, self.n_action)):
+            raise StructureError("the module acts on N differently from the solved one")
+        h, p = self.h, self.p
+        if h == 0:
+            return [0] * len(chis)
+        fld = self.N.field
+        acts = []
+        for t, vals in zip(self.T.generators, self._conj_vals):
+            rho_t = M.act(M.group.element_id(t))
+            acts.append((t, self._coords(vals @ rho_t.T % p)))
+        eye = np.eye(h, dtype=np.int64)
+        out = []
+        for chi in chis:
+            # coordinates are rows, so x is invariant iff x (A_t L - 1) = 0 for all t
+            blocks = [(A @ self._powers[-fld.dlog_code(evaluate(chi, t).code) % (fld.q - 1)]
+                       - eye).T % p for t, A in acts]
+            out.append(h - linalg.rank_mod(np.vstack(blocks), p))
+        return out
 
 
 def _propagate(H, rho, values, p):

@@ -5,7 +5,8 @@ restriction, and isomorphism testing of character modules.
 There is one induced module, over any group H of matrices (G itself, or B
 for Res_B Ind chi), and one coset table: the right cosets B\\G in Bruhat
 normal form (group.BruhatCosets), on which right_coset_data gives the action
-of H's generators.  So no element table of G is walked to build it.
+of H's generators, once per group.  So no element table of G is walked to
+build it.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element is resolved as a generator word along the
@@ -149,8 +150,9 @@ class InducedModule(FpModule):
 
     When reps[i]·s = b·reps[j] for a generator s of H, block (i, j) of s is
     multiplication by chi(diag b).  With H = G this is Ind chi, with H = B
-    it is Res_B Ind chi.  The coset table is shared by every chi; a chi only
-    turns its discrete logs into scalars.
+    it is Res_B Ind chi.  The coset table, and H's action on it, is shared
+    by every chi: the action is computed once per group and kept in
+    cosets.actions, and a chi only turns its discrete logs into scalars.
     """
 
     def __init__(self, cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar):
@@ -159,7 +161,10 @@ class InducedModule(FpModule):
             raise ModuleError("induction needs a group of matrices of B's size and field")
         fld = H.field
         f, qm1 = fld.f, fld.q - 1
-        target, logs = right_coset_data(cosets, H)
+        action = cosets.actions.get(H)
+        if action is None:
+            action = cosets.actions[H] = right_coset_data(cosets, H)
+        target, logs = action
         k = len(cosets.reps)
         rows = np.arange(k)
         scalars = np.stack([fld.mult_matrix(fld.pow_code(fld.generator_code, e))
@@ -177,11 +182,8 @@ class InducedModule(FpModule):
 def right_coset_data(cosets: BruhatCosets, H: MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
     """The right action of H's generators on the cosets, as
     group.coset_action gives it: reps[i]·s = b·reps[target[i, s]], with the
-    discrete logs of b's diagonal in logs[i, s].  B's action was found with
-    the cosets; any other group's comes from the normal form of each
-    reps[i]·s."""
-    if H is cosets.group:
-        return cosets.target, cosets.logs
+    discrete logs of b's diagonal in logs[i, s], from the normal form of
+    each reps[i]·s."""
     return coset_action(cosets, [coset_normal_form(r * s) for r in cosets.reps
                                  for s in H.generators])
 

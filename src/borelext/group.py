@@ -479,9 +479,11 @@ class BruhatCosets:
     Each Bruhat cell B\\BwB is the orbit of the permutation matrix of w
     under right multiplication by B, so the cosets are found cell by cell in
     the order of `weyls`.  index maps a representative's codes to its
-    position in reps.  target and logs hold the right action of B's
-    generators (coset_action), from the images the search computes anyway.
-    Nothing here depends on a character.
+    position in reps.  actions maps a group to the right action of its
+    generators (coset_action): B's comes from the images the search
+    computes anyway, and another group's is added the first time an induced
+    module over it asks (gmodule.right_coset_data), so each group's normal
+    forms are computed once.  Nothing here depends on a character.
     """
 
     def __init__(self, B: MatrixGroup, weyls):
@@ -511,7 +513,8 @@ class BruhatCosets:
         self.group = B
         self.reps = [Mat(fld, n, c) for c in reps]
         self.index = index
-        self.target, self.logs = coset_action(self, images)
+        self.actions: dict[MatrixGroup, tuple[np.ndarray, np.ndarray]] = {
+            B: coset_action(self, images)}
 
 
 def coset_action(cosets: BruhatCosets, images) -> tuple[np.ndarray, np.ndarray]:

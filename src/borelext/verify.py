@@ -32,8 +32,11 @@ Principal-series Ext comes from Instance.shapiro_dim: by Shapiro's lemma
 Ext^1_G(Ind chi1, Ind chi2) = Ext^1_B(chi1, Res_B Ind chi2), with Res_B Ind
 chi2 the induced module over B, so this route never enumerates G.  p is
 prime to |T| = (q-1)^n, which always holds over F_q, so H^1(B, M) =
-H^1(N, M)^T and one cocycle solve over N per chi2 gives the Ext dimension
-for every chi1 (cohom.h1_isotypic_dims).  thm1 also runs the G-level direct
+H^1(N, M)^T.  N acts on Res_B Ind chi2 by permuting the cosets with trivial
+scalars, so Res_N Ind chi2 is one module for every chi2, and one cocycle
+solve over N per instance (cohom.UnipotentH1) serves every pair: each chi2
+then costs one T-projection, a few small F_p matrices, which gives the
+dimension for every chi1 by a nullity.  thm1 also runs the G-level direct
 route where it is cheap (n = 2), and reports any pair where the two paths
 disagree.  That route solves H^1(G, M^Z) for M = Hom(Ind chi1, Ind chi2)
 and the center Z of G: p is prime to |Z| = q - 1, so this is H^1(G, M),
@@ -41,8 +44,9 @@ and M^Z = 0, with no Hom module built, when Z acts on the two factors by
 central characters that are not Frobenius conjugate (Instance.direct_dim).
 
 Pairs run one after another in one thread, chi1-major, which is the row
-order of every report.  The first pair with a given chi2 fills the Shapiro
-cache for all of its chi1, so each chi2 is solved once.  The solves hold
+order of every report.  The first Shapiro pair of an instance makes its N
+solve, and the first pair with a given chi2 projects that solve onto T and
+fills the Shapiro cache for all of its chi1.  The solves hold
 the GIL, so a thread pool over chi2 cannot overlap them: with two workers
 the registry took about 40 % longer on 2 vCPUs.
 """
@@ -67,7 +71,7 @@ from .chars import (
     trivial_char,
     weyl_twist,
 )
-from .cohom import h1_dim, h1_isotypic_dims
+from .cohom import UnipotentH1, h1_dim
 from .field import make_field
 from .gmodule import (
     abelian_quotient_with_torus_action,
@@ -254,6 +258,7 @@ class Instance:
         self._np: dict[tuple, object] = {}
         self._eig: dict[tuple, list] = {}
         self._shap: dict[tuple, int] = {}
+        self._nh1: UnipotentH1 | None = None
 
     @cached_property
     def G(self):
@@ -344,14 +349,17 @@ class Instance:
 
     def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
         """dim Ext^1_G(Ind chi1, Ind chi2), from Res_B Ind chi2 on the Bruhat
-        cosets.  The first call for a chi2 solves over N once and fills the
-        cache for every chi1."""
+        cosets.  The first call of the instance solves H^1(N, Res_N Ind
+        chi2) once, within cfg's budget; Res_N Ind chi is the same for every
+        chi, so that solve serves every chi2.  The first call for a chi2
+        projects it onto T and fills the cache for every chi1."""
         key = (chi1.exps, chi2.exps)
         got = self._shap.get(key)
         if got is None:
             M = induced_module(self.bruhat_cosets, self.B, chi2)
-            dims = h1_isotypic_dims(self.N, self.T, M, self.chars, budget_mb=cfg.budget_mb)
-            for chi, dim in zip(self.chars, dims):
+            if self._nh1 is None:
+                self._nh1 = UnipotentH1(self.N, self.T, M, budget_mb=cfg.budget_mb)
+            for chi, dim in zip(self.chars, self._nh1.isotypic_dims(M, self.chars)):
                 self._shap[(chi.exps, chi2.exps)] = dim
             got = self._shap[key]
         return got

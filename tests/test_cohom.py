@@ -13,7 +13,7 @@ import pytest
 
 from borelext.chars import TorusChar, all_chars, evaluate, frobenius_twist, simple_root, trivial_char
 from borelext import cohom
-from borelext.cohom import Cocycle, MemoryBudgetError, h1_dim, h1_isotypic_dims
+from borelext.cohom import Cocycle, MemoryBudgetError, UnipotentH1, h1_dim
 from borelext.field import make_field
 from borelext.gmodule import (
     FpModule,
@@ -424,12 +424,14 @@ def _gl_setup(p, f, n):
 def test_two_path_ext_gl2_f3_all_pairs(p, f, n, direct, chi2s):
     # Ext^1_G(Ind chi1, Ind chi2) three ways: the G-level solve (only where
     # |G| is small), the B-level Shapiro solve, and the N-level T-isotypic
-    # route; at f = 2 one chi2 is checked against all 64 chi1
+    # route; at f = 2 one chi2 is checked against all 64 chi1.  The table
+    # representatives are not in normal form, so N's action carries chi2
+    # and each chi2 gets its own N solve
     G, B, T, N, chars, inds = _gl_setup(p, f, n)
     targets = chars if chi2s is None else [TorusChar(e, G.field.q - 1) for e in chi2s]
     seen = 0
     for c2 in targets:
-        iso = h1_isotypic_dims(N, T, inds[c2.exps], chars)
+        iso = UnipotentH1(N, T, inds[c2.exps]).isotypic_dims(inds[c2.exps], chars)
         res = restrict(inds[c2.exps], B)
         for c1, got in zip(chars, iso):
             shap = ext1_dim_shapiro(B, c1, res).dim_h1
@@ -448,7 +450,52 @@ def test_isotypic_dims_sum_to_h1_over_unipotent(p, f, n):
     for c2 in chars:
         M = inds[c2.exps]
         total = h1_dim(N, restrict(M, N)).dim_h1
-        assert sum(h1_isotypic_dims(N, T, M, chars)) == total > 0
+        solved = UnipotentH1(N, T, M)
+        assert solved.h == total
+        assert sum(solved.isotypic_dims(M, chars)) == total > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _bruhat_setup(p, f, n):
+    """B, T, N, the characters and the Bruhat cosets of GL_n(F_q)."""
+    fld = make_field(p, f)
+    B = build_borel(fld, n)
+    return (B, build_torus(fld, n), build_unipotent(fld, n), all_chars(n, fld.q - 1),
+            BruhatCosets(B, weyl_elements(fld, n)))
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)],
+                         ids=["3-1-2", "5-1-2", "3-2-2", "3-1-3"])
+def test_unipotent_action_on_the_cosets_does_not_depend_on_chi(p, f, n):
+    # N permutes the normal-form cosets with b in N, so chi(diag b) = 1 and
+    # Res_N Ind chi is one permutation module: the fact that lets every
+    # chi2 share one N solve
+    B, T, N, chars, cosets = _bruhat_setup(p, f, n)
+    first = restrict(induced_module(cosets, B, chars[0]), N).gen_action
+    for chi in chars[1:]:
+        acts = restrict(induced_module(cosets, B, chi), N).gen_action
+        assert len(acts) == len(first) > 0
+        assert all((a == b).all() for a, b in zip(acts, first))
+
+
+def test_projection_refuses_a_module_that_differs_on_one_n_generator():
+    # the guard that makes the shared N solve exact: a module over B that
+    # agrees with the solved one except on one generator of N is refused
+    B, T, N, chars, cosets = _bruhat_setup(3, 1, 3)
+    M = induced_module(cosets, B, chars[0])
+    solved = UnipotentH1(N, T, M)
+    assert solved.h > 0
+    other = induced_module(cosets, B, chars[5])
+    assert len(solved.isotypic_dims(other, chars)) == len(chars)
+    s = next(i for i, g in enumerate(B.generators) if g.codes == N.generators[0].codes)
+    twist = np.eye(M.dim, dtype=np.int64)
+    twist[0, 0] = M.p - 1  # -1 on the first coset's F_q-block
+    acts = [a @ twist % M.p if i == s else a for i, a in enumerate(other.gen_action)]
+    changed = FpModule(B, acts, fq_form=True)
+    assert sum((a != b).any() for a, b in zip(restrict(changed, N).gen_action,
+                                              restrict(other, N).gen_action)) == 1
+    with pytest.raises(StructureError, match="acts on N differently"):
+        solved.isotypic_dims(changed, chars)
 
 
 def test_ext_gl2_f5_twist_pair():

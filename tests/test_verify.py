@@ -1,11 +1,12 @@
-"""The verification layer: one N-level solve per chi2 in chi1-major order,
-report bytes independent of the BLAS thread count, no thread pool loaded by a
-run, the two oracle paths of thm1, prop4's B-level route against the G-level
-solve, char_ext against the pairwise F_q-Hom module, the principal-series
-oracle at GL_3(F_3) and GL_3(F_5) without an element table of G, the
-direct route's reduction to the center-fixed part against the full Hom
-solve, the pinned bytes of the thm1 report at GL_2(F_5), and the n = 1
-instances, where N is trivial."""
+"""The verification layer: one N-level solve per instance and one
+T-projection per chi2 in chi1-major order, report bytes independent of the
+BLAS thread count, no thread pool loaded by a run, the two oracle paths of
+thm1, prop4's B-level route against the G-level solve, char_ext against the
+pairwise F_q-Hom module, the shared N solve against the B-level solve at
+every pair of GL_3(F_3), the principal-series oracle at GL_3(F_3) and
+GL_3(F_5) without an element table of G, the direct route's reduction to
+the center-fixed part against the full Hom solve, the pinned bytes of the
+thm1 report at GL_2(F_5), and the n = 1 instances, where N is trivial."""
 
 import hashlib
 import json
@@ -20,10 +21,13 @@ import pytest
 from borelext import cli
 from borelext import verify as V
 from borelext.chars import TorusChar, frobenius_twist, match_theorem1_condition, weyl_twist
+from borelext import cohom
 from borelext.cohom import H1Result, h1_dim
-from borelext.gmodule import char_module, det_char_module, fq_hom_module, hom_module
+from borelext.gmodule import char_module, det_char_module, fq_hom_module, hom_module, induced_module
 from borelext.group import diag_mat
 from borelext.linalg import rank_mod
+
+from _brute import ext1_dim_shapiro
 
 
 def _center_id(inst):
@@ -32,19 +36,28 @@ def _center_id(inst):
     return inst.G.element_id(diag_mat(fld, (fld.generator_code,) * inst.n))
 
 
-def test_thm1_solves_once_per_chi2_in_chi1_major_order(monkeypatch):
-    solves = []
-    real = V.h1_isotypic_dims
+@pytest.mark.parametrize("pfn", [(3, 1, 2), (3, 1, 3)], ids=["3-1-2", "3-1-3"])
+def test_thm1_solves_n_once_and_projects_each_chi2_once_in_chi1_major_order(monkeypatch, pfn):
+    n_solves, projections = [], []
+    inst = V.Instance(*pfn)
+    real_solve, real_project = cohom.h1_dim, V.UnipotentH1.isotypic_dims
 
-    def counted(N, T, M, chis, **kw):
-        solves.append(M.chi.exps)
-        return real(N, T, M, chis, **kw)
+    def solve(H, M, **kw):
+        if H is inst.N:
+            n_solves.append(M.dim)
+        return real_solve(H, M, **kw)
 
-    monkeypatch.setattr(V, "h1_isotypic_dims", counted)
-    inst = V.Instance(3, 1, 2)
+    def project(self, M, chis):
+        projections.append(M.chi.exps)
+        return real_project(self, M, chis)
+
+    monkeypatch.setattr(cohom, "h1_dim", solve)
+    monkeypatch.setattr(V.UnipotentH1, "isotypic_dims", project)
     nec, _ = V.verify_thm1(inst)
-    # the first chi1 fills the Shapiro cache for every chi1 of each chi2
-    assert sorted(solves) == sorted(c.exps for c in inst.chars)
+    # one N solve serves the instance; the first chi1 of each chi2 projects
+    # it onto T and fills the Shapiro cache for every chi1 of that chi2
+    assert len(n_solves) == 1
+    assert sorted(projections) == sorted(c.exps for c in inst.chars)
     assert [(r.chi1, r.chi2) for r in nec.pairs] == [
         (c1.exps, c2.exps) for c1 in inst.chars for c2 in inst.chars]
 
@@ -218,6 +231,17 @@ def test_shapiro_route_never_builds_g():
     inst = V.Instance(3, 1, 3)
     V.verify_thm1(inst)
     assert "G" not in inst.__dict__
+
+
+def test_shared_n_solve_matches_the_b_level_solve_at_gl3_f3():
+    # every pair of GL_3(F_3) through the shared N solve against the B-level
+    # Shapiro solve, which solves each pair on its own
+    inst = V.Instance(3, 1, 3)
+    cfg = V.VerifyConfig()
+    for c2 in inst.chars:
+        res = induced_module(inst.bruhat_cosets, inst.B, c2)
+        for c1 in inst.chars:
+            assert inst.shapiro_dim(c1, c2, cfg) == ext1_dim_shapiro(inst.B, c1, res).dim_h1
 
 
 def test_shapiro_oracle_at_gl3_f5():
