@@ -139,33 +139,43 @@ class TwistWitness:
         return f"TwistWitness(i={self.root_index}, k={self.frob_power}{w})"
 
 
+def _root_twists(n: int, qm1: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(k, i, exponents of p^k * alpha_i), scanning k then i."""
+    p = _char_p(qm1)
+    out = []
+    for k in range(_ext_degree(qm1, p)):
+        m = pow(p, k, qm1)
+        for i in range(1, n):
+            exps = [0] * n
+            exps[i - 1], exps[i] = m % qm1, -m % qm1
+            out.append((k, i, tuple(exps)))
+    return out
+
+
 def match_simple_root_twist(chi: TorusChar) -> TwistWitness | None:
     """First (k, i) with chi = p^k * alpha_i, scanning k then i; None if no
     Frobenius twist of a simple root matches."""
-    n = chi.n
-    p = _char_p(chi.qm1)
-    f = _ext_degree(chi.qm1, p)
-    for k in range(f):
-        for i in range(1, n):
-            if frobenius_twist(simple_root(i, n, chi.qm1), k) == chi:
-                return TwistWitness(i, k)
+    for k, i, exps in _root_twists(chi.n, chi.qm1):
+        if exps == chi.exps:
+            return TwistWitness(i, k)
     return None
 
 
 def match_theorem1_condition(chi1: TorusChar, chi2: TorusChar, weyls) -> TwistWitness | None:
     """First (k, i, w) with chi1^{-1} * chi2^w = p^k * alpha_i; the Weyl
     scan runs in Bruhat-length order so the identity is tried first."""
-    n = chi1.n
-    p = _char_p(chi1.qm1)
-    f = _ext_degree(chi1.qm1, p)
-    inv1 = chi1.inverse()
-    ws = sorted(weyls, key=lambda w: (w.length, w.perm))
-    for k in range(f):
-        for i in range(1, n):
-            target = frobenius_twist(simple_root(i, n, chi1.qm1), k)
-            for w in ws:
-                if inv1 * weyl_twist(chi2, w) == target:
-                    return TwistWitness(i, k, w)
+    if chi1.qm1 != chi2.qm1:
+        raise ValueError(f"characters mod {chi1.qm1} and mod {chi2.qm1} do not multiply")
+    qm1 = chi1.qm1
+    # the first w, in scan order, for each exponent vector of chi1^{-1} * chi2^w
+    first: dict[tuple[int, ...], object] = {}
+    for w in sorted(weyls, key=lambda w: (w.length, w.perm)):
+        exps = tuple((chi2.exps[w.perm[j] - 1] - a) % qm1 for j, a in enumerate(chi1.exps))
+        first.setdefault(exps, w)
+    for k, i, exps in _root_twists(chi1.n, qm1):
+        w = first.get(exps)
+        if w is not None:
+            return TwistWitness(i, k, w)
     return None
 
 

@@ -9,8 +9,13 @@ h1_dim feeds the non-tree edges to the eliminator in chunks, in a fixed
 stride order that spreads them over the group.  An edge's rows come from
 the tree paths of its two endpoints: f(x) is the sum of rho(y) f(t) over
 the tree steps (y, t) from the identity to x, so no table of f over the
-whole group is stored.  The nullspace of the rows fed so far always
-contains Z^1, and it is spanned by B^1 and the candidate H^1
+whole group is stored.  Which rho(y) lands in which block with which sign
+depends on the group alone, so each group keeps one _EdgeSweep, in a cache
+that does not keep the group alive: the ordered edges, and each chunk's
+terms, walked up the tree on the first solve that feeds the chunk.  A solve
+then assembles a chunk's rows from its module's action table with one sum
+over the terms of each (edge, block).  The nullspace of the rows fed so
+far always contains Z^1, and it is spanned by B^1 and the candidate H^1
 representatives, since coboundaries satisfy every edge.  After every chunk
 each candidate is checked against every Cayley edge.  If all pass, the
 nullspace lies in Z^1 as well, so it equals Z^1 and the answer is exact;
@@ -47,6 +52,7 @@ without assembling a system.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -146,20 +152,19 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
             f"and its int64 copy (9 |H| d^2 = 9*{size}*{d}^2); budget is {budget_mb} MiB"
         )
     rho = M.act_all()
-    tree_edge = np.zeros((size, S), dtype=bool)
-    tree_edge[H.bfs_parent[H.bfs_order[1:]], H.bfs_gen[H.bfs_order[1:]]] = True
-    edges = np.argwhere(~tree_edge)  # rows (g, s)
-    edges = edges[_spread_order(len(edges))]
+    sweep = _edge_sweep(H)
+    n_edges = len(sweep.edges)
 
     red = linalg.RowReducer(p, nu)
     cob = _coboundary_rows(M)
     rho64 = None  # int64 action table for certification, converted once
     used = 0
     found = None
-    while used < len(edges):
-        red.add_rows(_edge_rows(H, rho, edges[used : used + CHUNK_EDGES]))
-        used = min(used + CHUNK_EDGES, len(edges))
-        if used == len(edges):
+    while used < n_edges:
+        stop = min(used + CHUNK_EDGES, n_edges)
+        red.add_rows(sweep.rows(rho, used, stop))
+        used = stop
+        if used == n_edges:
             break
         cand, dim_b1 = _h1_representatives(red, cob, p)
         if cand:
@@ -170,7 +175,7 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
                 continue  # a candidate is not a cocycle; keep feeding edges
         found = cand, dim_b1
         break
-    mode = "exhaustive" if used == len(edges) else "sampled_verified"
+    mode = "exhaustive" if used == n_edges else "sampled_verified"
 
     reps, dim_b1 = found if found is not None else _h1_representatives(red, cob, p)
     dim_z1 = nu - red.rank
@@ -179,32 +184,81 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
     return H1Result(dim_z1, dim_b1, dim_h1, mode, basis, used)
 
 
-def _edge_rows(H: MatrixGroup, rho: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """The d rows of f(g) + rho(g) f(s) - f(g s) = 0 for each edge (g, s) of
-    the batch, over the stacked unknowns f(s'), not reduced mod p.
+class _EdgeSweep:
+    """The part of the cocycle system that depends on the group alone: its
+    non-tree edges (g, s) in _spread_order, and the tree-path terms of the
+    rows of each chunk of them, found when a solve first feeds the chunk.
 
-    Along the BFS tree f(x) = f(y) + rho(y) f(t) for x = y t, so f(x) is
-    the sum of rho(y) in block t over the tree steps (y, t) on the path from
-    the identity to x.  The endpoints g and g s are walked up to the
-    identity in turn; a walk has one endpoint per edge, so each of its steps
-    writes an (edge, block) pair at most once.
+    The rows of edge (g, s) are f(g) + rho(g) f(s) - f(g s) over the
+    stacked unknowns f(s').  Along the BFS tree f(x) = f(y) + rho(y) f(t)
+    for x = y t, so f(x) is the sum of rho(y) in block t over the tree steps
+    (y, t) from the identity to x.  The steps the paths of g and g s share,
+    above their lowest common ancestor, cancel, so a term is (block,
+    element, sign): +rho(g) in block s, + for each step up from g to the
+    ancestor and - for each step up from g s.  Only arrays are kept, never
+    the group, so the cache entry keyed by the group does not keep it alive.
     """
-    m, d = len(batch), rho.shape[1]
-    g, s = batch[:, 0], batch[:, 1]
-    k = np.arange(m)
-    rows = np.zeros((m, d, len(H.generators), d), dtype=np.int64)
-    rows[k, :, s, :] += rho[g]
-    for ends, step in ((g, np.add), (H.cayley[g, s], np.subtract)):
-        cur = ends.astype(np.int64)
-        live = cur != H.identity_id
+
+    def __init__(self, H: MatrixGroup):
+        size, S = H.order, len(H.generators)
+        tree_edge = np.zeros((size, S), dtype=bool)
+        tree_edge[H.bfs_parent[H.bfs_order[1:]], H.bfs_gen[H.bfs_order[1:]]] = True
+        edges = np.argwhere(~tree_edge)  # rows (g, s)
+        self.edges = edges[_spread_order(len(edges))]
+        self.S = S
+        self._parent, self._gen, self._cayley = H.bfs_parent, H.bfs_gen, H.cayley
+        self._depth = np.zeros(size, dtype=np.int32)
+        for _, parents, children in H.tree_batches:
+            self._depth[children] = self._depth[parents] + 1
+        self._chunks: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+
+    def rows(self, rho: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """The d rows of each edge in edges[start:stop], not reduced mod p:
+        one scatter of the summed signed rho(element) into (edge, block)."""
+        terms = self._chunks.get((start, stop))
+        if terms is None:
+            terms = self._chunks[(start, stop)] = self._terms(self.edges[start:stop])
+        elt, sign, starts, slots = terms
+        m, S, d = stop - start, self.S, rho.shape[1]
+        out = np.zeros((m * S, d, d), dtype=np.int64)
+        out[slots] = np.add.reduceat(rho[elt] * sign[:, None, None], starts, axis=0)
+        return out.reshape(m, S, d, d).transpose(0, 2, 1, 3).reshape(m * d, S * d)
+
+    def _terms(self, batch: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The batch's terms sorted by slot = edge * S + block: their
+        elements and signs, where each slot's run starts, and the slots."""
+        S = self.S
+        g, s = batch[:, 0], batch[:, 1]
+        k = np.arange(len(batch))
+        slot, elt, sign = [k * S + s], [g], [np.ones(len(k), dtype=np.int64)]
+        ends = (g.copy(), self._cayley[g, s].astype(g.dtype))
+        live = ends[0] != ends[1]
         while live.any():
-            x = cur[live]
-            par = H.bfs_parent[x]
-            blk = (k[live], slice(None), H.bfs_gen[x], slice(None))
-            rows[blk] = step(rows[blk], rho[par])
-            cur[live] = par
-            live = cur != H.identity_id
-    return rows.reshape(m * d, -1)
+            depth = self._depth[ends[0]], self._depth[ends[1]]
+            ups = live & (depth[0] >= depth[1]), live & (depth[1] >= depth[0])
+            for cur, up, sgn in zip(ends, ups, (1, -1)):
+                x = cur[up]
+                slot.append(k[up] * S + self._gen[x])
+                elt.append(self._parent[x])
+                sign.append(np.full(len(x), sgn, dtype=np.int64))
+                cur[up] = self._parent[x]
+            live = ends[0] != ends[1]
+        slot = np.concatenate(slot)
+        order = np.argsort(slot, kind="stable")
+        slot = slot[order]
+        starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+        return np.concatenate(elt)[order], np.concatenate(sign)[order], starts, slot[starts]
+
+
+_SWEEPS: weakref.WeakKeyDictionary[MatrixGroup, _EdgeSweep] = weakref.WeakKeyDictionary()
+
+
+def _edge_sweep(H: MatrixGroup) -> _EdgeSweep:
+    """H's edge sweep, built on its first solve and dropped with H."""
+    sweep = _SWEEPS.get(H)
+    if sweep is None:
+        sweep = _SWEEPS[H] = _EdgeSweep(H)
+    return sweep
 
 
 class UnipotentH1:

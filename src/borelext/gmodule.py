@@ -209,6 +209,14 @@ class HomModule(FpModule):
         super().__init__(G, acts, label=f"hom({M1.label},{M2.label})", derived=True)
         self.factors = (M1, M2)
 
+    def act(self, elt_id: int) -> np.ndarray:
+        """kron(rho2(g), rho1(g^{-1})^T) from the factors' actions, or the
+        table's entry once the table is built."""
+        if self._all is not None:
+            return np.asarray(self._all[elt_id], dtype=np.int64)
+        M1, M2 = self.factors
+        return np.kron(M2.act(elt_id), M1.act(self.group.inv_id(elt_id)).T) % self.p
+
     def _build_all(self) -> np.ndarray:
         """kron(rho2(g), rho1(g^{-1})^T) for every g, from the factors'
         tables; a product of two residues fits in uint16."""

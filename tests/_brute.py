@@ -12,7 +12,8 @@ table of f over the whole group that the cocycle solver once built its edge
 rows from, the explicit root extension of a Borel subgroup, the coboundary,
 fixed-point and solvability checks, which now rank with gauss_rank, and
 Ind_B^G chi built by walking G's element table, with the B-level Shapiro
-solve on its restriction.
+solve on its restriction, and the twist-matching predicates that build a
+TorusChar for every (k, i, w) they try.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from collections import deque
 
 import numpy as np
 
-from borelext.chars import evaluate, simple_root
+from borelext.chars import (
+    TwistWitness,
+    _char_p,
+    _ext_degree,
+    evaluate,
+    frobenius_twist,
+    simple_root,
+    weyl_twist,
+)
 from borelext.cohom import Cocycle, h1_dim
 from borelext.gmodule import FpModule, char_module, fq_hom_module
 from borelext.group import (
@@ -450,3 +459,33 @@ def build_E_alpha(B, alpha, i):
     if not c.is_valid():
         raise StructureError("extension witness is not a cocycle")
     return hom, c
+
+
+def brute_match_simple_root_twist(chi):
+    """chars.match_simple_root_twist by building p^k * alpha_i as a TorusChar
+    for every (k, i) in scan order."""
+    n = chi.n
+    p = _char_p(chi.qm1)
+    f = _ext_degree(chi.qm1, p)
+    for k in range(f):
+        for i in range(1, n):
+            if frobenius_twist(simple_root(i, n, chi.qm1), k) == chi:
+                return TwistWitness(i, k)
+    return None
+
+
+def brute_match_theorem1_condition(chi1, chi2, weyls):
+    """chars.match_theorem1_condition by building chi1^{-1} * chi2^w and
+    p^k * alpha_i as TorusChars for every (k, i, w) in scan order."""
+    n = chi1.n
+    p = _char_p(chi1.qm1)
+    f = _ext_degree(chi1.qm1, p)
+    inv1 = chi1.inverse()
+    ws = sorted(weyls, key=lambda w: (w.length, w.perm))
+    for k in range(f):
+        for i in range(1, n):
+            target = frobenius_twist(simple_root(i, n, chi1.qm1), k)
+            for w in ws:
+                if inv1 * weyl_twist(chi2, w) == target:
+                    return TwistWitness(i, k, w)
+    return None

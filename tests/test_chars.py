@@ -18,6 +18,8 @@ from borelext.field import make_field
 from borelext.gmodule import abelian_quotient_with_torus_action
 from borelext.group import build_torus, build_unipotent, diag_mat, weyl_elements
 
+from _brute import brute_match_simple_root_twist, brute_match_theorem1_condition
+
 
 def test_simple_roots():
     assert simple_root(1, 2, 2).exps == (1, 1)
@@ -126,6 +128,27 @@ def test_match_theorem1_condition():
     assert got5.holds_for_pair(TorusChar((0, 0), 4), TorusChar((3, 1), 4))
     # equal regular characters never differ by a root
     assert match_theorem1_condition(TorusChar((1, 0), 4), TorusChar((1, 0), 4), ws5) is None
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2)],
+                         ids=["3-1-3", "5-1-2", "3-2-2"])
+def test_matchers_agree_with_the_torus_char_scan(p, f, n):
+    # the exponent-tuple matchers return the same first witness, Weyl
+    # element included, as the scans that build a TorusChar per (k, i, w)
+    fld = make_field(p, f)
+    ws = weyl_elements(fld, n)
+    chars = all_chars(n, fld.q - 1)
+    hits = 0
+    for chi1 in chars:
+        assert match_simple_root_twist(chi1) == brute_match_simple_root_twist(chi1)
+        for chi2 in chars:
+            got = match_theorem1_condition(chi1, chi2, ws)
+            want = brute_match_theorem1_condition(chi1, chi2, ws)
+            assert got == want
+            if got is not None:
+                assert got.weyl is want.weyl
+                hits += 1
+    assert 0 < hits < len(chars) ** 2
 
 
 def test_eigencharacters_gl2():

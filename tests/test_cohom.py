@@ -3,9 +3,11 @@ cocycle/coboundary mechanics, the explicit root extension, and the
 two-step inflation computation of H^1(B, F_q[chi])."""
 
 import functools
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -305,20 +307,44 @@ def test_sampled_equals_exhaustive(monkeypatch):
 @pytest.mark.parametrize("p,f,n,group", [(3, 1, 2, "G"), (5, 1, 2, "G"), (3, 2, 2, "B")],
                          ids=["G-3-1-2", "G-5-1-2", "B-3-2-2"])
 def test_tree_path_edge_rows_match_the_table_reference(p, f, n, group):
-    # the rows h1_dim builds from the tree paths of an edge's endpoints equal
-    # the rows read from the table of f over the whole group, at every
-    # non-tree edge; the module is a Hom between principal series over G and
-    # Res_B Ind chi over B
+    # the rows the cached edge sweep builds from the tree paths of an edge's
+    # endpoints equal the rows read from the table of f over the whole group,
+    # at every non-tree edge, and a chunk that starts mid-list gives the same
+    # rows as the whole sweep does at its edges; the module is a Hom between
+    # principal series over G and Res_B Ind chi over B
     G, B, T, N, chars, inds = _gl_setup(p, f, n)
     if group == "G":
         H, M = G, hom_module(inds[chars[1].exps], inds[chars[-1].exps])
     else:
         H, M = B, restrict(inds[chars[1].exps], B)
-    edges = non_tree_edges(H)
-    assert len(edges) == _non_tree_edges(H)
-    rows = cohom._edge_rows(H, M.act_all(), edges)
-    assert rows.shape == (len(edges) * M.dim, len(H.generators) * M.dim)
+    sweep = cohom._edge_sweep(H)
+    edges = sweep.edges
+    assert sorted(map(tuple, edges)) == sorted(map(tuple, non_tree_edges(H)))
+    E, d, rho = len(edges), M.dim, M.act_all()
+    rows = sweep.rows(rho, 0, E)
+    assert rows.shape == (E * d, len(H.generators) * d)
     assert (rows % M.p == brute_edge_rows(H, M, edges)).all()
+    a, b = E // 3, E // 3 + 7
+    mid = sweep.rows(rho, a, b)
+    assert (mid == rows[a * d : b * d]).all()
+    assert (mid % M.p == brute_edge_rows(H, M, edges[a:b])).all()
+    assert cohom._edge_sweep(H) is sweep
+
+
+def test_edge_sweep_is_kept_per_group_and_dropped_with_it(F3):
+    # equal groups built twice get a sweep each, and the cache does not keep
+    # a dropped group alive
+    B1, B2 = build_borel(F3, 2), build_borel(F3, 2)
+    chi = TorusChar((1, 0), 2)
+    assert h1_dim(B1, char_module(B1, chi)).dims == h1_dim(B2, char_module(B2, chi)).dims
+    assert cohom._edge_sweep(B1) is not cohom._edge_sweep(B2)
+    assert B1 in cohom._SWEEPS and B2 in cohom._SWEEPS
+    kept = len(cohom._SWEEPS)
+    gone = weakref.ref(B2)
+    del B2
+    gc.collect()
+    assert gone() is None
+    assert len(cohom._SWEEPS) == kept - 1 and B1 in cohom._SWEEPS
 
 
 def test_sampled_mode_label(F9):

@@ -156,6 +156,18 @@ def test_hom_module_action(gl2_f3):
         assert M.gen_action[s][0, 0] == evaluate(ratio, t).code
 
 
+def test_hom_module_act_from_its_factors(gl2_f3):
+    # without a table a Hom module acts by kron(rho2(g), rho1(g^{-1})^T) of
+    # its factors, as the generator words along the BFS tree give it
+    G, B = gl2_f3
+    M = hom_module(_induced(G, B, TorusChar((1, 0), 2)), _induced(G, B, TorusChar((0, 1), 2)))
+    want = [FpModule.act(M, g) for g in range(G.order)]
+    assert all((M.act(g) == a).all() for g, a in enumerate(want))
+    assert M._all is None
+    M.act_all()
+    assert all((M.act(g) == a).all() for g, a in enumerate(want))
+
+
 def test_endomorphisms_of_induced(gl2_f3):
     # trivial character: two-dimensional endomorphism algebra; a regular
     # character: one-dimensional (computed by direct linear solve)
