@@ -10,9 +10,14 @@ build it.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element is resolved as a generator word along the
-group's BFS tree and memoized.  The table of every element's action is built
-on first use, along the tree, or for a Hom module from its two factors'
-tables.  Modules are immutable apart from those idempotent caches.
+group's BFS tree and memoized.  A cocycle solve reads the action of many
+elements at once through the module's batch reader, batch_action(): the
+matrices of a batch of elements, and their products with a vector.  Most
+modules answer it from the table of every element's action, built on first
+use along the tree.  A Hom module answers it from its two factors' tables,
+so its own |H| d^2 table is built only when act_all asks for it, and then
+through the same reader.  Modules are immutable apart from those idempotent
+caches.
 """
 
 from __future__ import annotations
@@ -90,6 +95,10 @@ class FpModule:
         while i not in self._memo:
             path.append(i)
             i = int(self.group.bfs_parent[i])
+        if i == self.group.identity_id:
+            # a one-step path is a generator, whose action is its stored matrix
+            i = path.pop()
+            self._memo[i] = self.gen_action[int(self.group.bfs_gen[i])]
         m = self._memo[i]
         for j in reversed(path):
             m = (m @ self.gen_action[int(self.group.bfs_gen[j])]) % self.p
@@ -112,8 +121,37 @@ class FpModule:
             out[children] = linalg.mod(out[parents] @ self.gen_action[s], self.p)
         return out.astype(np.uint8)
 
+    def batch_action(self) -> "TableAction":
+        """A reader of the action on batches of elements, made once per
+        solve: from the table of every element's action."""
+        return TableAction(self.act_all())
+
     def __repr__(self):
         return f"FpModule({self.label or 'module'}, dim={self.dim} over F_{self.p}, group={self.group.label})"
+
+
+class TableAction:
+    """A module's batch reader over its uint8 action table.
+
+    at(ids) is the table's rows; apply(ids, v) multiplies by an int64 copy
+    of the table, made on its first call, so a reader converts the table at
+    most once, and only if a product is asked for.  ids is an index array or
+    a slice of element ids.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self._table64: np.ndarray | None = None
+
+    def at(self, ids) -> np.ndarray:
+        """rho(ids[k]) for each k, shape (len(ids), d, d), as uint8."""
+        return self.table[ids]
+
+    def apply(self, ids, v: np.ndarray) -> np.ndarray:
+        """rho(ids[k]) v for each k, shape (len(ids), d), not reduced mod p."""
+        if self._table64 is None:
+            self._table64 = self.table.astype(np.int64)
+        return np.einsum("kij,j->ki", self._table64[ids], v)
 
 
 def trivial_module(H: MatrixGroup, dim: int = 1) -> FpModule:
@@ -195,7 +233,11 @@ def induced_module(cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar) -> Indu
 
 class HomModule(FpModule):
     """Hom_{F_p}(M1, M2) with g acting by phi -> rho2(g) phi rho1(g)^{-1},
-    flattened row-major so the action matrix is kron(rho2, rho1^{-T})."""
+    flattened row-major so the action matrix is kron(rho2, rho1^{-T}).
+
+    Its batch reader (HomAction) answers from the two factors' tables, so a
+    cocycle solve never builds this module's |H| d^2 table; act_all builds
+    it through the same reader, over every element."""
 
     def __init__(self, M1: FpModule, M2: FpModule):
         if M1.group is not M2.group:
@@ -217,14 +259,47 @@ class HomModule(FpModule):
         M1, M2 = self.factors
         return np.kron(M2.act(elt_id), M1.act(self.group.inv_id(elt_id)).T) % self.p
 
+    def batch_action(self) -> "HomAction":
+        """A reader of the action on batches of elements, from the factors'
+        tables."""
+        return HomAction(self)
+
     def _build_all(self) -> np.ndarray:
-        """kron(rho2(g), rho1(g^{-1})^T) for every g, from the factors'
-        tables; a product of two residues fits in uint16."""
-        M1, M2 = self.factors
-        A2 = M2.act_all().astype(np.uint16)
-        A1 = M1.act_all()[self.group.inverse_ids()]
-        out = linalg.mod(np.einsum("gij,glk->gikjl", A2, A1), self.p)
-        return out.astype(np.uint8).reshape(self.group.order, self.dim, self.dim)
+        """The table read through the batch reader, at every element."""
+        return self.batch_action().at(np.arange(self.group.order))
+
+
+class HomAction:
+    """A Hom module's batch reader, from its factors' uint8 tables.
+
+    On phi in Hom(M1, M2), a d2 x d1 matrix flattened row-major, g acts by
+    rho2(g) phi rho1(g^{-1}), which is kron(rho2(g), rho1(g^{-1})^T) on the
+    flattened phi.  at(ids) builds that kron only for the distinct elements
+    of the batch; apply(ids, v) takes the two small products and builds no
+    kron.  ids is an index array (apply also takes a slice) of element ids.
+    """
+
+    def __init__(self, M: HomModule):
+        M1, M2 = M.factors
+        self.p = M.p
+        self.shape = (M2.dim, M1.dim)
+        self.rho1, self.rho2 = M1.act_all(), M2.act_all()
+        self.inv = M.group.inverse_ids()
+
+    def at(self, ids) -> np.ndarray:
+        """rho(ids[k]) for each k, shape (len(ids), d, d), as uint8; a
+        product of two residues fits in uint16."""
+        uniq, back = np.unique(ids, return_inverse=True)
+        a2 = self.rho2[uniq].astype(np.uint16)
+        a1 = self.rho1[self.inv[uniq]]
+        kron = linalg.mod(np.einsum("gij,glk->gikjl", a2, a1), self.p).astype(np.uint8)
+        d = a2.shape[1] * a1.shape[1]
+        return kron.reshape(len(uniq), d, d)[back]
+
+    def apply(self, ids, v: np.ndarray) -> np.ndarray:
+        """rho(ids[k]) v for each k, shape (len(ids), d), not reduced mod p."""
+        phi = v.reshape(self.shape)
+        return (self.rho2[ids] @ phi @ self.rho1[self.inv[ids]]).reshape(-1, phi.size)
 
 
 def hom_module(M1: FpModule, M2: FpModule) -> HomModule:

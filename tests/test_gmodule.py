@@ -45,6 +45,7 @@ from _brute import (
     brute_induced_module,
     fixed_points_dim,
     tn_factor,
+    word_for,
 )
 
 
@@ -166,6 +167,80 @@ def test_hom_module_act_from_its_factors(gl2_f3):
     assert M._all is None
     M.act_all()
     assert all((M.act(g) == a).all() for g, a in enumerate(want))
+
+
+@pytest.mark.parametrize("args,group", [((3, 1, 3), "B"), ((5, 1, 2), "G")], ids=str)
+def test_generator_action_is_its_stored_matrix(args, group):
+    # on a cold memo a generator's action is its stored matrix, not a product
+    # with the identity, and every longer tree path is still the product of
+    # its generator word
+    inst = get_instance(*args)
+    H = inst.B if group == "B" else inst.G
+    chi = inst.chars[1]
+    mods = [induced_module(inst.bruhat_cosets, H, chi)]
+    if group == "B":
+        mods.append(char_module(H, chi))
+    for M in mods:
+        for s, g in enumerate(H.generators):
+            a = M.act(H.element_id(g))
+            assert a is M.gen_action[s]
+        for i in range(H.order):
+            want = np.eye(M.dim, dtype=np.int64)
+            for s in word_for(H, i):
+                want = want @ M.gen_action[s] % M.p
+            assert (M.act(i) == want).all()
+
+
+def _hom_pairs(p):
+    """Every pair of characters at GL_2(F_3); at GL_2(F_5) the first three
+    pairs whose central characters agree (M^Z != 0) and three whose do not."""
+    chars = all_chars(2, p - 1)
+    pairs = [(c1, c2) for c1 in chars for c2 in chars]
+    if p == 3:
+        return pairs
+    fixed = [(c1, c2) for c1, c2 in pairs if sum(c1.exps) % 4 == sum(c2.exps) % 4]
+    free = [(c1, c2) for c1, c2 in pairs if sum(c1.exps) % 4 != sum(c2.exps) % 4]
+    return fixed[1:4] + free[:3]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hom_batch_reader_equals_the_tree_table(p):
+    # a Hom module's reader, built from its factors' tables, against the table
+    # a module with the same generators fills along the BFS tree: at() on
+    # shuffled ids with repeats that cover every element, and apply() against
+    # the table times random vectors
+    fld = make_field(p, 1)
+    G, B = build_gl(fld, 2), build_borel(fld, 2)
+    cosets = BruhatCosets(B, weyl_elements(fld, 2))
+    ind = {chi: induced_module(cosets, G, chi) for chi in all_chars(2, p - 1)}
+    rng = np.random.default_rng(p)
+    ids = np.concatenate([rng.permutation(G.order), rng.integers(0, G.order, G.order // 2)])
+    for chi1, chi2 in _hom_pairs(p):
+        M = hom_module(ind[chi1], ind[chi2])
+        table = FpModule(G, M.gen_action).act_all()
+        act = M.batch_action()
+        got = act.at(ids)
+        assert got.dtype == np.uint8 and (got == table[ids]).all()
+        for v in rng.integers(0, p, size=(2, M.dim)):
+            want = np.einsum("kij,j->ki", table.astype(np.int64), v) % p
+            assert (act.apply(ids, v) % p == want[ids]).all()
+            assert (act.apply(slice(None), v) % p == want).all()
+        assert M._all is None
+
+
+def test_table_batch_reader_equals_the_table(gl2_f3):
+    # the default reader reads the module's action table
+    G, B = gl2_f3
+    rng = np.random.default_rng(0)
+    for M in (char_module(B, TorusChar((1, 0), 2)), _induced(G, B, TorusChar((0, 1), 2))):
+        table = M.act_all()
+        ids = rng.integers(0, M.group.order, 2 * M.group.order)
+        act = M.batch_action()
+        assert (act.at(ids) == table[ids]).all()
+        v = rng.integers(0, M.p, M.dim)
+        want = table.astype(np.int64) @ v
+        assert (act.apply(ids, v) == want[ids]).all()
+        assert (act.apply(slice(None), v) == want).all()
 
 
 def test_endomorphisms_of_induced(gl2_f3):
