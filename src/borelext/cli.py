@@ -87,6 +87,12 @@ def _parse_char(text: str | None, n: int, qm1: int) -> TorusChar | None:
     return TorusChar(exps, qm1)
 
 
+def _check_sizes(args) -> None:
+    for flag, value in (("--n", args.n), ("--budget-mb", args.budget_mb)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _cfg(args) -> V.VerifyConfig:
     return V.VerifyConfig(budget_mb=args.budget_mb)
 
@@ -273,6 +279,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_sizes(args)
         return _COMMANDS[args.command](args)
     except (UsageError, FieldError, SizeBudgetError, MemoryBudgetError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -44,28 +44,32 @@ from borelext.group import (
 )
 
 
-def gauss_rank(rows, p):
-    """Rank over F_p of a list-of-lists matrix; pure python, no numpy."""
-    M = [list(r) for r in rows if any(v % p for v in r)]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
+def gauss_rref(rows, p):
+    """(rows, pivots): the reduced row echelon form over F_p of a
+    list-of-lists matrix, its zero rows dropped, and the pivot column of
+    each row; pure python, no numpy."""
+    M = [[v % p for v in r] for r in rows if any(v % p for v in r)]
+    ncols = len(rows[0]) if len(rows) else 0
+    pivots = []
     for c in range(ncols):
-        piv = None
-        for i in range(rank, len(M)):
-            if M[i][c] % p:
-                piv = i
-                break
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(M)) if M[i][c]), None)
         if piv is None:
             continue
         M[rank], M[piv] = M[piv], M[rank]
-        inv = pow(M[rank][c] % p, -1, p)
+        inv = pow(M[rank][c], -1, p)
         M[rank] = [(v * inv) % p for v in M[rank]]
         for i in range(len(M)):
-            if i != rank and M[i][c] % p:
-                fac = M[i][c] % p
+            if i != rank and M[i][c]:
+                fac = M[i][c]
                 M[i] = [(M[i][j] - fac * M[rank][j]) % p for j in range(ncols)]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return M[: len(pivots)], pivots
+
+
+def gauss_rank(rows, p):
+    """Rank over F_p of a list-of-lists matrix; pure python, no numpy."""
+    return len(gauss_rref(rows, p)[1])
 
 
 def brute_h1(H, M):

@@ -1,8 +1,9 @@
-"""The command line and the report format: removed flags are usage errors,
-`verify all` needs no --p while a single statement does, CSV and JSON carry
-schema 2 without a solver-mode field, ExtReport.check rejects
-contract-breaking rows, a failing report sets exit code 1, and ext-ps gives
-the same dims on its direct and Shapiro paths and passes at p = 3 on both."""
+"""The command line and the report format: removed flags and sizes below 1
+are usage errors, `verify all` needs no --p while a single statement does,
+CSV and JSON carry schema 2 without a solver-mode field, ExtReport.check
+rejects contract-breaking rows, a failing report sets exit code 1, and
+ext-ps gives the same dims on its direct and Shapiro paths and passes at
+p = 3 on both."""
 
 import json
 
@@ -20,6 +21,23 @@ BASE = ["ext-b", "--p", "3", "--n", "2"]
 def test_removed_flags_are_usage_errors(flag, capsys):
     assert cli.main(BASE + flag) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["group", "--p", "3", "--n", "0"], "--n"),
+    (["ext-b", "--p", "3", "--n", "0"], "--n"),
+    (["mackey", "--p", "3", "--n", "-1"], "--n"),
+    (["verify", "prop1", "--p", "3", "--budget-mb", "-5"], "--budget-mb"),
+    (["verify", "all", "--budget-mb", "0"], "--budget-mb"),
+], ids=["group-n", "ext-b-n", "mackey-n", "verify-budget", "verify-all-budget"])
+def test_sizes_below_one_are_usage_errors(argv, flag, monkeypatch, capsys):
+    # rejected before any group, module or solve is built
+    monkeypatch.setattr(V, "run_all", lambda cfg: pytest.fail("run_all was reached"))
+    monkeypatch.setattr(V, "run_statement", lambda *a: pytest.fail("run_statement was reached"))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be at least 1" in captured.err
 
 
 def test_verify_all_needs_no_p(monkeypatch, capsys):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from borelext.chars import TorusChar, all_chars, evaluate, frobenius_twist, simple_root, trivial_char
-from borelext import cohom
+from borelext import cohom, linalg
 from borelext.cohom import Cocycle, MemoryBudgetError, UnipotentH1, h1_dim
 from borelext.field import make_field
 from borelext.gmodule import (
@@ -302,6 +302,25 @@ def test_sampled_equals_exhaustive(monkeypatch):
             assert r.dims == brute_h1(H, M)
     assert any(r.mode == "sampled_verified" and r.dim_h1 > 0 for r in got)
     assert got[4 + all_chars(2, 8).index(TorusChar((1, 7), 8))].dim_h1 == 2
+
+
+def test_narrow_and_wide_eliminators_give_the_same_solve(monkeypatch):
+    # a character module over B at GL_2(F_9) (6 unknowns, narrow by default)
+    # and a Hom between principal series of GL_2(F_3) (32 unknowns, wide by
+    # default), each solved with every RowReducer wide and then narrow
+    F3, F9 = make_field(3, 1), make_field(3, 2)
+    B9, G3 = build_borel(F9, 2), build_gl(F3, 2)
+    cosets = BruhatCosets(build_borel(F3, 2), weyl_elements(F3, 2))
+    hom = hom_module(induced_module(cosets, G3, trivial_char(2, 2)),
+                     induced_module(cosets, G3, TorusChar((1, 1), 2)))
+    for H, M in [(B9, char_module(B9, TorusChar((1, 7), 8))), (G3, hom)]:
+        runs = []
+        for threshold in (0, 1 << 20):
+            monkeypatch.setattr(linalg, "NARROW_COLS", threshold)
+            r = h1_dim(H, M)
+            runs.append((r.dims, r.mode, r.edges_used, [c.values.tolist() for c in r.basis]))
+        assert runs[0] == runs[1]
+        assert runs[0][0][2] > 0
 
 
 @pytest.mark.parametrize("p,f,n,group", [(3, 1, 2, "G"), (5, 1, 2, "G"), (3, 2, 2, "B")],

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from borelext import linalg
 from borelext.linalg import (
     BLOCK_ROWS,
+    NARROW_COLS,
     RowReducer,
     fq_invert,
     fq_rank,
@@ -15,7 +17,7 @@ from borelext.linalg import (
 )
 from borelext.field import make_field
 
-from _brute import gauss_rank, solvable_mod
+from _brute import gauss_rank, gauss_rref, solvable_mod
 
 
 def test_rank_matches_brute_on_random_matrices():
@@ -92,45 +94,85 @@ def _low_rank(rng, p, m, n, r):
 
 
 def _check_reducer(red, fed, p):
-    """The rank against the pure-python reference, the RREF invariant, and
-    the reduction and nullspace of every row fed so far."""
-    assert red.rank == gauss_rank(fed.tolist(), p)
-    R, piv = red.rows, red.pivots
-    assert R.shape == (red.rank, red.ncols)
-    assert piv == sorted(set(piv))
-    assert ((R >= 0) & (R < p)).all()
-    assert (R[:, piv] == np.eye(len(piv), dtype=np.int64)).all()
+    """The basis against the pure-python RREF of every row fed so far, and
+    the reduction and nullspace of those rows."""
+    R, piv = gauss_rref(fed.tolist(), p)
+    assert red.pivots == piv and red.rank == len(piv)
+    assert red.rows.dtype == np.int64 and red.rows.shape == (len(piv), red.ncols)
+    assert red.rows.tolist() == R
     assert not red.reduce(fed).any()
     N = red.nullspace()
     assert N.shape == (red.ncols - red.rank, red.ncols)
     assert not ((fed @ N.T) % p).any()
 
 
-def test_blocked_eliminator_chunk_shape():
-    # one chunk of the GL_2(F_5) direct solve: 8 edges x 36 rows over 108 unknowns
+# widths on both sides of the narrow/wide threshold; each test below adds
+# one wide width of its own
+WIDTHS = [1, NARROW_COLS, NARROW_COLS + 1]
+
+
+@pytest.mark.parametrize("ncols", WIDTHS + [108])
+def test_blocked_eliminator_chunk_shape(ncols):
+    # one chunk of the GL_2(F_5) direct solve: 8 edges x 36 rows, here over
+    # ncols unknowns; rank 30 leaves the narrow widths at full rank
     rng = np.random.default_rng(11)
     for p in (3, 5, 7, 251):
         for r in (30, 100):
-            A = _low_rank(rng, p, 288, 108, r)
-            red = RowReducer(p, 108)
+            A = _low_rank(rng, p, 288, ncols, r)
+            red = RowReducer(p, ncols)
             assert red.add_rows(A) == red.rank
             _check_reducer(red, A, p)
 
 
-def test_blocked_eliminator_streams_and_grows():
-    # batches smaller and larger than one block, fed into a growing basis;
-    # negative entries are reduced on the way in
+@pytest.mark.parametrize("ncols", WIDTHS + [60])
+def test_blocked_eliminator_streams_and_grows(ncols):
+    # batches smaller and larger than one block, a single 1-D row and an
+    # empty batch, fed into a growing basis; negative entries are reduced on
+    # the way in
     rng = np.random.default_rng(12)
+    r = max(1, 3 * ncols // 4)
     for p in (3, 5, 7, 251):
-        A = _low_rank(rng, p, 200, 60, 45) - p * rng.integers(0, 3, size=(200, 60))
-        red = RowReducer(p, 60)
+        A = _low_rank(rng, p, 200, ncols, r) - p * rng.integers(0, 3, size=(200, ncols))
+        red = RowReducer(p, ncols)
         start = 0
-        for size in (1, 7, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5, 200):
+        for size in (1, 0, 7, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5, 200):
             before = red.rank
-            got = red.add_rows(A[start : start + size])
+            got = red.add_rows(A[start] if size == 1 else A[start : start + size])
             start += size
             assert got == red.rank - before
             _check_reducer(red, A[:start] % p, p)
+        assert red.add_rows(np.zeros((0, ncols), dtype=np.int64)) == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 251])
+def test_narrow_and_wide_regimes_agree(monkeypatch, p):
+    # the same streamed batches through each regime: the same basis, pivots
+    # and counts, and the same reduce() and nullspace() output
+    rng = np.random.default_rng(p)
+    for ncols in (1, 5, NARROW_COLS, NARROW_COLS + 1, 40):
+        A = _low_rank(rng, p, 120, ncols, max(1, ncols - 2))
+        A -= p * rng.integers(0, 2, size=(120, ncols))
+        probe = rng.integers(-p, 2 * p, size=(9, ncols))
+        runs = []
+        for threshold in (0, 1 << 20):  # every system wide, then every one narrow
+            monkeypatch.setattr(linalg, "NARROW_COLS", threshold)
+            red = RowReducer(p, ncols)
+            assert red._narrow == (threshold > 0)
+            spans = ((0, 3), (3, 3), (3, 40), (40, 41), (41, 120))
+            counts = [red.add_rows(A[a:b]) for a, b in spans]
+            runs.append((counts, red.pivots, red.rows.tolist(), red.reduce(probe).tolist(),
+                         red.reduce(probe[0]).tolist(), red.nullspace().tolist()))
+        assert runs[0] == runs[1]
+
+
+def test_reducer_rejects_rows_of_the_wrong_width():
+    for ncols in (3, NARROW_COLS + 3):
+        red = RowReducer(5, ncols)
+        for bad in (np.ones((2, ncols + 1), dtype=np.int64), np.ones(ncols - 1, dtype=np.int64)):
+            with pytest.raises(ValueError):
+                red.add_rows(bad)
+            with pytest.raises(ValueError):
+                red.reduce(bad)
 
 
 def test_eliminator_rejects_inexact_sizes():

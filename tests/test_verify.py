@@ -6,7 +6,8 @@ pairwise F_q-Hom module, the shared N solve against the B-level solve at
 every pair of GL_3(F_3), the principal-series oracle at GL_3(F_3) and
 GL_3(F_5) without an element table of G, the direct route's reduction to
 the center-fixed part against the full Hom solve, the pinned bytes of the
-thm1 report at GL_2(F_5), and the n = 1 instances, where N is trivial."""
+thm1 reports at GL_2(F_5) and GL_2(F_9), and the n = 1 instances, where N
+is trivial."""
 
 import hashlib
 import json
@@ -216,6 +217,15 @@ def test_thm1_report_bytes_at_gl2_f5_are_pinned():
     out = V.reports_to_json(V.run_statement("thm1", (5, 1, 2), V.VerifyConfig()))
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "20eece7511006889dc9cf401094ccb3be1e81e2405ff8d55a78234cad0127414"
+
+
+def test_thm1_report_bytes_at_gl2_f9_are_pinned():
+    # the Shapiro route's 4,096 isotypic ranks are narrow systems, so this
+    # pins the Python-int regime of RowReducer; the digest was taken when
+    # every system went through the blocked numpy eliminator
+    out = V.reports_to_json(V.run_statement("thm1", (3, 2, 2), V.VerifyConfig()))
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "7b418653b4837d3d3249bcae319a22d852088636f7e3345faf225d86b7ed2fc8"
 
 
 def test_gl3_oracle_dims_at_the_open_pairs():
