@@ -1,0 +1,47 @@
+"""Per-entry wall time of the `verify all` registry, in one process.
+
+Runs every REGISTRY entry in order, as `verify all` does (instances are
+shared between entries), and prints one line per entry: its wall time, the
+statement, its arguments and how many of its reports have each verdict.
+The last lines give the total and the process's peak resident set (VmHWM,
+read from /proc/self/status; "n/a" where that file does not exist).
+
+    PYTHONPATH=src python scripts/registry_times.py
+"""
+
+from __future__ import annotations
+
+import time
+from collections import Counter
+from pathlib import Path
+
+from borelext import verify as V
+
+
+def peak_rss_mb() -> str:
+    status = Path("/proc/self/status")
+    if not status.exists():
+        return "n/a"
+    for line in status.read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return f"{int(line.split()[1]) / 1024:.1f} MB"
+    return "n/a"
+
+
+def main() -> None:
+    cfg = V.VerifyConfig()
+    total = 0.0
+    for statement, args in V.REGISTRY:
+        start = time.perf_counter()
+        reports = V.run_statement(statement, args, cfg)
+        took = time.perf_counter() - start
+        total += took
+        counts = Counter(r.verdict for r in reports)
+        verdicts = ", ".join(f"{n} {v}" for v, n in sorted(counts.items()))
+        print(f"{took:8.3f} s  {statement:<7} {str(args):<10} {verdicts}")
+    print(f"{total:8.3f} s  total")
+    print(f"peak RSS (VmHWM): {peak_rss_mb()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -163,6 +163,7 @@ class FieldCtx:
         for c in range(1, q):
             self._inv[c] = self._gpow[(q - 1 - self._dlog[c]) % (q - 1)]
         self._frob1 = np.array([self.pow_code(c, p) for c in range(q)], dtype=np.int64)
+        self._powmats: np.ndarray | None = None
 
     # --- construction helpers -------------------------------------------
 
@@ -365,6 +366,14 @@ class FieldCtx:
             col = self.code_coeffs(self.mul_code(code, self._pp[j]))
             out[:, j] = col
         return out
+
+    def power_matrices(self) -> np.ndarray:
+        """mult_matrix of generator^e for every e < q - 1, shape (q - 1, f,
+        f), built on first use and read-only."""
+        if self._powmats is None:
+            self._powmats = np.stack([self.mult_matrix(int(c)) for c in self._gpow])
+            self._powmats.setflags(write=False)
+        return self._powmats
 
     def poly_str(self, code: int) -> str:
         coeffs = self.code_coeffs(code)

@@ -2,11 +2,13 @@
 character modules F_q[chi], induced modules Ind_B^G chi, Hom modules,
 restriction, and isomorphism testing of character modules.
 
-There is one induced module, over any group H of matrices (G itself, or B
-for Res_B Ind chi), and one coset table: the right cosets B\\G in Bruhat
-normal form (group.BruhatCosets), on which right_coset_data gives the action
-of H's generators, once per group.  So no element table of G is walked to
-build it.
+Character and induced modules are one kind, MonomialModule: every element
+moves each block of F_q to one block and scales it by chi of a diagonal.
+An induced module has a block per right coset of B\\G, over any group H of
+matrices (G itself, or B for Res_B Ind chi), and a character module is the
+one-block case.  The cosets are in Bruhat normal form (group.BruhatCosets),
+on which right_coset_data gives the action of H's generators, once per
+group, so no element table of G is walked to build a module.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element is resolved as a generator word along the
@@ -14,8 +16,12 @@ group's BFS tree and memoized.  A cocycle solve reads the action of many
 elements at once through the module's batch reader, batch_action(): the
 matrices of a batch of elements, and their products with a vector.  Most
 modules answer it from the table of every element's action, built on first
-use along the tree.  A Hom module answers it from its two factors' tables,
-so its own |H| d^2 table is built only when act_all asks for it, and then
+use.  A monomial module writes its table from integers: the group keeps one
+skeleton per block action (the block each element sends each block to, and
+the logs of the diagonal it scales by), and each chi fills in its scalars
+along it.  The other modules fill their tables with matrix products along
+the tree.  A Hom module answers the reader from its two factors' tables, so
+its own |H| d^2 table is built only when act_all asks for it, and then
 through the same reader.  Modules are immutable apart from those idempotent
 caches.
 """
@@ -23,11 +29,12 @@ caches.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
 from . import linalg
-from .chars import TorusChar, evaluate, value_code
+from .chars import TorusChar
 from .group import (
     BruhatCosets,
     Mat,
@@ -45,7 +52,12 @@ class ModuleError(ValueError):
 
 
 class FpModule:
-    """An F_p[H]-module given by generator action matrices."""
+    """An F_p[H]-module given by generator action matrices.
+
+    Its table of every element's action (act_all) is filled along the BFS
+    tree with batched products of the generator matrices.  That holds for
+    any module, so the subclasses that write their tables another way are
+    tested against this builder."""
 
     def __init__(self, group: MatrixGroup, gen_action, label: str = "", dim: int | None = None,
                  fq_form: bool = False, derived: bool = False):
@@ -159,19 +171,6 @@ def trivial_module(H: MatrixGroup, dim: int = 1) -> FpModule:
     return FpModule(H, [eye.copy() for _ in H.generators], label="trivial")
 
 
-def char_module(B: MatrixGroup, chi: TorusChar) -> FpModule:
-    """F_q as a module over an upper-triangular group: b = t n acts by
-    multiplication by chi(t), an F_p-linear map of dimension f; the
-    unipotent part acts trivially.  t is the diagonal of b."""
-    fld = B.field
-    acts = []
-    for g in B.generators:
-        if not g.is_upper_triangular():
-            raise StructureError("element is not upper-triangular")
-        acts.append(fld.mult_matrix(value_code(chi, fld, g.diagonal_codes())))
-    return FpModule(B, acts, label=f"char{chi.exps}", fq_form=True, derived=True)
-
-
 def det_char_module(G: MatrixGroup, a: int) -> FpModule:
     """F_q with g acting by multiplication by det(g)^a; the characters of
     the full matrix group are exactly these determinant powers."""
@@ -182,39 +181,114 @@ def det_char_module(G: MatrixGroup, a: int) -> FpModule:
     return FpModule(G, acts, label=f"det^{a}", fq_form=True)
 
 
-class InducedModule(FpModule):
-    """Ind_B^G chi over a group H of n x n matrices, on the basis (right
-    coset of B\\G) x (F_p-basis of F_q), with no element table of G.
+class MonomialModule(FpModule):
+    """chi spread over k blocks of F_q that the elements of H permute and
+    scale: Ind_B^G chi over a group H of n x n matrices on the k right
+    cosets B\\G (induced_module), and, with k = 1, the character module
+    F_q[chi] of an upper-triangular H, chi induced from H to itself
+    (char_module).
 
-    When reps[i]·s = b·reps[j] for a generator s of H, block (i, j) of s is
-    multiplication by chi(diag b).  With H = G this is Ind chi, with H = B
-    it is Res_B Ind chi.  The coset table, and H's action on it, is shared
-    by every chi: the action is computed once per group and kept in
-    cosets.actions, and a chi only turns its discrete logs into scalars.
+    Generator s sends block i to block target[i, s] and scales it by
+    chi(t), where t is the diagonal with discrete logs logs[i, s]: block
+    (i, target[i, s]) of its matrix is multiplication by chi(t).  A product
+    of such matrices is again one, with the targets composed and the logs
+    added, because the diagonal of a product of upper-triangular matrices
+    is the product of the diagonals.  So the table of every element's
+    action is written from the group's skeleton (_skeleton), which depends
+    on (target, logs) and not on chi: one scatter of the scalar blocks
+    chi(t) along the skeleton's block permutations, with no product of
+    matrices.  The skeleton is built on the first table of one of the
+    group's modules, and every chi on the same blocks shares it.
     """
 
-    def __init__(self, cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar):
-        B = cosets.group
-        if (H.n, H.field.q) != (B.n, B.field.q):
-            raise ModuleError("induction needs a group of matrices of B's size and field")
-        fld = H.field
-        f, qm1 = fld.f, fld.q - 1
-        action = cosets.actions.get(H)
-        if action is None:
-            action = cosets.actions[H] = right_coset_data(cosets, H)
-        target, logs = action
-        k = len(cosets.reps)
-        rows = np.arange(k)
-        scalars = np.stack([fld.mult_matrix(fld.pow_code(fld.generator_code, e))
-                            for e in range(qm1)])
-        exps = logs @ np.asarray(chi.exps, dtype=np.int64) % qm1  # (k, S)
-        acts = []
-        for s in range(len(H.generators)):
-            out = np.zeros((k, f, k, f), dtype=np.int64)
-            out[rows, :, target[:, s], :] = scalars[exps[:, s]]
-            acts.append(out.reshape(k * f, k * f))
-        super().__init__(H, acts, label=f"induced{chi.exps}", fq_form=True, derived=True)
-        self.chi = chi
+    def __init__(self, H: MatrixGroup, target: np.ndarray, logs: np.ndarray, chi: TorusChar,
+                 label: str):
+        acts = _monomial_matrices(H.field, chi, target.T, logs.transpose(1, 0, 2))
+        super().__init__(H, list(acts), label=label, dim=target.shape[0] * H.field.f,
+                         fq_form=True, derived=True)
+        self.target, self.logs, self.chi = target, logs, chi
+
+    def _build_all(self) -> np.ndarray:
+        """The table as one scatter of chi's scalar blocks along the
+        skeleton."""
+        return _monomial_matrices(self.group.field, self.chi,
+                                  *_skeleton(self.group, self.target, self.logs))
+
+    def restrict(self, H: MatrixGroup) -> "MonomialModule":
+        """The module over a subgroup H: each generator of H is resolved
+        along this group's BFS tree on the blocks, with integers only, so
+        no matrix of this group and no skeleton of it is built."""
+        G, qm1 = self.group, self.group.field.q - 1
+        k, S, n = self.target.shape[0], len(H.generators), self.logs.shape[2]
+        target = np.empty((k, S), dtype=np.int64)
+        logs = np.empty((k, S, n), dtype=np.int64)
+        for s, g in enumerate(H.generators):
+            path, i = [], G.element_id(g)
+            while i != G.identity_id:
+                path.append(int(G.bfs_gen[i]))
+                i = int(G.bfs_parent[i])
+            P, L = np.arange(k), np.zeros((k, n), dtype=np.int64)
+            for t in reversed(path):
+                P, L = self.target[P, t], (L + self.logs[P, t]) % qm1
+            target[:, s], logs[:, s] = P, L
+        return MonomialModule(H, target, logs, self.chi, label=f"res({self.label})->{H.label}")
+
+
+def _monomial_matrices(fld, chi: TorusChar, P: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """One matrix per row x of P, shape (len(P), d, d), as uint8: block
+    (i, P[x, i]) is multiplication by chi(t), where t is the diagonal with
+    discrete logs L[x, i]."""
+    (m, k), f = P.shape, fld.f
+    out = np.zeros((m, k, f, k, f), dtype=np.uint8)
+    out[np.arange(m)[:, None], np.arange(k), :, P, :] = fld.power_matrices()[
+        L @ np.asarray(chi.exps, dtype=np.int64) % (fld.q - 1)]
+    return out.reshape(m, k * f, k * f)
+
+
+_SKELETONS: weakref.WeakKeyDictionary[MatrixGroup, dict] = weakref.WeakKeyDictionary()
+
+
+def _skeleton(H: MatrixGroup, target: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For every element x of H and block i, the block P[x, i] that x sends
+    block i to and the discrete logs L[x, i] of the diagonal it scales it
+    by, shapes (|H|, k) and (|H|, k, n).
+
+    Built along H's BFS tree from integers only: for x = y s, P[x] =
+    target[P[y], s] and L[x] = L[y] + logs[P[y], s] (mod q - 1).  Kept per
+    (H, target, logs) in a cache that drops H's entries with H: the entry
+    holds arrays only, never the group."""
+    per_group = _SKELETONS.setdefault(H, {})
+    key = (target.shape, target.tobytes(), logs.tobytes())
+    got = per_group.get(key)
+    if got is None:
+        qm1, k = H.field.q - 1, target.shape[0]
+        P = np.empty((H.order, k), dtype=np.int64)
+        L = np.empty((H.order, k, logs.shape[2]), dtype=np.int64)
+        P[H.identity_id], L[H.identity_id] = np.arange(k), 0
+        for s, parents, children in H.tree_batches:
+            at = P[parents]
+            P[children] = target[at, s]
+            L[children] = (L[parents] + logs[at, s]) % qm1
+        got = per_group[key] = (P, L)
+    return got
+
+
+def char_module(B: MatrixGroup, chi: TorusChar) -> MonomialModule:
+    """F_q as a module over an upper-triangular group: b = t n acts by
+    multiplication by chi(t), an F_p-linear map of dimension f; the
+    unipotent part acts trivially.  t is the diagonal of b.  This is the
+    one-block monomial module: chi induced from B to itself, with each
+    generator's discrete logs read from its diagonal."""
+    fld = B.field
+    logs = []
+    for g in B.generators:
+        if not g.is_upper_triangular():
+            raise StructureError("element is not upper-triangular")
+        logs.append([fld.dlog_code(c) for c in g.diagonal_codes()])
+    S = len(B.generators)
+    return MonomialModule(B, np.zeros((1, S), dtype=np.int64),
+                          np.array(logs, dtype=np.int64).reshape(1, S, B.n), chi,
+                          label=f"char{chi.exps}")
 
 
 def right_coset_data(cosets: BruhatCosets, H: MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -226,9 +300,23 @@ def right_coset_data(cosets: BruhatCosets, H: MatrixGroup) -> tuple[np.ndarray, 
                                  for s in H.generators])
 
 
-def induced_module(cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar) -> InducedModule:
-    """Ind_B^G chi over H, from the right cosets B\\G."""
-    return InducedModule(cosets, H, chi)
+def induced_module(cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar) -> MonomialModule:
+    """Ind_B^G chi over a group H of n x n matrices, on the basis (right
+    coset of B\\G) x (F_p-basis of F_q), with no element table of G.
+
+    When reps[i]·s = b·reps[j] for a generator s of H, block (i, j) of s is
+    multiplication by chi(diag b).  With H = G this is Ind chi, with H = B
+    it is Res_B Ind chi.  The coset table, and H's action on it, is shared
+    by every chi: the action is computed once per group and kept in
+    cosets.actions, and a chi only turns its discrete logs into scalars."""
+    B = cosets.group
+    if (H.n, H.field.q) != (B.n, B.field.q):
+        raise ModuleError("induction needs a group of matrices of B's size and field")
+    action = cosets.actions.get(H)
+    if action is None:
+        action = cosets.actions[H] = right_coset_data(cosets, H)
+    target, logs = action
+    return MonomialModule(H, target, logs, chi, label=f"induced{chi.exps}")
 
 
 class HomModule(FpModule):
@@ -351,15 +439,11 @@ def restrict(M: FpModule, H: MatrixGroup) -> FpModule:
     G = M.group
     if not H.is_subgroup_of(G):
         raise ModuleError("restriction target is not a subgroup")
+    if isinstance(M, MonomialModule):
+        return M.restrict(H)
     acts = [M.act(G.element_id(g)) for g in H.generators]
     return FpModule(H, acts, label=f"res({M.label})->{H.label}", fq_form=M.fq_form,
                     derived=True)
-
-
-def _torus_char_module(A: MatrixGroup, chi: TorusChar) -> FpModule:
-    fld = A.field
-    acts = [fld.mult_matrix(evaluate(chi, g).code) for g in A.generators]
-    return FpModule(A, acts, label=f"char{chi.exps}")
 
 
 def char_modules_isomorphic(A: MatrixGroup, chi1: TorusChar, chi2: TorusChar):
@@ -373,8 +457,8 @@ def char_modules_isomorphic(A: MatrixGroup, chi1: TorusChar, chi2: TorusChar):
     """
     if any(not m.is_diagonal() for m in A.generators):
         raise ModuleError("character-module comparison expects a diagonal group")
-    M1 = _torus_char_module(A, chi1)
-    M2 = _torus_char_module(A, chi2)
+    M1 = char_module(A, chi1)
+    M2 = char_module(A, chi2)
     p, d = M1.p, M1.dim
     # mu rho1(a) = rho2(a) mu, linear in the entries of mu (row-major)
     rows = []

@@ -1,10 +1,18 @@
 """Modules: character/induced/hom constructions, restriction, fixed points,
-isomorphism testing, the abelianized unipotent quotient, and Ind_B^G chi
-built from the Bruhat cosets, over G and over B, against the build that
-walks G's element table."""
+isomorphism testing, the abelianized unipotent quotient, Ind_B^G chi built
+from the Bruhat cosets, over G and over B, against the build that walks G's
+element table, and the tables that character and induced modules write from
+their group's skeleton against the tables of products along the BFS tree,
+with the skeleton cache's laziness and lifetime."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
+
+from borelext import gmodule
+from borelext import verify as V
 
 from borelext.chars import (
     TorusChar,
@@ -468,28 +476,151 @@ def test_hom_table_from_factors_equals_tree_table(p):
         FpModule(G, singular)
 
 
+def _coset_change_of_basis(inst, chi, coset_data=None):
+    """P with P · (brute Ind chi)(g) = (Bruhat Ind chi)(g) · P: the Bruhat
+    representative r of a coset goes to the enumerated representative r0
+    of the same coset, scaled by chi(t) where r = b r0 and t is b's torus
+    part.  Returns P and the brute module."""
+    G, B, fld, f = inst.G, inst.B, inst.field, inst.f
+    rep_ids, coset_of = coset_data or brute_coset_data(G, B)
+    old_of = [int(coset_of[G.element_id(r)]) for r in inst.bruhat_cosets.reps]
+    old = brute_induced_module(G, B, chi, (rep_ids, coset_of))
+    P = np.zeros((old.dim, old.dim), dtype=np.int64)
+    for i, (r, k) in enumerate(zip(inst.bruhat_cosets.reps, old_of)):
+        t = tn_factor(r * G.elements[rep_ids[k]].inv())[0]
+        P[i * f : (i + 1) * f, k * f : (k + 1) * f] = fld.mult_matrix(evaluate(chi, t).code)
+    return P, old
+
+
 @pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)], ids=str)
 def test_bruhat_module_is_the_restricted_induced_module(args):
     # the modules from the Bruhat cosets, over B and over G, differ from the
-    # build that walks G's table by a monomial change of basis P: the Bruhat
-    # representative r of a coset goes to the enumerated representative r0
-    # of the same coset, scaled by chi(t) where r = b r0 and t is b's torus part
+    # build that walks G's table by a monomial change of basis P
     inst = get_instance(*args)
-    G, B, fld, p, f = inst.G, inst.B, inst.field, inst.p, inst.f
+    G, B, p = inst.G, inst.B, inst.p
     cosets = inst.bruhat_cosets
-    rep_ids, coset_of = brute_coset_data(G, B)
+    rep_ids, coset_of = coset_data = brute_coset_data(G, B)
     assert len(cosets.reps) == len(rep_ids) == G.order // B.order
     old_of = [int(coset_of[G.element_id(r)]) for r in cosets.reps]
     assert sorted(old_of) == list(range(len(rep_ids)))
-    tori = [tn_factor(r * G.elements[rep_ids[k]].inv())[0] for r, k in zip(cosets.reps, old_of)]
     for chi in inst.chars:
         new_b, new_g = induced_module(cosets, B, chi), inst.induced(chi)
         assert new_b.group is B and new_b.fq_form and new_b.chi == chi
         assert new_g.group is G and new_g.fq_form and new_g.chi == chi
-        old = brute_induced_module(G, B, chi, (rep_ids, coset_of))
-        P = np.zeros((old.dim, old.dim), dtype=np.int64)
-        for i, (k, t) in enumerate(zip(old_of, tori)):
-            P[i * f : (i + 1) * f, k * f : (k + 1) * f] = fld.mult_matrix(evaluate(chi, t).code)
+        P, old = _coset_change_of_basis(inst, chi, coset_data)
         for old_m, new_m in ((restrict(old, B), new_b), (old, new_g)):
             for a_old, a_new in zip(old_m.gen_action, new_m.gen_action):
                 assert not ((P @ a_old - a_new @ P) % p).any()
+
+
+def _assert_table_is_the_tree_table(M, cold, rng):
+    """M's table, act, at and apply against the table FpModule fills along
+    the BFS tree with products; cold is the same module with no table yet,
+    so its act resolves generator words."""
+    ref = FpModule._build_all(M)
+    ids = np.concatenate([rng.permutation(M.group.order),
+                          rng.integers(0, M.group.order, M.group.order // 2 + 1)])
+    assert all((cold.act(x) == ref[x]).all() for x in rng.permutation(M.group.order)[:64])
+    table = M.act_all()
+    assert table.dtype == ref.dtype == np.uint8 and table.shape == ref.shape
+    assert table.tobytes() == ref.tobytes()
+    act = M.batch_action()
+    got = act.at(ids)
+    assert got.dtype == np.uint8 and (got == ref[ids]).all()
+    v = rng.integers(0, M.p, M.dim)
+    want = ref.astype(np.int64) @ v
+    assert (act.apply(ids, v) == want[ids]).all()
+    assert (act.apply(slice(None), v) == want).all()
+    return table
+
+
+@pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)], ids=str)
+def test_character_module_tables_equal_the_tree_tables(args):
+    # over B, T and every B∩B^w: the table written from the skeleton, byte
+    # for byte, against the products along the tree and against chi of each
+    # element's diagonal; restriction from B gives the same bytes
+    inst = get_instance(*args)
+    fld, rng = inst.field, np.random.default_rng(sum(args))
+    groups = [inst.B, inst.T] + [inst.bw(w) for w in inst.weyls[1:]]
+    for chi in (inst.chars[1], inst.chars[-1]):
+        for H in groups:
+            table = _assert_table_is_the_tree_table(char_module(H, chi), char_module(H, chi), rng)
+            for x, m in enumerate(H.elements):
+                code = fld.pow_code(fld.generator_code, int(np.dot(
+                    chi.exps, [fld.dlog_code(c) for c in m.diagonal_codes()])) % inst.qm1)
+                assert (table[x] == fld.mult_matrix(code)).all()
+            if H is not inst.B:
+                res = restrict(char_module(inst.B, chi), H)
+                assert res.label.startswith("res(") and res.fq_form
+                assert all((a == b).all() for a, b in zip(res.gen_action,
+                                                          char_module(H, chi).gen_action))
+                assert res.act_all().tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)], ids=str)
+def test_induced_module_tables_equal_the_tree_tables(args):
+    # Ind chi over G (n = 2), B and N, and restrictions from G to B and from
+    # B to N, against the products along the tree; the G- and B-level tables
+    # also against the module built from G's element table, through the
+    # monomial change of basis between the two coset enumerations
+    inst = get_instance(*args)
+    cosets, p, rng = inst.bruhat_cosets, inst.p, np.random.default_rng(sum(args))
+    chi = inst.chars[len(inst.chars) // 2 + 1]
+    P, old = _coset_change_of_basis(inst, chi)
+    on_b = induced_module(cosets, inst.B, chi)
+    tables = {"B": _assert_table_is_the_tree_table(on_b, induced_module(cosets, inst.B, chi), rng)}
+    old_b = restrict(old, inst.B).act_all().astype(np.int64)
+    assert not ((P @ old_b - tables["B"].astype(np.int64) @ P) % p).any()
+    res_n = restrict(on_b, inst.N)
+    tables["N"] = _assert_table_is_the_tree_table(
+        induced_module(cosets, inst.N, chi), induced_module(cosets, inst.N, chi), rng)
+    cold_b = induced_module(cosets, inst.B, chi)
+    assert all((a == cold_b.act(inst.B.element_id(g))).all()
+               for a, g in zip(res_n.gen_action, inst.N.generators))
+    assert _assert_table_is_the_tree_table(res_n, restrict(on_b, inst.N), rng).tobytes() \
+        == tables["N"].tobytes()
+    if inst.n == 2:
+        on_g = inst.induced(chi)
+        table = _assert_table_is_the_tree_table(on_g, induced_module(cosets, inst.G, chi), rng)
+        old_g = old.act_all().astype(np.int64)
+        assert not ((P @ old_g - table.astype(np.int64) @ P) % p).any()
+        assert restrict(on_g, inst.B).act_all().tobytes() == tables["B"].tobytes()
+
+
+def test_skeleton_is_built_on_the_first_table_and_shared_by_every_chi(F9):
+    B = build_borel(F9, 2)
+    mods = [char_module(B, chi) for chi in all_chars(2, 8)[:4]]
+    assert B not in gmodule._SKELETONS  # a module alone builds no skeleton
+    first = mods[0].act_all()
+    assert len(gmodule._SKELETONS[B]) == 1
+    for M in mods[1:]:
+        M.act_all()
+    assert len(gmodule._SKELETONS[B]) == 1
+    assert first.tobytes() == FpModule._build_all(mods[0]).tobytes()
+    # restriction resolves the subgroup's generators without B's skeleton
+    T = build_torus(F9, 2)
+    C = build_borel(F9, 2)
+    restrict(char_module(C, mods[1].chi), T).act_all()
+    assert C not in gmodule._SKELETONS and T in gmodule._SKELETONS
+
+
+def test_skeleton_cache_drops_a_group_no_longer_referenced(F3):
+    B1, B2 = build_borel(F3, 2), build_borel(F3, 2)
+    chi = TorusChar((1, 0), 2)
+    assert (char_module(B1, chi).act_all() == char_module(B2, chi).act_all()).all()
+    assert B1 in gmodule._SKELETONS and B2 in gmodule._SKELETONS
+    kept = len(gmodule._SKELETONS)
+    gone = weakref.ref(B2)
+    del B2
+    gc.collect()
+    assert gone() is None
+    assert len(gmodule._SKELETONS) == kept - 1 and B1 in gmodule._SKELETONS
+
+
+def test_shapiro_route_builds_no_skeleton_of_b():
+    # Res_B Ind chi2 is read through act at N's and T's generators only;
+    # the one per-element table is the N-module's, so only N gets a skeleton
+    inst = V.Instance(3, 1, 3)
+    V.verify_thm1(inst)
+    assert inst.B not in gmodule._SKELETONS
+    assert inst.N in gmodule._SKELETONS

@@ -6,8 +6,8 @@ pairwise F_q-Hom module, the shared N solve against the B-level solve at
 every pair of GL_3(F_3), the principal-series oracle at GL_3(F_3) and
 GL_3(F_5) without an element table of G, the direct route's reduction to
 the center-fixed part against the full Hom solve, the pinned bytes of the
-thm1 reports at GL_2(F_5) and GL_2(F_9), and the n = 1 instances, where N
-is trivial."""
+thm1 reports at GL_2(F_5) and GL_2(F_9) and of the prop1-4 and mackey
+reports, and the n = 1 instances, where N is trivial."""
 
 import hashlib
 import json
@@ -226,6 +226,25 @@ def test_thm1_report_bytes_at_gl2_f9_are_pinned():
     out = V.reports_to_json(V.run_statement("thm1", (3, 2, 2), V.VerifyConfig()))
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "7b418653b4837d3d3249bcae319a22d852088636f7e3345faf225d86b7ed2fc8"
+
+
+REPORT_PINS = [
+    ("prop1", (5, 1, 2), "75f40cf0fd3df0febf0eb37a9c5fd2edd53fe5c53f29d78ba30e3bcb9ed6dd1c"),
+    ("prop2", (3, 1, 3), "3b1dd6071f5b2d48466ce43f7ec89c31842af57a25d55ac0d4b9e8f76d4e81f0"),
+    ("prop3", (3, 2, 2), "771f799662299ffbb663a4a986ce4e62251e7dba0bdc5d37bb41dec0da24f1e4"),
+    ("prop4", (3, 1, 2), "b1b2dd92b9cbdd636013803f633499343c8751a3449441a553914604e3235d79"),
+    ("mackey", (5, 1, 2), "dcef802d03ad0df68df983628970aafdf80f7baf55abcda4f937d10c6e173280"),
+]
+
+
+@pytest.mark.parametrize("statement,args,digest", REPORT_PINS,
+                         ids=[f"{st}-{'-'.join(map(str, a))}" for st, a, _ in REPORT_PINS])
+def test_character_module_report_bytes_are_pinned(statement, args, digest):
+    # the statements whose solves run on character modules and on Res_B Ind
+    # chi; the digests were taken when every module table was filled with
+    # matrix products along the BFS tree
+    out = V.reports_to_json(V.run_statement(statement, args, V.VerifyConfig()))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_gl3_oracle_dims_at_the_open_pairs():
