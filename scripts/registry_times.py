@@ -3,14 +3,17 @@
 Runs every REGISTRY entry in order, as `verify all` does (instances are
 shared between entries), and prints one line per entry: its wall time, the
 statement, its arguments and how many of its reports have each verdict.
-The last lines give the total and the process's peak resident set (VmHWM,
-read from /proc/self/status; "n/a" where that file does not exist).
+The last lines give the total, the byte count and sha256 of the registry's
+JSON (the bytes `verify all --output json` writes), and the process's peak
+resident set (VmHWM, read from /proc/self/status; "n/a" where that file
+does not exist).
 
     PYTHONPATH=src python scripts/registry_times.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from collections import Counter
 from pathlib import Path
@@ -31,15 +34,19 @@ def peak_rss_mb() -> str:
 def main() -> None:
     cfg = V.VerifyConfig()
     total = 0.0
+    every = []
     for statement, args in V.REGISTRY:
         start = time.perf_counter()
         reports = V.run_statement(statement, args, cfg)
         took = time.perf_counter() - start
         total += took
+        every.extend(reports)
         counts = Counter(r.verdict for r in reports)
         verdicts = ", ".join(f"{n} {v}" for v, n in sorted(counts.items()))
         print(f"{took:8.3f} s  {statement:<7} {str(args):<10} {verdicts}")
     print(f"{total:8.3f} s  total")
+    data = V.reports_to_json(every).encode()
+    print(f"report JSON: {len(data)} bytes, sha256 {hashlib.sha256(data).hexdigest()}")
     print(f"peak RSS (VmHWM): {peak_rss_mb()}")
 
 

@@ -13,19 +13,17 @@ whole group is stored.  Which rho(y) lands in which block with which sign
 depends on the group alone, so each group keeps one _EdgeSweep, in a cache
 that does not keep the group alive: the ordered edges, and each chunk's
 terms, walked up the tree on the first solve that feeds the chunk.  A solve
-then assembles a chunk's rows from the module's batch action
-(FpModule.batch_action, one reader per solve) with one sum over the terms
-of each (edge, block); a Hom module's reader builds rho only at the chunk's
-distinct elements, from its two factors.  The nullspace of the rows fed so
-far always contains Z^1, and it is spanned by B^1 and the candidate H^1
-representatives, since coboundaries satisfy every edge.  After every chunk
-each candidate is checked against every Cayley edge.  If all pass, the
-nullspace lies in Z^1 as well, so it equals Z^1 and the answer is exact;
-an empty candidate list passes at once, and the products the check needs
-(from an int64 copy of a module's action table, made once per solve) are
-made only when there is a candidate.  If one fails, feeding goes on.  A
-sweep that feeds every edge has the whole system, so its answer is exact as
-well.
+then assembles a chunk's rows from the module's matrices at the chunk's
+elements (FpModule.at) with one sum over the terms of each (edge, block);
+a Hom module builds rho only at the chunk's distinct elements, from its two
+factors.  The nullspace of the rows fed so far always contains Z^1, and it
+is spanned by B^1 and the candidate H^1 representatives, since coboundaries
+satisfy every edge.  After every chunk each candidate is checked against
+every Cayley edge, with the module's products rho(x) v (FpModule.apply).
+If all pass, the nullspace lies in Z^1 as well, so it equals Z^1 and the
+answer is exact; an empty candidate list passes at once, with no product.
+If one fails, feeding goes on.  A sweep that feeds every edge has the whole
+system, so its answer is exact as well.
 
 Principal-series Ext by Shapiro's lemma is H^1(B, Hom_{F_q}(F_q[chi1],
 Res_B Ind chi2)).  UnipotentH1 computes it at the unipotent level: as p
@@ -82,24 +80,22 @@ class Cocycle:
 
     def propagate(self) -> np.ndarray:
         """f(g) for every element, shape (|H|, d), extended along the tree."""
-        return _propagate(self.group, self.module.batch_action(), self.values, self.module.p)
+        return _propagate(self.group, self.module, self.values)
 
     def defect_count(self) -> int:
         """How many Cayley edges violate f(gs) = f(g) + g f(s)."""
-        H, p = self.group, self.module.p
-        act = self.module.batch_action()
-        return _edge_defects(H, act, self.values, _propagate(H, act, self.values, p), p)
+        return _edge_defects(self.group, self.module, self.values, self.propagate())
 
     def is_valid(self) -> bool:
         return self.defect_count() == 0
 
 
-def _edge_defects(H: MatrixGroup, act, values: np.ndarray, fvals: np.ndarray, p: int) -> int:
+def _edge_defects(H: MatrixGroup, M: FpModule, values: np.ndarray, fvals: np.ndarray) -> int:
     """Defective Cayley edges of the cocycle with these generator values and
-    propagated values fvals; act is the module's batch reader."""
+    propagated values fvals."""
     bad = 0
     for s in range(len(H.generators)):
-        lhs = linalg.mod(fvals + act.apply(slice(None), values[s]), p)
+        lhs = linalg.mod(fvals + M.apply(slice(None), values[s]), M.p)
         rhs = fvals[H.cayley[:, s]]
         bad += int(np.count_nonzero(np.any(lhs != rhs, axis=1)))
     return bad
@@ -146,16 +142,15 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
     S = len(H.generators)
     nu = S * d
     size = H.order
-    # a module read from its action table needs the uint8 table and, to
-    # certify a candidate, its int64 copy; a Hom module reads its factors'
-    # tables instead, so for it this is an upper bound
+    # an upper bound on the module's action data: the uint8 table (1 byte an
+    # entry) and room for int64 work on it (8); a solve reads the table's
+    # rows in batches, and a Hom module its two factors' smaller tables
     footprint = 9 * size * d * d
     if footprint > budget_mb * (1 << 20):
         raise MemoryBudgetError(
-            f"cocycle system needs about {footprint} bytes for the uint8 action table "
-            f"and its int64 copy (9 |H| d^2 = 9*{size}*{d}^2); budget is {budget_mb} MiB"
+            f"cocycle system may need up to {footprint} bytes for the module's action "
+            f"(9 |H| d^2 = 9*{size}*{d}^2); budget is {budget_mb} MiB"
         )
-    act = M.batch_action()
     sweep = _edge_sweep(H)
     n_edges = len(sweep.edges)
 
@@ -165,14 +160,14 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
     found = None
     while used < n_edges:
         stop = min(used + CHUNK_EDGES, n_edges)
-        red.add_rows(sweep.rows(act, used, stop))
+        red.add_rows(sweep.rows(M, used, stop))
         used = stop
         if used == n_edges:
             break
         cand, dim_b1 = _h1_representatives(red, cob, p)
         if cand:
             vals = [v.reshape(S, d) for v in cand]
-            if any(_edge_defects(H, act, v, _propagate(H, act, v, p), p) for v in vals):
+            if any(_edge_defects(H, M, v, _propagate(H, M, v)) for v in vals):
                 continue  # a candidate is not a cocycle; keep feeding edges
         found = cand, dim_b1
         break
@@ -208,20 +203,18 @@ class _EdgeSweep:
         self.edges = edges[_spread_order(len(edges))]
         self.S = S
         self._parent, self._gen, self._cayley = H.bfs_parent, H.bfs_gen, H.cayley
-        self._depth = np.zeros(size, dtype=np.int32)
-        for _, parents, children in H.tree_batches:
-            self._depth[children] = self._depth[parents] + 1
+        self._depth = H.bfs_depth
         self._chunks: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
-    def rows(self, act, start: int, stop: int) -> np.ndarray:
+    def rows(self, M: FpModule, start: int, stop: int) -> np.ndarray:
         """The d rows of each edge in edges[start:stop], not reduced mod p:
         one scatter of the summed signed rho(element) into (edge, block),
-        with rho read through the module's batch reader act."""
+        with rho read through M.at."""
         terms = self._chunks.get((start, stop))
         if terms is None:
             terms = self._chunks[(start, stop)] = self._terms(self.edges[start:stop])
         elt, sign, starts, slots = terms
-        rho = act.at(elt)
+        rho = M.at(elt)
         m, S, d = stop - start, self.S, rho.shape[1]
         out = np.zeros((m * S, d, d), dtype=np.int64)
         out[slots] = np.add.reduceat(rho * sign[:, None, None], starts, axis=0)
@@ -368,12 +361,11 @@ class UnipotentH1:
         return out
 
 
-def _propagate(H, act, values, p):
-    """f(g) for every element from the generator values; act is the
-    module's batch reader."""
+def _propagate(H: MatrixGroup, M: FpModule, values: np.ndarray) -> np.ndarray:
+    """f(g) for every element from the generator values."""
     out = np.zeros((H.order, values.shape[1]), dtype=np.int64)
     for s, parents, children in H.tree_batches:
-        out[children] = linalg.mod(out[parents] + act.apply(parents, values[s]), p)
+        out[children] = linalg.mod(out[parents] + M.apply(parents, values[s]), M.p)
     return out
 
 

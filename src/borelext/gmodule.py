@@ -11,19 +11,19 @@ on which right_coset_data gives the action of H's generators, once per
 group, so no element table of G is walked to build a module.
 
 A module stores one invertible matrix over F_p per group generator; the
-action of an arbitrary element is resolved as a generator word along the
-group's BFS tree and memoized.  A cocycle solve reads the action of many
-elements at once through the module's batch reader, batch_action(): the
-matrices of a batch of elements, and their products with a vector.  Most
-modules answer it from the table of every element's action, built on first
-use.  A monomial module writes its table from integers: the group keeps one
-skeleton per block action (the block each element sends each block to, and
-the logs of the diagonal it scales by), and each chi fills in its scalars
-along it.  The other modules fill their tables with matrix products along
-the tree.  A Hom module answers the reader from its two factors' tables, so
-its own |H| d^2 table is built only when act_all asks for it, and then
-through the same reader.  Modules are immutable apart from those idempotent
-caches.
+action of an arbitrary element (act) is the product of the generator
+matrices along the element's word in the group's BFS tree.  A cocycle solve
+asks a module for two reads on batches of elements: the matrices (at), and
+their products with a vector (apply).  Most modules answer both from the
+uint8 table of every element's action, built on first use; apply multiplies
+its rows in int64 without converting the table.  A monomial module writes
+its table from integers: the group keeps one skeleton per block action (the
+block each element sends each block to, and the logs of the diagonal it
+scales by), and each chi fills in its scalars along it.  The other modules
+fill their tables with matrix products along the tree.  A Hom module
+answers both reads from its two factors' tables, so its own |H| d^2 table
+is built only when act_all asks for it, and then through at.  Modules are
+immutable apart from the table cache.
 """
 
 from __future__ import annotations
@@ -92,30 +92,18 @@ class FpModule:
                 if not linalg.is_invertible_mod(a, self.p):
                     raise ModuleError("generator action is singular")
         self.label = label
-        self._memo: dict[int, np.ndarray] = {group.identity_id: np.eye(self.dim, dtype=np.int64)}
         self._all: np.ndarray | None = None
 
     def act(self, elt_id: int) -> np.ndarray:
-        """Action matrix of an element, resolved along the BFS tree."""
-        if self._all is not None:
-            return np.asarray(self._all[elt_id], dtype=np.int64)
-        got = self._memo.get(elt_id)
-        if got is not None:
-            return got
-        path = []
-        i = elt_id
-        while i not in self._memo:
-            path.append(i)
-            i = int(self.group.bfs_parent[i])
-        if i == self.group.identity_id:
-            # a one-step path is a generator, whose action is its stored matrix
-            i = path.pop()
-            self._memo[i] = self.gen_action[int(self.group.bfs_gen[i])]
-        m = self._memo[i]
-        for j in reversed(path):
-            m = (m @ self.gen_action[int(self.group.bfs_gen[j])]) % self.p
-            self._memo[j] = m
-        return self._memo[elt_id]
+        """Action matrix of an element: the product of the generator
+        matrices along its BFS word; a generator's is its stored matrix."""
+        word = self.group.word(elt_id)
+        if not word:
+            return np.eye(self.dim, dtype=np.int64)
+        m = self.gen_action[word[0]]
+        for s in word[1:]:
+            m = m @ self.gen_action[s] % self.p
+        return m
 
     def act_all(self) -> np.ndarray:
         """Action of every element, shape (|H|, d, d), as uint8."""
@@ -133,42 +121,26 @@ class FpModule:
             out[children] = linalg.mod(out[parents] @ self.gen_action[s], self.p)
         return out.astype(np.uint8)
 
-    def batch_action(self) -> "TableAction":
-        """A reader of the action on batches of elements, made once per
-        solve: from the table of every element's action."""
-        return TableAction(self.act_all())
+    def at(self, ids) -> np.ndarray:
+        """rho(ids[k]) for each k, shape (len(ids), d, d), as uint8; ids is
+        an index array or a slice of element ids.  Once built, the table is
+        read without calling act_all, whose calls then count tables, not
+        batches."""
+        return (self._all if self._all is not None else self.act_all())[ids]
+
+    def apply(self, ids, v: np.ndarray) -> np.ndarray:
+        """rho(ids[k]) v for each k, shape (len(ids), d), not reduced mod p.
+        The uint8 rows are multiplied in int64 without a converted copy of
+        the table."""
+        return np.einsum("kij,j->ki", self.at(ids), v)
 
     def __repr__(self):
         return f"FpModule({self.label or 'module'}, dim={self.dim} over F_{self.p}, group={self.group.label})"
 
 
-class TableAction:
-    """A module's batch reader over its uint8 action table.
-
-    at(ids) is the table's rows; apply(ids, v) multiplies by an int64 copy
-    of the table, made on its first call, so a reader converts the table at
-    most once, and only if a product is asked for.  ids is an index array or
-    a slice of element ids.
-    """
-
-    def __init__(self, table: np.ndarray):
-        self.table = table
-        self._table64: np.ndarray | None = None
-
-    def at(self, ids) -> np.ndarray:
-        """rho(ids[k]) for each k, shape (len(ids), d, d), as uint8."""
-        return self.table[ids]
-
-    def apply(self, ids, v: np.ndarray) -> np.ndarray:
-        """rho(ids[k]) v for each k, shape (len(ids), d), not reduced mod p."""
-        if self._table64 is None:
-            self._table64 = self.table.astype(np.int64)
-        return np.einsum("kij,j->ki", self._table64[ids], v)
-
-
 def trivial_module(H: MatrixGroup, dim: int = 1) -> FpModule:
     eye = np.eye(dim, dtype=np.int64)
-    return FpModule(H, [eye.copy() for _ in H.generators], label="trivial")
+    return FpModule(H, [eye.copy() for _ in H.generators], label="trivial", dim=dim)
 
 
 def det_char_module(G: MatrixGroup, a: int) -> FpModule:
@@ -223,12 +195,8 @@ class MonomialModule(FpModule):
         target = np.empty((k, S), dtype=np.int64)
         logs = np.empty((k, S, n), dtype=np.int64)
         for s, g in enumerate(H.generators):
-            path, i = [], G.element_id(g)
-            while i != G.identity_id:
-                path.append(int(G.bfs_gen[i]))
-                i = int(G.bfs_parent[i])
             P, L = np.arange(k), np.zeros((k, n), dtype=np.int64)
-            for t in reversed(path):
+            for t in G.word(G.element_id(g)):
                 P, L = self.target[P, t], (L + self.logs[P, t]) % qm1
             target[:, s], logs[:, s] = P, L
         return MonomialModule(H, target, logs, self.chi, label=f"res({self.label})->{H.label}")
@@ -321,73 +289,42 @@ def induced_module(cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar) -> Mono
 
 class HomModule(FpModule):
     """Hom_{F_p}(M1, M2) with g acting by phi -> rho2(g) phi rho1(g)^{-1},
-    flattened row-major so the action matrix is kron(rho2, rho1^{-T}).
+    flattened row-major so the action matrix is kron(rho2(g), rho1(g^{-1})^T).
 
-    Its batch reader (HomAction) answers from the two factors' tables, so a
-    cocycle solve never builds this module's |H| d^2 table; act_all builds
-    it through the same reader, over every element."""
+    at and apply read the two factors' tables, so a cocycle solve never
+    builds this module's |H| d^2 table; the generator matrices and act_all
+    are at's output, at the generators and at every element."""
 
     def __init__(self, M1: FpModule, M2: FpModule):
         if M1.group is not M2.group:
             raise ModuleError("hom requires modules over the same group")
         G = M1.group
-        acts = []
-        for s, g in enumerate(G.generators):
-            a2 = M2.gen_action[s]
-            a1_inv = M1.act(G.inv_id(G.element_id(g)))
-            acts.append(np.kron(a2, a1_inv.T) % M1.p)
-        super().__init__(G, acts, label=f"hom({M1.label},{M2.label})", derived=True)
         self.factors = (M1, M2)
-
-    def act(self, elt_id: int) -> np.ndarray:
-        """kron(rho2(g), rho1(g^{-1})^T) from the factors' actions, or the
-        table's entry once the table is built."""
-        if self._all is not None:
-            return np.asarray(self._all[elt_id], dtype=np.int64)
-        M1, M2 = self.factors
-        return np.kron(M2.act(elt_id), M1.act(self.group.inv_id(elt_id)).T) % self.p
-
-    def batch_action(self) -> "HomAction":
-        """A reader of the action on batches of elements, from the factors'
-        tables."""
-        return HomAction(self)
-
-    def _build_all(self) -> np.ndarray:
-        """The table read through the batch reader, at every element."""
-        return self.batch_action().at(np.arange(self.group.order))
-
-
-class HomAction:
-    """A Hom module's batch reader, from its factors' uint8 tables.
-
-    On phi in Hom(M1, M2), a d2 x d1 matrix flattened row-major, g acts by
-    rho2(g) phi rho1(g^{-1}), which is kron(rho2(g), rho1(g^{-1})^T) on the
-    flattened phi.  at(ids) builds that kron only for the distinct elements
-    of the batch; apply(ids, v) takes the two small products and builds no
-    kron.  ids is an index array (apply also takes a slice) of element ids.
-    """
-
-    def __init__(self, M: HomModule):
-        M1, M2 = M.factors
-        self.p = M.p
-        self.shape = (M2.dim, M1.dim)
-        self.rho1, self.rho2 = M1.act_all(), M2.act_all()
-        self.inv = M.group.inverse_ids()
+        acts = self.at(np.array([G.element_id(g) for g in G.generators], dtype=np.int64))
+        super().__init__(G, list(acts), label=f"hom({M1.label},{M2.label})",
+                         dim=M1.dim * M2.dim, derived=True)
 
     def at(self, ids) -> np.ndarray:
-        """rho(ids[k]) for each k, shape (len(ids), d, d), as uint8; a
-        product of two residues fits in uint16."""
+        """kron(rho2(x), rho1(x^{-1})^T) built only at the distinct elements
+        of ids, as uint8; a product of two residues fits in uint16."""
+        M1, M2 = self.factors
         uniq, back = np.unique(ids, return_inverse=True)
-        a2 = self.rho2[uniq].astype(np.uint16)
-        a1 = self.rho1[self.inv[uniq]]
-        kron = linalg.mod(np.einsum("gij,glk->gikjl", a2, a1), self.p).astype(np.uint8)
-        d = a2.shape[1] * a1.shape[1]
+        a2 = M2.at(uniq).astype(np.uint16)
+        a1 = M1.at(M1.group.inverse_ids()[uniq])
+        kron = linalg.mod(np.einsum("gij,glk->gikjl", a2, a1), M1.p).astype(np.uint8)
+        d = M1.dim * M2.dim
         return kron.reshape(len(uniq), d, d)[back]
 
     def apply(self, ids, v: np.ndarray) -> np.ndarray:
-        """rho(ids[k]) v for each k, shape (len(ids), d), not reduced mod p."""
-        phi = v.reshape(self.shape)
-        return (self.rho2[ids] @ phi @ self.rho1[self.inv[ids]]).reshape(-1, phi.size)
+        """rho2(x) phi rho1(x^{-1}) for each x in ids, phi being v as a
+        d2 x d1 matrix, flattened; no kron is built."""
+        M1, M2 = self.factors
+        phi = v.reshape(M2.dim, M1.dim)
+        return (M2.at(ids) @ phi @ M1.at(M1.group.inverse_ids()[ids])).reshape(-1, phi.size)
+
+    def _build_all(self) -> np.ndarray:
+        """The table as at's output at every element."""
+        return self.at(np.arange(self.group.order))
 
 
 def hom_module(M1: FpModule, M2: FpModule) -> HomModule:
@@ -442,8 +379,8 @@ def restrict(M: FpModule, H: MatrixGroup) -> FpModule:
     if isinstance(M, MonomialModule):
         return M.restrict(H)
     acts = [M.act(G.element_id(g)) for g in H.generators]
-    return FpModule(H, acts, label=f"res({M.label})->{H.label}", fq_form=M.fq_form,
-                    derived=True)
+    return FpModule(H, acts, label=f"res({M.label})->{H.label}", dim=M.dim,
+                    fq_form=M.fq_form, derived=True)
 
 
 def char_modules_isomorphic(A: MatrixGroup, chi1: TorusChar, chi2: TorusChar):

@@ -189,7 +189,8 @@ class MatrixGroup:
     elements[i] is the i-th element; index maps entry tuples back to ids;
     cayley[i, s] is the id of elements[i] * generators[s].  bfs_order walks
     ids from the identity so that bfs_parent/bfs_gen give, for every
-    non-identity element, a tree edge along which generator words resolve.
+    non-identity element, a tree edge along which generator words resolve
+    (word), and bfs_depth its distance from the identity.
     """
 
     def __init__(self, field, n, label, elements, generators):
@@ -243,14 +244,13 @@ class MatrixGroup:
         self.bfs_order = order
         self.bfs_parent = parent
         self.bfs_gen = via
-        # tree edges grouped by (BFS level, generator) for batched propagation
-        level = np.full(size, -1, dtype=np.int32)
-        level[self.identity_id] = 0
+        # tree edges grouped by (BFS depth, generator) for batched propagation
+        depth = self.bfs_depth = np.zeros(size, dtype=np.int32)
         for i in order[1:]:
-            level[i] = level[parent[i]] + 1
+            depth[i] = depth[parent[i]] + 1
         batches = []
-        for lv in range(1, int(level.max(initial=0)) + 1):
-            at = order[(level[order] == lv)]
+        for lv in range(1, int(depth.max(initial=0)) + 1):
+            at = order[(depth[order] == lv)]
             for s in range(self.cayley.shape[1]):
                 children = at[via[at] == s]
                 if children.size:
@@ -260,6 +260,15 @@ class MatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def word(self, elt_id: int) -> list[int]:
+        """The generator indices whose product, left to right, is the
+        element, along the BFS tree."""
+        out = []
+        while elt_id != self.identity_id:
+            out.append(int(self.bfs_gen[elt_id]))
+            elt_id = int(self.bfs_parent[elt_id])
+        return out[::-1]
 
     def element_id(self, m: Mat) -> int:
         try:

@@ -7,6 +7,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from borelext.group import (
     build_unipotent,
     weyl_elements,
 )
+from borelext.verify import get_instance
 
 from _brute import (
     brute_cocycle_defects,
@@ -339,7 +341,7 @@ def test_tree_path_edge_rows_match_the_table_reference(p, f, n, group):
     sweep = cohom._edge_sweep(H)
     edges = sweep.edges
     assert sorted(map(tuple, edges)) == sorted(map(tuple, non_tree_edges(H)))
-    E, d, act = len(edges), M.dim, M.batch_action()
+    E, d, act = len(edges), M.dim, M
     rows = sweep.rows(act, 0, E)
     assert rows.shape == (E * d, len(H.generators) * d)
     assert (rows % M.p == brute_edge_rows(H, M, edges)).all()
@@ -432,6 +434,37 @@ def test_h1_with_no_or_one_non_tree_edge(F3):
         assert (r.mode, r.edges_used) == ("exhaustive", 1)
         assert r.dims == brute_h1(H, M)
         assert len(r.basis) == r.dim_h1 and all(c.is_valid() for c in r.basis)
+
+
+def test_modules_over_a_generator_free_group(F3):
+    # with no generator matrix to read the dim from, every constructor
+    # passes it: trivial, restricted and Hom modules over the trivial group
+    N = build_unipotent(F3, 1)
+    assert N.order == 1 and not N.generators
+    M = trivial_module(N, 2)
+    assert M.dim == 2 and h1_dim(N, M).dims == (0, 0, 0)
+    assert restrict(trivial_module(build_torus(F3, 1)), N).dim == 1
+    hom = hom_module(M, M)
+    assert hom.dim == 4 and (hom.act_all() == np.eye(4, dtype=np.uint8)).all()
+
+
+def test_basis_cocycle_checks_copy_no_action_table():
+    # propagating an H^1 basis cocycle of the N-module at GL_3(F_3) and
+    # counting its defects read the uint8 table's rows in batches: the traced
+    # peak stays below one int64 copy of the table (8 * 73,008 B)
+    inst = get_instance(3, 1, 3)
+    M = restrict(induced_module(inst.bruhat_cosets, inst.B, inst.chars[0]), inst.N)
+    r = h1_dim(inst.N, M)
+    table = M.act_all()
+    assert table.dtype == np.uint8 and table.nbytes == 73_008 and r.basis
+    tracemalloc.start()
+    try:
+        r.basis[0].propagate()
+        assert r.basis[0].defect_count() == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * table.nbytes
 
 
 def test_h1_of_the_zero_module_assembles_nothing(F3):

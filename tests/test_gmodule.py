@@ -179,7 +179,7 @@ def test_hom_module_act_from_its_factors(gl2_f3):
 
 @pytest.mark.parametrize("args,group", [((3, 1, 3), "B"), ((5, 1, 2), "G")], ids=str)
 def test_generator_action_is_its_stored_matrix(args, group):
-    # on a cold memo a generator's action is its stored matrix, not a product
+    # a generator's action is its stored matrix, not a product
     # with the identity, and every longer tree path is still the product of
     # its generator word
     inst = get_instance(*args)
@@ -213,10 +213,12 @@ def _hom_pairs(p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_hom_batch_reader_equals_the_tree_table(p):
-    # a Hom module's reader, built from its factors' tables, against the table
-    # a module with the same generators fills along the BFS tree: at() on
-    # shuffled ids with repeats that cover every element, and apply() against
-    # the table times random vectors
+    # a Hom module's at and apply, read from its factors' tables, against the
+    # table a module with the same generators fills along the BFS tree: at()
+    # on shuffled ids with repeats that cover every element, and apply()
+    # against the table times random vectors.  The generators themselves come
+    # from at, so they are checked against kron(rho2(s), rho1(s^{-1})^T) of
+    # the factors' tables
     fld = make_field(p, 1)
     G, B = build_gl(fld, 2), build_borel(fld, 2)
     cosets = BruhatCosets(B, weyl_elements(fld, 2))
@@ -225,8 +227,12 @@ def test_hom_batch_reader_equals_the_tree_table(p):
     ids = np.concatenate([rng.permutation(G.order), rng.integers(0, G.order, G.order // 2)])
     for chi1, chi2 in _hom_pairs(p):
         M = hom_module(ind[chi1], ind[chi2])
+        rho1, rho2 = (ind[chi].act_all().astype(np.int64) for chi in (chi1, chi2))
+        for s, g in enumerate(G.generators):
+            x = G.element_id(g)
+            assert (M.gen_action[s] == np.kron(rho2[x], rho1[G.inv_id(x)].T) % p).all()
         table = FpModule(G, M.gen_action).act_all()
-        act = M.batch_action()
+        act = M
         got = act.at(ids)
         assert got.dtype == np.uint8 and (got == table[ids]).all()
         for v in rng.integers(0, p, size=(2, M.dim)):
@@ -237,13 +243,13 @@ def test_hom_batch_reader_equals_the_tree_table(p):
 
 
 def test_table_batch_reader_equals_the_table(gl2_f3):
-    # the default reader reads the module's action table
+    # at and apply read the module's action table
     G, B = gl2_f3
     rng = np.random.default_rng(0)
     for M in (char_module(B, TorusChar((1, 0), 2)), _induced(G, B, TorusChar((0, 1), 2))):
         table = M.act_all()
         ids = rng.integers(0, M.group.order, 2 * M.group.order)
-        act = M.batch_action()
+        act = M
         assert (act.at(ids) == table[ids]).all()
         v = rng.integers(0, M.p, M.dim)
         want = table.astype(np.int64) @ v
@@ -515,8 +521,8 @@ def test_bruhat_module_is_the_restricted_induced_module(args):
 
 def _assert_table_is_the_tree_table(M, cold, rng):
     """M's table, act, at and apply against the table FpModule fills along
-    the BFS tree with products; cold is the same module with no table yet,
-    so its act resolves generator words."""
+    the BFS tree with products; cold is the same module with no table, whose
+    act multiplies generator words."""
     ref = FpModule._build_all(M)
     ids = np.concatenate([rng.permutation(M.group.order),
                           rng.integers(0, M.group.order, M.group.order // 2 + 1)])
@@ -524,7 +530,7 @@ def _assert_table_is_the_tree_table(M, cold, rng):
     table = M.act_all()
     assert table.dtype == ref.dtype == np.uint8 and table.shape == ref.shape
     assert table.tobytes() == ref.tobytes()
-    act = M.batch_action()
+    act = M
     got = act.at(ids)
     assert got.dtype == np.uint8 and (got == ref[ids]).all()
     v = rng.integers(0, M.p, M.dim)
