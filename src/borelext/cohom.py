@@ -32,13 +32,13 @@ H^1(N, M)^T, and twisting by chi1^{-1} leaves the N-action unchanged.  So one
 solve of H^1(N, Res_N Ind chi2), with the action of T and of the
 F_q-scalars on it as small F_p matrices, gives the dimension for every chi1
 by a nullity.  The solve is shared by every chi2 as well: N permutes the
-cosets B\\G with b in N (reps[i]·n = b·reps[j]), so chi2(diag b) = 1 and
-Res_N Ind chi2 is the same permutation module for every chi2; only T's
-action, read per module by UnipotentH1.isotypic_dims, depends on chi2.
-isotypic_dims refuses a module that N acts on differently from the solved
-one.  Res_B Ind chi2 comes from gmodule.induced_module over B, which builds
-it on the right cosets B\\G found cell by cell in the Bruhat decomposition,
-so this route never enumerates G.  The B-level solve of H^1(B,
+cosets B\\G with b of unit diagonal (reps[i]·n = b·reps[j]), so chi2(diag
+b) = 1 and Res_N Ind chi2 is the same permutation module for every chi2;
+only T's action, read by UnipotentH1.isotypic_dims from Ind chi2 as a
+module over T, depends on chi2.  Both modules come from gmodule.induced_module
+on the cosets of group.BruhatCosets, which finds them cell by cell with the
+generators of T and N and checks the unit diagonals, so this route
+enumerates neither G nor B.  The B-level solve of H^1(B,
 Hom_{F_q}(F_q[chi1], Res_B Ind chi2)) is kept in the tests, as a reference
 for this route.
 
@@ -60,7 +60,7 @@ import numpy as np
 
 from . import linalg
 from .chars import TorusChar, evaluate
-from .gmodule import FpModule, ModuleError, restrict
+from .gmodule import FpModule, ModuleError
 from .group import MatrixGroup, StructureError
 
 CHUNK_EDGES = 8  # non-tree edges fed to the eliminator at a time
@@ -258,25 +258,22 @@ def _edge_sweep(H: MatrixGroup) -> _EdgeSweep:
 
 
 class UnipotentH1:
-    """H^1(N, M_N) for one module M over a group containing T and N, with
-    everything about it that does not depend on how T acts: one cocycle
-    solve over N serves every module that N acts on exactly as on M.
+    """H^1(N, M) for one module M over N, with everything about it that does
+    not depend on how T acts: one cocycle solve over N serves every module
+    over T N whose restriction to N is M.
 
-    That is what makes the solve shareable between principal series.  Each
-    row of a normal-form representative (group.coset_normal_form) has a
-    leading 1, and right multiplication by n in N keeps every row's leading
-    entry and its column, so reps[i]·n = b·reps[j] with b in N.  Then
-    chi(diag b) = 1 and Res_N Ind chi is the permutation module F_q[B\\G]
-    whatever chi is; only T's action carries chi.  isotypic_dims checks
-    the equality on N's generators before it reads a module, so a module
-    that N acts on differently is refused, not answered from the wrong
-    solve.
+    That is what makes the solve shareable between principal series: N
+    permutes the normal-form cosets with b of unit diagonal, which
+    group.BruhatCosets checks when it builds them, so Res_N Ind chi is the
+    permutation module F_q[B\\G] whatever chi is, and only T's action
+    carries chi.  isotypic_dims reads that action from a module over T on
+    the same space.
 
     T normalizes N, p does not divide |T|, and M is in fq form.  Kept from
-    the solve: N's generator action on M, the reducer that takes a cocycle
-    to its coordinates in the H^1 basis, the powers of the F_q-scalar
-    action on those coordinates, and for each generator t of T the H^1
-    basis evaluated at t^{-1} s t for N's generators s.
+    the solve: the reducer that takes a cocycle to its coordinates in the
+    H^1 basis, the powers of the F_q-scalar action on those coordinates,
+    and for each generator t of T the H^1 basis evaluated at t^{-1} s t for
+    N's generators s.
     """
 
     def __init__(self, N: MatrixGroup, T: MatrixGroup, M: FpModule, budget_mb: int = 1024):
@@ -286,23 +283,20 @@ class UnipotentH1:
         if not M.fq_form:
             raise ModuleError("the F_q-scalar action needs a module in fq form")
         self.N, self.T, self.p, self.dim = N, T, p, M.dim
-        self.n_action: list[np.ndarray] = []
         self.h = 0
         if not N.generators:
             return  # H^1 of the trivial group
-        MN = restrict(M, N)
-        self.n_action = MN.gen_action
-        r = h1_dim(N, MN, budget_mb=budget_mb)
+        r = h1_dim(N, M, budget_mb=budget_mb)
         h = self.h = r.dim_h1
         if h == 0:
             return
-        S, d = len(N.generators), MN.dim
+        S, d = len(N.generators), M.dim
         self._nu = nu = S * d
         V = np.stack([c.values.reshape(-1) for c in r.basis])
         # rows [B^1 | 0] and [basis | 1]: reducing [z | 0] for z in Z^1 leaves
         # [0 | -x], where x are z's coordinates in the basis modulo B^1
         self._red = linalg.RowReducer(p, nu + h)
-        self._red.add_rows(np.hstack([_coboundary_rows(MN), np.zeros((d, h), dtype=np.int64)]))
+        self._red.add_rows(np.hstack([_coboundary_rows(M), np.zeros((d, h), dtype=np.int64)]))
         self._red.add_rows(np.hstack([V, np.eye(h, dtype=np.int64)]))
 
         fld = N.field
@@ -328,29 +322,29 @@ class UnipotentH1:
             raise StructureError("the image of an H^1 basis cocycle is not a cocycle")
         return (-rest[:, nu:]) % p
 
-    def isotypic_dims(self, M: FpModule, chis: list[TorusChar]) -> list[int]:
-        """dim_{F_p} H^1(T N, Hom_{F_q}(F_q[chi], M)) for every chi.
+    def isotypic_dims(self, MT: FpModule, chis: list[TorusChar]) -> list[int]:
+        """dim_{F_p} H^1(T N, Hom_{F_q}(F_q[chi], M)) for every chi, where M
+        is the module over T N that is the solved module over N and MT over
+        T, on the same space.
 
-        H^1(T N, M') = H^1(N, M')^T (inflation-restriction), and twisting by
+        H^1(T N, M) = H^1(N, M)^T (inflation-restriction), and twisting by
         chi^{-1} leaves the N-action alone, so every chi reads the same
         H^1(N, M): the answer for chi is the F_p-nullity of chi(t)^{-1} A_t
         - 1 stacked over the generators of T, where A_t is the action
         (t.f)(n) = t f(t^{-1} n t) on H^1(N, M) and chi(t)^{-1} acts as an
-        F_q-scalar.  M must act on N's generators as the solved module does.
+        F_q-scalar.  rho(t) is MT's generator matrix; a module over another
+        group, or of another dim, is refused.
         """
-        if not M.fq_form:
+        if not MT.fq_form:
             raise ModuleError("the F_q-scalar action needs a module in fq form")
-        on_n = [M.act(M.group.element_id(s)) for s in self.N.generators]
-        if M.dim != self.dim or any((a != b).any() for a, b in zip(on_n, self.n_action)):
-            raise StructureError("the module acts on N differently from the solved one")
+        if MT.group is not self.T or MT.dim != self.dim:
+            raise StructureError("the torus action is not a module over T on the solved space")
         h, p = self.h, self.p
         if h == 0:
             return [0] * len(chis)
         fld = self.N.field
-        acts = []
-        for t, vals in zip(self.T.generators, self._conj_vals):
-            rho_t = M.act(M.group.element_id(t))
-            acts.append((t, self._coords(vals @ rho_t.T % p)))
+        acts = [(t, self._coords(vals @ rho_t.T % p))
+                for t, vals, rho_t in zip(self.T.generators, self._conj_vals, MT.gen_action)]
         eye = np.eye(h, dtype=np.int64)
         out = []
         for chi in chis:

@@ -136,7 +136,7 @@ class Fq:
 class FieldCtx:
     """The field F_{p^f}: modulus, generator, discrete logs, Frobenius."""
 
-    def __init__(self, p: int, f: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, f: int):
         if p == 2:
             raise FieldError("p must be an odd prime (p = 2 is not supported)")
         if not is_prime(p):
@@ -144,8 +144,8 @@ class FieldCtx:
         if f < 1:
             raise FieldError(f"extension degree must be >= 1, got {f}")
         q = p**f
-        if q > max_q:
-            raise FieldError(f"q = {p}^{f} = {q} exceeds the table cap {max_q}")
+        if q > DEFAULT_MAX_Q:
+            raise FieldError(f"q = {p}^{f} = {q} exceeds the table cap {DEFAULT_MAX_Q}")
         self.p = p
         self.f = f
         self.q = q
@@ -405,9 +405,10 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> list[int]:
     return a[:dm]
 
 
-def make_field(p: int, f: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:
-    """Build the F_{p^f} context; rejects p = 2 and oversized q."""
-    return FieldCtx(p, f, max_q=max_q)
+def make_field(p: int, f: int) -> FieldCtx:
+    """Build the F_{p^f} context; rejects p = 2 and q above DEFAULT_MAX_Q,
+    read at call time."""
+    return FieldCtx(p, f)
 
 
 def frobenius(a: Fq, k: int = 1) -> Fq:

@@ -5,10 +5,11 @@ restriction, and isomorphism testing of character modules.
 Character and induced modules are one kind, MonomialModule: every element
 moves each block of F_q to one block and scales it by chi of a diagonal.
 An induced module has a block per right coset of B\\G, over any group H of
-matrices (G itself, or B for Res_B Ind chi), and a character module is the
-one-block case.  The cosets are in Bruhat normal form (group.BruhatCosets),
-on which right_coset_data gives the action of H's generators, once per
-group, so no element table of G is walked to build a module.
+matrices (G itself, or T and N for the restrictions the Shapiro route
+reads), and a character module is the one-block case.  The cosets are in
+Bruhat normal form (group.BruhatCosets), which holds the action of T's and
+N's generators from its search; right_coset_data gives another group's,
+once per group, so no element table of G is walked to build a module.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element (act) is the product of the generator
@@ -186,21 +187,6 @@ class MonomialModule(FpModule):
         return _monomial_matrices(self.group.field, self.chi,
                                   *_skeleton(self.group, self.target, self.logs))
 
-    def restrict(self, H: MatrixGroup) -> "MonomialModule":
-        """The module over a subgroup H: each generator of H is resolved
-        along this group's BFS tree on the blocks, with integers only, so
-        no matrix of this group and no skeleton of it is built."""
-        G, qm1 = self.group, self.group.field.q - 1
-        k, S, n = self.target.shape[0], len(H.generators), self.logs.shape[2]
-        target = np.empty((k, S), dtype=np.int64)
-        logs = np.empty((k, S, n), dtype=np.int64)
-        for s, g in enumerate(H.generators):
-            P, L = np.arange(k), np.zeros((k, n), dtype=np.int64)
-            for t in G.word(G.element_id(g)):
-                P, L = self.target[P, t], (L + self.logs[P, t]) % qm1
-            target[:, s], logs[:, s] = P, L
-        return MonomialModule(H, target, logs, self.chi, label=f"res({self.label})->{H.label}")
-
 
 def _monomial_matrices(fld, chi: TorusChar, P: np.ndarray, L: np.ndarray) -> np.ndarray:
     """One matrix per row x of P, shape (len(P), d, d), as uint8: block
@@ -273,13 +259,13 @@ def induced_module(cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar) -> Mono
     coset of B\\G) x (F_p-basis of F_q), with no element table of G.
 
     When reps[i]·s = b·reps[j] for a generator s of H, block (i, j) of s is
-    multiplication by chi(diag b).  With H = G this is Ind chi, with H = B
-    it is Res_B Ind chi.  The coset table, and H's action on it, is shared
-    by every chi: the action is computed once per group and kept in
-    cosets.actions, and a chi only turns its discrete logs into scalars."""
-    B = cosets.group
-    if (H.n, H.field.q) != (B.n, B.field.q):
-        raise ModuleError("induction needs a group of matrices of B's size and field")
+    multiplication by chi(diag b).  With H = G this is Ind chi, with H = T
+    or N it is Res_T or Res_N Ind chi.  The coset table, and H's action on
+    it, is shared by every chi: T's and N's come with the cosets, another
+    group's is computed once and kept in cosets.actions, and a chi only
+    turns its discrete logs into scalars."""
+    if (H.n, H.field.q) != (cosets.n, cosets.field.q):
+        raise ModuleError("induction needs a group of matrices of the cosets' size and field")
     action = cosets.actions.get(H)
     if action is None:
         action = cosets.actions[H] = right_coset_data(cosets, H)
@@ -370,14 +356,14 @@ def _block_diag(block: np.ndarray, count: int) -> np.ndarray:
 
 
 def restrict(M: FpModule, H: MatrixGroup) -> FpModule:
-    """The same space as a module over a subgroup H of M's group."""
+    """The same space as a module over a subgroup H of M's group: each
+    generator of H acts by the product of M's generator matrices along its
+    word in M's group."""
     if H is M.group:
         return M
     G = M.group
     if not H.is_subgroup_of(G):
         raise ModuleError("restriction target is not a subgroup")
-    if isinstance(M, MonomialModule):
-        return M.restrict(H)
     acts = [M.act(G.element_id(g)) for g in H.generators]
     return FpModule(H, acts, label=f"res({M.label})->{H.label}", dim=M.dim,
                     fq_form=M.fq_form, derived=True)

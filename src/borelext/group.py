@@ -1,6 +1,7 @@
 """GL_n(F_q) and its Borel-related subgroups as explicit finite matrix
 groups: full element tables, Cayley edges against a fixed generator set,
-and the right cosets B\\G in Bruhat normal form, which need no table of G.
+and the right cosets B\\G in Bruhat normal form, which need no table of G
+or of B.
 
 B, T, N, B∩B^w, its unipotent part N'_w and the commutator subgroups are
 all pattern groups T·U_Φ or U_Φ for a closed set Φ of positive roots, and
@@ -317,17 +318,17 @@ class MatrixGroup:
         return f"MatrixGroup({self.label}, order={self.order}, gens={len(self.generators)})"
 
 
-def build_gl(field: FieldCtx, n: int, budget: int = DEFAULT_GROUP_BUDGET) -> MatrixGroup:
+def build_gl(field: FieldCtx, n: int) -> MatrixGroup:
     """Full GL_n(F_q) by BFS closure from Taylor's two generators (D. E.
     Taylor, Pairs of generators for matrix groups I, 1987): diag(ζ, 1, …, 1)
     for the field generator ζ, and the matrix with first row (−1, 0, …, 0, 1)
     and −1 on the subdiagonal.  The closure must have |GL_n(F_q)| elements,
-    so a pair that fails to generate raises StructureError."""
+    so a pair that fails to generate raises StructureError.  The order is
+    checked against DEFAULT_GROUP_BUDGET, read at call time."""
     expected = gl_order(field.q, n)
-    if expected > budget:
-        raise SizeBudgetError(
-            f"|GL_{n}(F_{field.q})| = {expected} exceeds the enumeration budget of {budget}"
-        )
+    if expected > DEFAULT_GROUP_BUDGET:
+        raise SizeBudgetError(f"|GL_{n}(F_{field.q})| = {expected} exceeds the enumeration "
+                              f"budget of {DEFAULT_GROUP_BUDGET}")
     gens = [diag_mat(field, (field.generator_code,) + (1,) * (n - 1))]
     if n > 1:
         minus = field.neg_code(1)
@@ -483,21 +484,24 @@ def coset_normal_form(g: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 class BruhatCosets:
     """The right cosets B\\G in Bruhat normal form, with the right action of
-    B's generators, built without an element table of G.
+    the generators of T and N, built without an element table of G or of B.
 
     Each Bruhat cell B\\BwB is the orbit of the permutation matrix of w
-    under right multiplication by B, so the cosets are found cell by cell in
-    the order of `weyls`.  index maps a representative's codes to its
-    position in reps.  actions maps a group to the right action of its
-    generators (coset_action): B's comes from the images the search
-    computes anyway, and another group's is added the first time an induced
-    module over it asks (gmodule.right_coset_data), so each group's normal
-    forms are computed once.  Nothing here depends on a character.
+    under right multiplication by B = T·N, so the cosets are found cell by
+    cell in the order of `weyls`, searching with T's and N's generators.
+    index maps a representative's codes to its position in reps.  actions
+    maps a group to the right action of its generators (coset_action): T's
+    and N's come from the images the search computes anyway, and another
+    group's is added the first time an induced module over it asks
+    (gmodule.right_coset_data).  Every image under a generator of N is
+    checked to be reps[i]·s = b·reps[j] with b of unit diagonal, so Res_N
+    Ind chi is the same permutation module for every chi.  Nothing here
+    depends on a character.
     """
 
-    def __init__(self, B: MatrixGroup, weyls):
-        fld, n = B.field, B.n
-        gens = [g.codes for g in B.generators]
+    def __init__(self, T: MatrixGroup, N: MatrixGroup, weyls):
+        fld, n = T.field, T.n
+        gens = [g.codes for g in T.generators + N.generators]
         index: dict[tuple[int, ...], int] = {}
         reps: list[tuple[int, ...]] = []
         images = []
@@ -517,13 +521,17 @@ class BruhatCosets:
             if len(reps) - start != fld.q ** w.length:
                 raise StructureError(f"Bruhat cell of {w.perm} has {len(reps) - start} "
                                      f"cosets, expected q^{w.length}")
-        if len(reps) != gl_order(fld.q, n) // B.order:
+        if len(reps) != gl_order(fld.q, n) // (T.order * N.order):
             raise StructureError("Bruhat cells do not cover B\\G")
-        self.group = B
+        self.field, self.n = fld, n
         self.reps = [Mat(fld, n, c) for c in reps]
         self.index = index
+        target, logs = coset_action(self, images)
+        st = len(T.generators)
+        if logs[:, st:].any():
+            raise StructureError("a generator of N moves a coset by a non-unit diagonal")
         self.actions: dict[MatrixGroup, tuple[np.ndarray, np.ndarray]] = {
-            B: coset_action(self, images)}
+            T: (target[:, :st], logs[:, :st]), N: (target[:, st:], logs[:, st:])}
 
 
 def coset_action(cosets: BruhatCosets, images) -> tuple[np.ndarray, np.ndarray]:
@@ -532,7 +540,7 @@ def coset_action(cosets: BruhatCosets, images) -> tuple[np.ndarray, np.ndarray]:
     and logs[i, s] holds the discrete logs of b's diagonal.  Each column of
     target is checked to be a permutation, as right multiplication by s
     must be."""
-    fld, k, n = cosets.group.field, len(cosets.reps), cosets.group.n
+    fld, k, n = cosets.field, len(cosets.reps), cosets.n
     target = np.array([cosets.index[rep] for rep, _ in images], dtype=np.int64).reshape(k, -1)
     if (np.sort(target, axis=0) != np.arange(k)[:, None]).any():
         raise StructureError("a generator does not permute the cosets")

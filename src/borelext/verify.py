@@ -25,14 +25,15 @@ H^1(B∩B^w, F_q[chi1^{-1} chi2^w]) per row.
 
 Both principal-series routes build Ind chi the same way: one induced
 module (gmodule.induced_module) on one coset table, the right cosets B\\G
-found cell by cell in the Bruhat decomposition (group.BruhatCosets).  The
-table is built once per instance and every chi only fills in its scalars.
+found cell by cell in the Bruhat decomposition with the generators of T and
+N (group.BruhatCosets).  The table is built once per instance and every chi
+only fills in its scalars.
 
 Principal-series Ext comes from Instance.shapiro_dim: by Shapiro's lemma
-Ext^1_G(Ind chi1, Ind chi2) = Ext^1_B(chi1, Res_B Ind chi2), with Res_B Ind
-chi2 the induced module over B, so this route never enumerates G.  p is
-prime to |T| = (q-1)^n, which always holds over F_q, so H^1(B, M) =
-H^1(N, M)^T.  N acts on Res_B Ind chi2 by permuting the cosets with trivial
+Ext^1_G(Ind chi1, Ind chi2) = Ext^1_B(chi1, Res_B Ind chi2).  p is prime to
+|T| = (q-1)^n, which always holds over F_q, so H^1(B, M) = H^1(N, M)^T, and
+the route needs only Ind chi2 over N and over T, both read off the coset
+table: it enumerates neither G nor B.  N permutes the cosets with trivial
 scalars, so Res_N Ind chi2 is one module for every chi2, and one cocycle
 solve over N per instance (cohom.UnipotentH1) serves every pair: each chi2
 then costs one T-projection, a few small F_p matrices, which gives the
@@ -240,9 +241,10 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-def reports_to_json(reports, single_ok: bool = True) -> str:
+def reports_to_json(reports) -> str:
+    """One report as an object, several as a list, in canonical JSON."""
     payload = [r.to_json_dict() for r in reports]
-    obj = payload[0] if single_ok and len(payload) == 1 else payload
+    obj = payload[0] if len(payload) == 1 else payload
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -287,10 +289,15 @@ class Instance:
 
     @cached_property
     def bruhat_cosets(self):
-        return BruhatCosets(self.B, self.weyls)
+        return BruhatCosets(self.T, self.N, self.weyls)
 
     def char(self, exps) -> TorusChar:
         return TorusChar(tuple(exps), self.qm1)
+
+    def groups(self) -> list:
+        """The groups built so far: G, B, T, N as first read, then B∩B^w and N'_w per w."""
+        built = [v for k, v in vars(self).items() if k in ("G", "B", "T", "N")]
+        return built + list(self._bw.values()) + list(self._np.values())
 
     def induced(self, chi: TorusChar):
         """Ind_B^G chi over G, for the G-level direct solve."""
@@ -348,18 +355,20 @@ class Instance:
         return _h1(self.G, hom_module(self.induced(chi1), self.induced(chi2)), cfg)
 
     def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
-        """dim Ext^1_G(Ind chi1, Ind chi2), from Res_B Ind chi2 on the Bruhat
-        cosets.  The first call of the instance solves H^1(N, Res_N Ind
-        chi2) once, within cfg's budget; Res_N Ind chi is the same for every
-        chi, so that solve serves every chi2.  The first call for a chi2
-        projects it onto T and fills the cache for every chi1."""
+        """dim Ext^1_G(Ind chi1, Ind chi2) = dim H^1(N, Res_N Ind chi2)^T
+        twisted by chi1, from N's and T's action on the Bruhat cosets.  The
+        instance's first call solves H^1(N, Res_N Ind chi2) once, within cfg's
+        budget; Res_N Ind chi is one module for every chi (BruhatCosets checks
+        it).  A chi2's first call reads T's action from Ind chi2 over T and caches every chi1."""
         key = (chi1.exps, chi2.exps)
         got = self._shap.get(key)
         if got is None:
-            M = induced_module(self.bruhat_cosets, self.B, chi2)
+            cosets = self.bruhat_cosets
             if self._nh1 is None:
-                self._nh1 = UnipotentH1(self.N, self.T, M, budget_mb=cfg.budget_mb)
-            for chi, dim in zip(self.chars, self._nh1.isotypic_dims(M, self.chars)):
+                self._nh1 = UnipotentH1(self.N, self.T, induced_module(cosets, self.N, chi2),
+                                        budget_mb=cfg.budget_mb)
+            MT = induced_module(cosets, self.T, chi2)
+            for chi, dim in zip(self.chars, self._nh1.isotypic_dims(MT, self.chars)):
                 self._shap[(chi.exps, chi2.exps)] = dim
             got = self._shap[key]
         return got
@@ -392,14 +401,14 @@ def verify_prop1(inst: Instance, cfg: VerifyConfig | None = None) -> ExtReport:
     return ExtReport(inst.p, inst.f, inst.n, "prop1", rows)
 
 
-def verify_prop2(inst: Instance, cfg: VerifyConfig | None = None, weyl=None) -> list[ExtReport]:
-    """Eigencharacter multiplicities of N'/[N',N'] against Ext over B∩B^w."""
+def verify_prop2(inst: Instance, cfg: VerifyConfig | None = None) -> list[ExtReport]:
+    """Eigencharacter multiplicities of N'/[N',N'] against Ext over B∩B^w,
+    one report per Weyl element."""
     cfg = cfg or VerifyConfig()
     if inst.f != 1:
         raise ValueError("the multiplicity criterion is verified over the prime field")
-    ws = [weyl] if weyl is not None else inst.weyls
     reports = []
-    for w in ws:
+    for w in inst.weyls:
         eig = inst.weyl_eigen(w)
         mult = {beta.exps: m for beta, m in eig}
         rows = []

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from borelext import field
 from borelext.field import FieldError, dlog, frobenius, make_field
 
 from _brute import poly_mul_mod, poly_order
@@ -19,9 +20,13 @@ def test_rejects_composite_p():
         make_field(9, 1)
 
 
-def test_rejects_oversized_q():
-    with pytest.raises(FieldError):
-        make_field(3, 2, max_q=8)
+def test_rejects_oversized_q(monkeypatch):
+    with pytest.raises(FieldError, match="exceeds the table cap"):
+        make_field(3, 11)  # 3^11 = 177,147 > DEFAULT_MAX_Q
+    # the cap is read at call time
+    monkeypatch.setattr(field, "DEFAULT_MAX_Q", 8)
+    with pytest.raises(FieldError, match="exceeds the table cap 8"):
+        make_field(3, 2)
 
 
 def test_prime_field_degenerate_modulus():

@@ -80,9 +80,13 @@ def test_subgroup_orders(F3, F9):
     assert build_borel(F3, 3).order == 216
 
 
-def test_budget_error(F3):
+def test_budget_error(F3, monkeypatch):
     with pytest.raises(SizeBudgetError):
-        build_gl(F3, 3, budget=100)
+        build_gl(F3, 6)  # |GL_6(F_3)| is about 8.7e16
+    # the budget is read at call time
+    monkeypatch.setattr(group, "DEFAULT_GROUP_BUDGET", 100)
+    with pytest.raises(SizeBudgetError):
+        build_gl(F3, 3)
 
 
 def test_closure_under_product_and_inverse(F3):
@@ -189,7 +193,7 @@ def test_bruhat_cosets_reject_a_target_that_is_not_a_permutation(F3, monkeypatch
     # the last image computed is sent to the identity coset, which its own
     # generators already reach: every cell keeps its size, so only the
     # permutation check can see the fault
-    B = build_borel(F3, 3)
+    T, N = build_torus(F3, 3), build_unipotent(F3, 3)
     ws = weyl_elements(F3, 3)
     real = group.coset_normal_form
     calls = []
@@ -199,7 +203,7 @@ def test_bruhat_cosets_reject_a_target_that_is_not_a_permutation(F3, monkeypatch
         return real(g)
 
     monkeypatch.setattr(group, "coset_normal_form", counted)
-    cosets = BruhatCosets(B, ws)
+    cosets = BruhatCosets(T, N, ws)
     total = len(calls)
     identity_rep = cosets.reps[0].codes
 
@@ -210,7 +214,7 @@ def test_bruhat_cosets_reject_a_target_that_is_not_a_permutation(F3, monkeypatch
 
     monkeypatch.setattr(group, "coset_normal_form", corrupted)
     with pytest.raises(StructureError, match="permute"):
-        BruhatCosets(B, ws)
+        BruhatCosets(T, N, ws)
     # G's generators go through the same check: the first image outside the
     # identity coset is sent there, and the cell sizes do not see it
     G = build_gl(F3, 3)
@@ -228,6 +232,32 @@ def test_bruhat_cosets_reject_a_target_that_is_not_a_permutation(F3, monkeypatch
     with pytest.raises(StructureError, match="permute"):
         gmodule.right_coset_data(cosets, G)
     assert len(moved) == 1
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2)], ids=["3-1", "3-2"])
+def test_bruhat_cosets_reject_an_n_image_with_a_non_unit_diagonal(p, f, monkeypatch):
+    # the image of the identity coset under N's first generator keeps its
+    # target but gets the diagonal (zeta, 1, 1): cells and permutations are
+    # unchanged, so only the unit-diagonal check on N's images can see it
+    fld = make_field(p, f)
+    T, N = build_torus(fld, 3), build_unipotent(fld, 3)
+    ws = weyl_elements(fld, 3)
+    cosets = BruhatCosets(T, N, ws)
+    assert not cosets.actions[N][1].any()
+    real = group.coset_normal_form
+    seen = []
+
+    def corrupted(g):
+        rep, diag = real(g)
+        if g.codes != N.generators[0].codes:
+            return rep, diag
+        seen.append(g)
+        return rep, (fld.generator_code,) + diag[1:]
+
+    monkeypatch.setattr(group, "coset_normal_form", corrupted)
+    with pytest.raises(StructureError, match="non-unit diagonal"):
+        BruhatCosets(T, N, ws)
+    assert len(seen) == 1
 
 
 def test_intersect_conjugate_gl2(F3):

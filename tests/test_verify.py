@@ -262,6 +262,19 @@ def test_shapiro_route_never_builds_g():
     assert "G" not in inst.__dict__
 
 
+def test_instance_lists_the_groups_it_built_in_order():
+    inst = V.Instance(3, 1, 2)
+    assert inst.groups() == []
+    V.verify_thm1(inst)
+    # the Bruhat cosets read T and N; the direct route at n = 2 solves over G
+    assert [g.label for g in inst.groups()] == ["T", "N", "G"]
+    w = inst.weyls[-1]
+    Np = inst.nprime(w)
+    built = inst.groups()
+    assert len(built) == 6
+    assert all(g is h for g, h in zip(built, (inst.T, inst.N, inst.G, inst.B, inst.bw(w), Np)))
+
+
 def test_shared_n_solve_matches_the_b_level_solve_at_gl3_f3():
     # every pair of GL_3(F_3) through the shared N solve against the B-level
     # Shapiro solve, which solves each pair on its own
@@ -275,13 +288,14 @@ def test_shared_n_solve_matches_the_b_level_solve_at_gl3_f3():
 
 def test_shapiro_oracle_at_gl3_f5():
     # |GL_3(F_5)| = 1,488,000 is past enumeration; the Bruhat cosets give
-    # Res_B Ind chi2 on 186 cosets.  A B2 pair: dim 1 (the Mackey ledger puts
-    # it at w = (2,1,3)) and no (w, i, k) witness
+    # Res_N and Res_T Ind chi2 on 186 cosets, and neither G nor B is built.
+    # A B2 pair: dim 1 (the Mackey ledger puts it at w = (2,1,3)) and no
+    # (w, i, k) witness
     inst = V.Instance(5, 1, 3)
     chi1, chi2 = inst.char((0, 1, 0)), inst.char((1, 1, 3))
     assert inst.shapiro_dim(chi1, chi2, V.VerifyConfig()) == 1
     assert match_theorem1_condition(chi1, chi2, inst.weyls) is None
-    assert "G" not in inst.__dict__
+    assert "G" not in inst.__dict__ and "B" not in inst.__dict__
 
 
 @pytest.mark.parametrize("command", [["ext-ps"], ["verify", "thm1"]], ids=["ext-ps", "thm1"])
