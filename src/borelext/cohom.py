@@ -33,14 +33,21 @@ solve of H^1(N, Res_N Ind chi2), with the action of T and of the
 F_q-scalars on it as small F_p matrices, gives the dimension for every chi1
 by a nullity.  The solve is shared by every chi2 as well: N permutes the
 cosets B\\G with b of unit diagonal (reps[i]·n = b·reps[j]), so chi2(diag
-b) = 1 and Res_N Ind chi2 is the same permutation module for every chi2;
-only T's action, read by UnipotentH1.isotypic_dims from Ind chi2 as a
-module over T, depends on chi2.  Both modules come from gmodule.induced_module
-on the cosets of group.BruhatCosets, which finds them cell by cell with the
-generators of T and N and checks the unit diagonals, so this route
-enumerates neither G nor B.  The B-level solve of H^1(B,
-Hom_{F_q}(F_q[chi1], Res_B Ind chi2)) is kept in the tests, as a reference
-for this route.
+b) = 1 and Res_N Ind chi2 is the same permutation module for every chi2.
+Only T's action depends on chi2, and only through one scalar per Bruhat
+cell: T and N keep each cell B\\BwB, and a generator t of T scales every
+coset of cell w by the one diagonal w t w^{-1}, so on cell w T acts by
+chi2(w t w^{-1}) times its action on Ind 1.  So UnipotentH1.cell_multiplicities
+splits H^1(N, Res_N Ind 1) over the cells and tabulates once per cell the
+multiplicity m_w(beta) of every character beta of T in it, and the
+dimension for (chi1, chi2) is the sum over w of m_w(chi1 chi2(w . w^{-1})^{-1}),
+one lookup per cell.  Both modules come from gmodule.induced_module on the
+cosets of group.BruhatCosets, which finds them cell by cell with the
+generators of T and N and checks the unit diagonals, the cells and their
+torus diagonals, so this route enumerates neither G nor B.  The B-level
+solve of H^1(B, Hom_{F_q}(F_q[chi1], Res_B Ind chi2)) is kept in the tests,
+as a reference for this route, and the Mackey ledger's solves over B∩B^w
+check each cell's part.
 
 The G-level direct route uses the center the same way.  Z = <gamma I> has
 order q - 1, prime to p, so H^1(G, M) = H^1(G/Z, M^Z) = H^1(G, M^Z), and Z
@@ -52,6 +59,7 @@ without assembling a system.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field as dc_field
@@ -59,7 +67,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .chars import TorusChar, evaluate
 from .gmodule import FpModule, ModuleError
 from .group import MatrixGroup, StructureError
 
@@ -266,14 +273,14 @@ class UnipotentH1:
     permutes the normal-form cosets with b of unit diagonal, which
     group.BruhatCosets checks when it builds them, so Res_N Ind chi is the
     permutation module F_q[B\\G] whatever chi is, and only T's action
-    carries chi.  isotypic_dims reads that action from a module over T on
-    the same space.
+    carries chi.  cell_multiplicities reads that action from a module over
+    T on the same space, and splits H^1 over the Bruhat cells.
 
     T normalizes N, p does not divide |T|, and M is in fq form.  Kept from
-    the solve: the reducer that takes a cocycle to its coordinates in the
-    H^1 basis, the powers of the F_q-scalar action on those coordinates,
-    and for each generator t of T the H^1 basis evaluated at t^{-1} s t for
-    N's generators s.
+    the solve: the values of the H^1 basis cocycles on N's generators, the
+    reducer that takes a cocycle to its coordinates in the H^1 basis, the
+    F_q-scalar action on those coordinates, and for each generator t of T
+    the H^1 basis evaluated at t^{-1} s t for N's generators s.
     """
 
     def __init__(self, N: MatrixGroup, T: MatrixGroup, M: FpModule, budget_mb: int = 1024):
@@ -292,20 +299,17 @@ class UnipotentH1:
             return
         S, d = len(N.generators), M.dim
         self._nu = nu = S * d
-        V = np.stack([c.values.reshape(-1) for c in r.basis])
+        self._values = np.stack([c.values for c in r.basis])  # (h, S, d)
         # rows [B^1 | 0] and [basis | 1]: reducing [z | 0] for z in Z^1 leaves
         # [0 | -x], where x are z's coordinates in the basis modulo B^1
         self._red = linalg.RowReducer(p, nu + h)
         self._red.add_rows(np.hstack([_coboundary_rows(M), np.zeros((d, h), dtype=np.int64)]))
-        self._red.add_rows(np.hstack([V, np.eye(h, dtype=np.int64)]))
+        self._red.add_rows(np.hstack([self._values.reshape(h, nu), np.eye(h, dtype=np.int64)]))
 
         fld = N.field
         # multiplication by the field generator on values, blockwise in fq form
         gen_block = np.kron(np.eye(d // fld.f, dtype=np.int64), fld.mult_matrix(fld.generator_code))
-        scalar = self._coords(V.reshape(h, S, d) @ gen_block.T % p)
-        self._powers = [np.eye(h, dtype=np.int64)]
-        for _ in range(fld.q - 2):
-            self._powers.append(self._powers[-1] @ scalar % p)
+        self._scalar = self._coords(self._values @ gen_block.T % p)
 
         fvals = np.stack([c.propagate() for c in r.basis])  # (h, |N|, d)
         self._conj_vals = []
@@ -322,37 +326,80 @@ class UnipotentH1:
             raise StructureError("the image of an H^1 basis cocycle is not a cocycle")
         return (-rest[:, nu:]) % p
 
-    def isotypic_dims(self, MT: FpModule, chis: list[TorusChar]) -> list[int]:
-        """dim_{F_p} H^1(T N, Hom_{F_q}(F_q[chi], M)) for every chi, where M
-        is the module over T N that is the solved module over N and MT over
-        T, on the same space.
+    def cell_multiplicities(self, MT: FpModule, cells) -> list[np.ndarray]:
+        """For each cell (start, stop), a range of blocks of f coordinates
+        spanning a submodule M_c over T N, the table of dim_{F_p} H^1(T N,
+        Hom_{F_q}(F_q[chi], M_c)) over the characters chi of T, where the
+        module over T N is the solved module over N and MT over T, on the
+        same space.
 
-        H^1(T N, M) = H^1(N, M)^T (inflation-restriction), and twisting by
-        chi^{-1} leaves the N-action alone, so every chi reads the same
-        H^1(N, M): the answer for chi is the F_p-nullity of chi(t)^{-1} A_t
-        - 1 stacked over the generators of T, where A_t is the action
-        (t.f)(n) = t f(t^{-1} n t) on H^1(N, M) and chi(t)^{-1} acts as an
+        The table is indexed by the exponents (c_t) with chi(t) = zeta^{c_t}
+        for T's generators t, row-major, which is all_chars order for the
+        generators of build_torus.  H^1(N, M) is the direct sum of the
+        H^1(N, M_c), and the part of an H^1 basis cocycle at a cell's
+        coordinates is a cocycle of M_c, so the coordinates of those parts
+        span H^1(N, M_c), and their reduced rows E are a basis of it.  A_t,
+        the action (t.f)(n) = t f(t^{-1} n t) on coordinate rows, maps that
+        span to itself, where it is (E A_t) read at E's pivot columns.  By
+        inflation-restriction and because twisting by chi^{-1} leaves the
+        N-action alone, the entry for chi is the F_p-nullity of chi(t)^{-1}
+        A_t - 1 stacked over the generators of T, chi(t)^{-1} acting as an
         F_q-scalar.  rho(t) is MT's generator matrix; a module over another
-        group, or of another dim, is refused.
+        group, or of another dim, is refused, and so are cells whose parts
+        are not cocycles or whose span T does not keep.
         """
         if not MT.fq_form:
             raise ModuleError("the F_q-scalar action needs a module in fq form")
         if MT.group is not self.T or MT.dim != self.dim:
             raise StructureError("the torus action is not a module over T on the solved space")
-        h, p = self.h, self.p
+        h, p, fld = self.h, self.p, self.N.field
         if h == 0:
-            return [0] * len(chis)
-        fld = self.N.field
-        acts = [(t, self._coords(vals @ rho_t.T % p))
-                for t, vals, rho_t in zip(self.T.generators, self._conj_vals, MT.gen_action)]
-        eye = np.eye(h, dtype=np.int64)
+            return [np.zeros((fld.q - 1) ** len(self.T.generators), dtype=np.int64)
+                    for _ in cells]
+        acts = [self._coords(vals @ rho_t.T % p)
+                for vals, rho_t in zip(self._conj_vals, MT.gen_action)]
         out = []
-        for chi in chis:
-            # coordinates are rows, so x is invariant iff x (A_t L - 1) = 0 for all t
-            blocks = [(A @ self._powers[-fld.dlog_code(evaluate(chi, t).code) % (fld.q - 1)]
-                       - eye).T % p for t, A in acts]
-            out.append(h - linalg.rank_mod(np.vstack(blocks), p))
+        for start, stop in cells:
+            cols = slice(start * fld.f, stop * fld.f)
+            part = np.zeros_like(self._values)
+            part[:, :, cols] = self._values[:, :, cols]
+            span = linalg.RowReducer(p, h)
+            span.add_rows(self._coords(part))
+
+            def on_span(A):
+                image = span.rows @ A % p
+                if span.reduce(image).any():
+                    raise StructureError("the torus moves a cell's H^1 out of it")
+                return image[:, span.pivots]
+
+            out.append(_multiplicities([on_span(A) for A in acts], on_span(self._scalar),
+                                       fld.q - 1, p))
         return out
+
+
+def _multiplicities(acts: list[np.ndarray], scalar: np.ndarray, qm1: int, p: int) -> np.ndarray:
+    """For every c in Z_{q-1}^S, S = len(acts), row-major, the F_p-nullity
+    of zeta^{-c_t} A_t - 1 stacked over t, where the A_t act on coordinate
+    rows and scalar is multiplication by zeta.  The A_t commute with each other
+    and with scalar and are diagonalizable with eigenvalues in F_q, so the
+    nullities sum to the dim: the loop stops when they reach it."""
+    dim = scalar.shape[0]
+    table = np.zeros(qm1 ** len(acts), dtype=np.int64)
+    if dim == 0:
+        return table
+    powers = [np.eye(dim, dtype=np.int64)]
+    for _ in range(qm1 - 1):
+        powers.append(powers[-1] @ scalar % p)
+    # coordinates are rows, so x is fixed iff x (zeta^{-c_t} A_t - 1) = 0 for all t
+    blocks = [[(A @ powers[-c % qm1] - powers[0]).T % p for c in range(qm1)] for A in acts]
+    left = dim
+    for code, c in enumerate(itertools.product(range(qm1), repeat=len(acts))):
+        m = dim - linalg.rank_mod(np.vstack([b[ct] for b, ct in zip(blocks, c)]), p)
+        table[code] = m
+        left -= m
+        if not left:
+            break
+    return table
 
 
 def _propagate(H: MatrixGroup, M: FpModule, values: np.ndarray) -> np.ndarray:

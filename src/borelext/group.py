@@ -489,14 +489,20 @@ class BruhatCosets:
     Each Bruhat cell B\\BwB is the orbit of the permutation matrix of w
     under right multiplication by B = T·N, so the cosets are found cell by
     cell in the order of `weyls`, searching with T's and N's generators.
-    index maps a representative's codes to its position in reps.  actions
-    maps a group to the right action of its generators (coset_action): T's
-    and N's come from the images the search computes anyway, and another
-    group's is added the first time an induced module over it asks
-    (gmodule.right_coset_data).  Every image under a generator of N is
-    checked to be reps[i]·s = b·reps[j] with b of unit diagonal, so Res_N
-    Ind chi is the same permutation module for every chi.  Nothing here
-    depends on a character.
+    index maps a representative's codes to its position in reps, and cells
+    holds each cell's range (start, stop) of positions, in `weyls` order.
+    actions maps a group to the right action of its generators
+    (coset_action): T's and N's come from the images the search computes
+    anyway, and another group's is added the first time an induced module
+    over it asks (gmodule.right_coset_data).  Every image under a generator
+    of N is checked to be reps[i]·s = b·reps[j] with b of unit diagonal, so
+    Res_N Ind chi is the same permutation module for every chi.  The images
+    under T's and N's generators are checked to stay in their cell, and
+    each generator t of T to scale every coset of cell w by one diagonal,
+    whose discrete logs are cell_logs[w, t]: a coset of BwB is B·w·u, and
+    w·u·t = (w t w^{-1})·w·(t^{-1} u t).  So Res_T Ind chi on cell w is
+    chi(cell_logs[w]) times T's action on Ind 1 there, and Res_{TN} Ind chi
+    is the direct sum of its cells.  Nothing here depends on a character.
     """
 
     def __init__(self, T: MatrixGroup, N: MatrixGroup, weyls):
@@ -505,6 +511,7 @@ class BruhatCosets:
         index: dict[tuple[int, ...], int] = {}
         reps: list[tuple[int, ...]] = []
         images = []
+        cells = []
         for w in weyls:
             start = len(reps)
             rep = coset_normal_form(w.rep)[0]
@@ -521,15 +528,18 @@ class BruhatCosets:
             if len(reps) - start != fld.q ** w.length:
                 raise StructureError(f"Bruhat cell of {w.perm} has {len(reps) - start} "
                                      f"cosets, expected q^{w.length}")
+            cells.append((start, len(reps)))
         if len(reps) != gl_order(fld.q, n) // (T.order * N.order):
             raise StructureError("Bruhat cells do not cover B\\G")
         self.field, self.n = fld, n
         self.reps = [Mat(fld, n, c) for c in reps]
         self.index = index
+        self.cells = cells
         target, logs = coset_action(self, images)
         st = len(T.generators)
         if logs[:, st:].any():
             raise StructureError("a generator of N moves a coset by a non-unit diagonal")
+        self.cell_logs = cell_torus_logs(cells, target, logs[:, :st])
         self.actions: dict[MatrixGroup, tuple[np.ndarray, np.ndarray]] = {
             T: (target[:, :st], logs[:, :st]), N: (target[:, st:], logs[:, st:])}
 
@@ -546,3 +556,19 @@ def coset_action(cosets: BruhatCosets, images) -> tuple[np.ndarray, np.ndarray]:
         raise StructureError("a generator does not permute the cosets")
     logs = [fld.dlog_code(c) for _, diag in images for c in diag]
     return target, np.array(logs, dtype=np.int64).reshape(k, target.shape[1], n)
+
+
+def cell_torus_logs(cells, target: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """The discrete logs of the one diagonal by which each torus generator
+    scales the cosets of each cell, shape (cells, S, n), from the right
+    action of generators on the cosets: target over every generator, logs
+    over the torus generators only.  Raises StructureError if a generator
+    moves a coset to another cell, or if a torus generator scales two
+    cosets of one cell by different diagonals."""
+    cell_of = np.repeat(np.arange(len(cells)), [stop - start for start, stop in cells])
+    if (cell_of[target] != cell_of[:, None]).any():
+        raise StructureError("a generator moves a coset to another Bruhat cell")
+    first = logs[[start for start, _ in cells]]
+    if (logs != first[cell_of]).any():
+        raise StructureError("a torus generator scales one cell's cosets by different diagonals")
+    return first

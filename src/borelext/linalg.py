@@ -156,8 +156,18 @@ class RowReducer:
     def nullspace(self) -> np.ndarray:
         """Basis of {x : R x = 0}, one vector per free column.  Vector k is
         1 at its free column, 0 at the other free columns, so coordinates
-        in this basis can be read off at the free columns."""
+        in this basis can be read off at the free columns.  A narrow reducer
+        writes the vectors from its Python-int basis and converts them once."""
         free = self.free_columns()
+        if self._narrow:
+            p, out = self.p, []
+            for j in free:
+                v = [0] * self.ncols
+                v[j] = 1
+                for c, b in zip(self.pivots, self._basis):
+                    v[c] = -b[j] % p
+                out.append(v)
+            return np.array(out, dtype=np.int64).reshape(len(free), self.ncols)
         out = np.zeros((len(free), self.ncols), dtype=np.int64)
         out[np.arange(len(free)), free] = 1
         if self.pivots:

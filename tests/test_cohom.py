@@ -20,6 +20,7 @@ from borelext.cohom import Cocycle, MemoryBudgetError, UnipotentH1, h1_dim
 from borelext.field import make_field
 from borelext.gmodule import (
     FpModule,
+    MonomialModule,
     abelian_quotient_with_torus_action,
     char_module,
     hom_module,
@@ -531,14 +532,16 @@ def test_two_path_ext_gl2_f3_all_pairs(p, f, n, direct, chi2s):
     # Ext^1_G(Ind chi1, Ind chi2) three ways: the G-level solve (only where
     # |G| is small), the B-level Shapiro solve, and the N-level T-isotypic
     # route; at f = 2 one chi2 is checked against all 64 chi1.  The table
-    # representatives are not in normal form, so N's action carries chi2
-    # and each chi2 gets its own N solve
+    # representatives are not in normal form, so N's action carries chi2,
+    # each chi2 gets its own N solve, and its table is read as one cell
     G, B, T, N, chars, inds = _gl_setup(p, f, n)
     targets = chars if chi2s is None else [TorusChar(e, G.field.q - 1) for e in chi2s]
     seen = 0
     for c2 in targets:
         M = inds[c2.exps]
-        iso = UnipotentH1(N, T, restrict(M, N)).isotypic_dims(restrict(M, T), chars)
+        whole = [(0, M.dim // f)]
+        [iso] = UnipotentH1(N, T, restrict(M, N)).cell_multiplicities(restrict(M, T), whole)
+        assert len(iso) == len(chars)
         res = restrict(inds[c2.exps], B)
         for c1, got in zip(chars, iso):
             shap = ext1_dim_shapiro(B, c1, res).dim_h1
@@ -559,7 +562,8 @@ def test_isotypic_dims_sum_to_h1_over_unipotent(p, f, n):
         total = h1_dim(N, restrict(M, N)).dim_h1
         solved = UnipotentH1(N, T, restrict(M, N))
         assert solved.h == total
-        assert sum(solved.isotypic_dims(restrict(M, T), chars)) == total > 0
+        [iso] = solved.cell_multiplicities(restrict(M, T), [(0, M.dim // f)])
+        assert iso.sum() == total > 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -587,16 +591,68 @@ def test_unipotent_action_on_the_cosets_does_not_depend_on_chi(p, f, n):
 
 
 def test_projection_refuses_a_torus_action_off_the_solved_space():
-    # isotypic_dims reads rho(t) from a module over T of the solved dim: Ind
-    # chi over T is read, and Ind chi over B, or a T-module of another dim,
-    # is refused
+    # cell_multiplicities reads rho(t) from a module over T of the solved
+    # dim: Ind chi over T is read, and Ind chi over B, or a T-module of
+    # another dim, is refused
     B, T, N, chars, cosets = _bruhat_setup(3, 1, 3)
     solved = UnipotentH1(N, T, induced_module(cosets, N, chars[0]))
     assert solved.h > 0
-    assert len(solved.isotypic_dims(induced_module(cosets, T, chars[5]), chars)) == len(chars)
+    tables = solved.cell_multiplicities(induced_module(cosets, T, chars[5]), cosets.cells)
+    assert [len(m) for m in tables] == [len(chars)] * len(cosets.cells)
     for other in (induced_module(cosets, B, chars[5]), char_module(T, chars[5])):
         with pytest.raises(StructureError, match="not a module over T on the solved space"):
-            solved.isotypic_dims(other, chars)
+            solved.cell_multiplicities(other, cosets.cells)
+
+
+def _cell_module(cosets, H, start, stop, chi):
+    """Ind chi over H on the cosets of one cell alone, from H's coset action."""
+    target, logs = cosets.actions[H]
+    return MonomialModule(H, target[start:stop] - start, logs[start:stop], chi, label="cell")
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)],
+                         ids=["3-1-2", "3-2-2", "3-1-3", "5-1-3"])
+def test_cell_multiplicities_sum_to_each_cells_h1(p, f, n):
+    # one N solve on the whole coset space: each cell's table sums to h_w,
+    # the dim of H^1(N, F_q[cell w]) solved over that cell's cosets alone,
+    # the h_w sum to h, and the nonzero entries are T's eigencharacters there
+    B, T, N, chars, cosets = _bruhat_setup(p, f, n)
+    triv = chars[0]
+    solved = UnipotentH1(N, T, induced_module(cosets, N, triv))
+    tables = solved.cell_multiplicities(induced_module(cosets, T, triv), cosets.cells)
+    dims = [h1_dim(N, _cell_module(cosets, N, a, b, triv)).dim_h1 for a, b in cosets.cells]
+    assert [int(m.sum()) for m in tables] == dims
+    assert sum(dims) == solved.h > 0
+    for (a, b), m in zip(cosets.cells, tables):
+        # the cell's own solve, split by T as one cell, gives the same table
+        cell = UnipotentH1(N, T, _cell_module(cosets, N, a, b, triv))
+        [own] = cell.cell_multiplicities(_cell_module(cosets, T, a, b, triv), [(0, b - a)])
+        assert own.tolist() == m.tolist()
+
+
+def test_cell_multiplicities_refuse_cells_that_are_not_submodules():
+    # splitting the cell of (1,3,2) at GL_3(F_3), whose H^1 has dim 2: N
+    # moves cosets between the halves, so the part of an H^1 basis cocycle
+    # on one half is not a cocycle
+    B, T, N, chars, cosets = _bruhat_setup(3, 1, 3)
+    solved = UnipotentH1(N, T, induced_module(cosets, N, chars[0]))
+    MT = induced_module(cosets, T, chars[0])
+    a, b = cosets.cells[1]
+    assert b - a == 3 and solved.cell_multiplicities(MT, [(a, b)])[0].sum() == 2
+    with pytest.raises(StructureError, match="not a cocycle"):
+        solved.cell_multiplicities(MT, [(a, a + 1), (a + 1, b)])
+    # two copies of Ind 1 at GL_2(F_3), each a submodule over N, which T
+    # swaps: a module over T N whose copies are not T-stable
+    B, T, N, chars, cosets = _bruhat_setup(3, 1, 2)
+    k = len(cosets.reps)
+    (tn, ln), (tt, lt) = cosets.actions[N], cosets.actions[T]
+    MN = MonomialModule(N, np.vstack([tn, tn + k]), np.vstack([ln, ln]), chars[0], "two")
+    MT = MonomialModule(T, np.vstack([tt + k, tt]), np.vstack([lt, lt]), chars[0], "swapped")
+    solved = UnipotentH1(N, T, MN)
+    assert solved.h > 0
+    assert sum(int(m.sum()) for m in solved.cell_multiplicities(MT, [(0, 2 * k)])) == solved.h
+    with pytest.raises(StructureError, match="moves a cell's H\\^1 out of it"):
+        solved.cell_multiplicities(MT, [(0, k), (k, 2 * k)])
 
 
 def test_ext_gl2_f5_twist_pair():

@@ -260,6 +260,56 @@ def test_bruhat_cosets_reject_an_n_image_with_a_non_unit_diagonal(p, f, monkeypa
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)],
+                         ids=["3-1-2", "3-2-2", "3-1-3", "5-1-3"])
+def test_bruhat_cells_are_recorded_with_their_torus_diagonal(p, f, n):
+    # cell w holds q^l(w) cosets in weyls order, and the torus generator t_i
+    # scales each of them by w t_i w^{-1}, whose zeta sits at position w(i)
+    fld = make_field(p, f)
+    T, N, ws = build_torus(fld, n), build_unipotent(fld, n), weyl_elements(fld, n)
+    cosets = BruhatCosets(T, N, ws)
+    assert [stop - start for start, stop in cosets.cells] == [fld.q ** w.length for w in ws]
+    assert cosets.cells[0][0] == 0 and cosets.cells[-1][1] == len(cosets.reps)
+    assert all(a[1] == b[0] for a, b in zip(cosets.cells, cosets.cells[1:]))
+    eye = np.eye(n, dtype=np.int64)
+    for w, L in zip(ws, cosets.cell_logs):
+        assert L.tolist() == eye[[i - 1 for i in w.perm]].tolist()
+
+
+def test_cell_check_refuses_a_coset_moved_across_cells_or_a_varying_diagonal(F3, monkeypatch):
+    T, N, ws = build_torus(F3, 3), build_unipotent(F3, 3), weyl_elements(F3, 3)
+    cosets = BruhatCosets(T, N, ws)
+    st = len(T.generators)
+    target = np.hstack([cosets.actions[T][0], cosets.actions[N][0]])
+    logs = cosets.actions[T][1]
+    assert (group.cell_torus_logs(cosets.cells, target, logs) == cosets.cell_logs).all()
+    # swap the images of a coset of the (1,3,2) cell and of the w0 cell under
+    # N's first generator: each column stays a permutation
+    a, b = cosets.cells[1][0], cosets.cells[-1][0]
+    moved = target.copy()
+    moved[[a, b], st] = moved[[b, a], st]
+    assert (np.sort(moved, axis=0) == np.arange(len(cosets.reps))[:, None]).all()
+    with pytest.raises(StructureError, match="another Bruhat cell"):
+        group.cell_torus_logs(cosets.cells, moved, logs)
+    # the last coset of the w0 cell scaled by another diagonal under t_1
+    varied = logs.copy()
+    varied[cosets.cells[-1][1] - 1, 0] = (0, 0, 0)
+    with pytest.raises(StructureError, match="different diagonals"):
+        group.cell_torus_logs(cosets.cells, target, varied)
+    # BruhatCosets runs the check on the action its search found
+    real = group.coset_action
+
+    def corrupted(cosets, images):
+        tgt, lg = real(cosets, images)
+        lg = lg.copy()
+        lg[-1, 0] = (0, 0, 0)
+        return tgt, lg
+
+    monkeypatch.setattr(group, "coset_action", corrupted)
+    with pytest.raises(StructureError, match="different diagonals"):
+        BruhatCosets(T, N, ws)
+
+
 def test_intersect_conjugate_gl2(F3):
     B = build_borel(F3, 2)
     T = build_torus(F3, 2)

@@ -165,6 +165,44 @@ def test_narrow_and_wide_regimes_agree(monkeypatch, p):
         assert runs[0] == runs[1]
 
 
+def _brute_nullspace(rows, ncols, p):
+    """The nullspace basis read off gauss_rref: vector k is 1 at the k-th
+    free column, 0 at the others, and -R[i][that column] at pivot i."""
+    R, pivots = gauss_rref(rows, p) if rows else ([], [])
+    free = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for j in free:
+        v = [0] * ncols
+        v[j] = 1
+        for r, c in zip(R, pivots):
+            v[c] = -r[j] % p
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["wide", "narrow"])
+def test_nullspace_matches_the_brute_rref_in_each_regime(monkeypatch, narrow):
+    # the same batches through one regime: after every batch the nullspace
+    # is gauss_rref's, with shape (free columns, ncols) and dtype int64 even
+    # when no row was fed or no column is free
+    monkeypatch.setattr(linalg, "NARROW_COLS", 1 << 20 if narrow else 0)
+    rng = np.random.default_rng(11)
+    for p in (3, 7, 251):
+        for ncols in (1, 4, NARROW_COLS, 24):
+            A = _low_rank(rng, p, 30, ncols, max(1, ncols - 3))
+            A = np.vstack([A, rng.integers(0, p, size=(ncols, ncols))])  # full rank at the end
+            red = RowReducer(p, ncols)
+            assert red._narrow == narrow
+            fed = 0
+            for stop in (0, 2, 30, 30 + ncols):
+                red.add_rows(A[fed:stop])
+                fed = stop
+                N = red.nullspace()
+                want = _brute_nullspace(A[:fed].tolist(), ncols, p)
+                assert N.dtype == np.int64 and N.shape == (len(want), ncols)
+                assert N.tolist() == want
+
+
 def test_reducer_rejects_rows_of_the_wrong_width():
     for ncols in (3, NARROW_COLS + 3):
         red = RowReducer(5, ncols)

@@ -1,6 +1,7 @@
-"""The verification layer: one N-level solve per instance and one
-T-projection per chi2 in chi1-major order, report bytes independent of the
-BLAS thread count, no thread pool loaded by a run, the two oracle paths of
+"""The verification layer: one N-level solve per instance, one
+T-multiplicity table per Bruhat cell and rows in chi1-major order, each
+cell's part of the Shapiro dim against its Mackey ledger row, report bytes
+independent of the BLAS thread count, no thread pool loaded by a run, the two oracle paths of
 thm1, prop4's B-level route against the G-level solve, char_ext against the
 pairwise F_q-Hom module, the shared N solve against the B-level solve at
 every pair of GL_3(F_3), the principal-series oracle at GL_3(F_3) and
@@ -22,7 +23,7 @@ import pytest
 from borelext import cli
 from borelext import verify as V
 from borelext.chars import TorusChar, frobenius_twist, match_theorem1_condition, weyl_twist
-from borelext import cohom
+from borelext import cohom, linalg
 from borelext.cohom import H1Result, h1_dim
 from borelext.gmodule import char_module, det_char_module, fq_hom_module, hom_module, induced_module
 from borelext.group import diag_mat
@@ -38,29 +39,73 @@ def _center_id(inst):
 
 
 @pytest.mark.parametrize("pfn", [(3, 1, 2), (3, 1, 3)], ids=["3-1-2", "3-1-3"])
-def test_thm1_solves_n_once_and_projects_each_chi2_once_in_chi1_major_order(monkeypatch, pfn):
-    n_solves, projections = [], []
+def test_thm1_solves_n_once_and_tabulates_each_cell_once_in_chi1_major_order(monkeypatch, pfn):
+    n_solves, tabulated, torus_modules, ranks, inside = [], [], [], [], []
     inst = V.Instance(*pfn)
-    real_solve, real_project = cohom.h1_dim, V.UnipotentH1.isotypic_dims
+    real_solve, real_tabulate = cohom.h1_dim, V.UnipotentH1.cell_multiplicities
+    real_induced, real_rank = V.induced_module, linalg.rank_mod
 
     def solve(H, M, **kw):
         if H is inst.N:
             n_solves.append(M.dim)
         return real_solve(H, M, **kw)
 
-    def project(self, M, chis):
-        projections.append(M.chi.exps)
-        return real_project(self, M, chis)
+    def tabulate(self, MT, cells):
+        inside.append(True)
+        try:
+            tables = real_tabulate(self, MT, cells)
+        finally:
+            inside.pop()
+        tabulated.append(len(tables))
+        return tables
+
+    def induced(cosets, H, chi):
+        if H is inst.T:
+            torus_modules.append(chi.exps)
+        return real_induced(cosets, H, chi)
+
+    def rank(A, p):
+        if inside:
+            ranks.append(len(A))
+        return real_rank(A, p)
 
     monkeypatch.setattr(cohom, "h1_dim", solve)
-    monkeypatch.setattr(V.UnipotentH1, "isotypic_dims", project)
+    monkeypatch.setattr(V.UnipotentH1, "cell_multiplicities", tabulate)
+    monkeypatch.setattr(V, "induced_module", induced)
+    monkeypatch.setattr(linalg, "rank_mod", rank)
     nec, _ = V.verify_thm1(inst)
-    # one N solve serves the instance; the first chi1 of each chi2 projects
-    # it onto T and fills the Shapiro cache for every chi1 of that chi2
+    # one N solve serves the instance, one table per Bruhat cell serves every
+    # pair, T acts through Ind 1 alone, and no pair takes a rank of its own:
+    # at most one per (cell, character)
     assert len(n_solves) == 1
-    assert sorted(projections) == sorted(c.exps for c in inst.chars)
+    assert tabulated == [len(inst.weyls)]
+    assert torus_modules == [(0,) * inst.n]
+    assert 0 < len(ranks) <= len(inst.weyls) * len(inst.chars) < len(nec.pairs)
     assert [(r.chi1, r.chi2) for r in nec.pairs] == [
         (c1.exps, c2.exps) for c1 in inst.chars for c2 in inst.chars]
+
+
+@pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2), (3, 1, 3), (3, 2, 2)], ids=str)
+def test_each_bruhat_cell_gives_its_mackey_ledger_row(args):
+    # cell w's part of the Shapiro dim against the ledger row at the same w,
+    # dim H^1(B∩B^w, F_q[chi1^{-1} chi2^w]): char_ext solves it over B∩B^w
+    # itself, sharing no code with UnipotentH1, once per (w, beta)
+    inst = V.Instance(*args)
+    cfg = V.VerifyConfig()
+    ledger, rows = {}, 0
+    for chi2 in inst.chars:
+        cells = inst.shapiro_cells(chi2, cfg)
+        assert cells.shape == (len(inst.weyls), len(inst.chars))
+        for k, w in enumerate(inst.weyls):
+            for j, chi1 in enumerate(inst.chars):
+                beta = chi1.inverse() * weyl_twist(chi2, w)
+                if (w.perm, beta.exps) not in ledger:
+                    ledger[w.perm, beta.exps] = inst.char_ext(w, beta, cfg)
+                assert cells[k, j] == ledger[w.perm, beta.exps]
+                rows += 1
+            assert inst.shapiro_dim(inst.chars[0], chi2, cfg) == cells[:, 0].sum()
+    assert rows == len(inst.weyls) * len(inst.chars) ** 2
+    assert len(ledger) == len(inst.weyls) * len(inst.chars) and any(ledger.values())
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -273,6 +318,19 @@ def test_instance_lists_the_groups_it_built_in_order():
     built = inst.groups()
     assert len(built) == 6
     assert all(g is h for g, h in zip(built, (inst.T, inst.N, inst.G, inst.B, inst.bw(w), Np)))
+
+
+def test_prop1_then_prop2_enumerate_b_once():
+    # bw(1) is B itself, so prop2's nprime(1) and weyl_eigen(1) at the
+    # identity read the B that prop1's char_ext built, and prop2's report
+    # keeps its pinned bytes
+    inst = V.Instance(3, 1, 3)
+    V.verify_prop1(inst)
+    out = V.reports_to_json(V.verify_prop2(inst))
+    assert [g for g in inst.groups() if g.order == 216] == [inst.B]
+    assert inst.bw(inst.weyls[0]) is inst.B
+    digest = next(d for st, args, d in REPORT_PINS if (st, args) == ("prop2", (3, 1, 3)))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_shared_n_solve_matches_the_b_level_solve_at_gl3_f3():
