@@ -63,9 +63,6 @@ class TorusChar:
     def inverse(self) -> "TorusChar":
         return TorusChar(tuple(-a for a in self.exps), self.qm1)
 
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
     def __repr__(self):
         return f"TorusChar{self.exps}"
 
@@ -162,14 +159,15 @@ def match_simple_root_twist(chi: TorusChar) -> TwistWitness | None:
 
 
 def match_theorem1_condition(chi1: TorusChar, chi2: TorusChar, weyls) -> TwistWitness | None:
-    """First (k, i, w) with chi1^{-1} * chi2^w = p^k * alpha_i; the Weyl
-    scan runs in Bruhat-length order so the identity is tried first."""
+    """First (k, i, w) with chi1^{-1} * chi2^w = p^k * alpha_i, w scanned
+    in the order of weyls, which must be Bruhat-length order (as
+    group.weyl_elements returns it) so that the identity is tried first."""
     if chi1.qm1 != chi2.qm1:
         raise ValueError(f"characters mod {chi1.qm1} and mod {chi2.qm1} do not multiply")
     qm1 = chi1.qm1
     # the first w, in scan order, for each exponent vector of chi1^{-1} * chi2^w
     first: dict[tuple[int, ...], object] = {}
-    for w in sorted(weyls, key=lambda w: (w.length, w.perm)):
+    for w in weyls:
         exps = tuple((chi2.exps[w.perm[j] - 1] - a) % qm1 for j, a in enumerate(chi1.exps))
         first.setdefault(exps, w)
     for k, i, exps in _root_twists(chi1.n, qm1):

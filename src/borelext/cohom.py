@@ -26,28 +26,28 @@ If one fails, feeding goes on.  A sweep that feeds every edge has the whole
 system, so its answer is exact as well.
 
 Principal-series Ext by Shapiro's lemma is H^1(B, Hom_{F_q}(F_q[chi1],
-Res_B Ind chi2)).  UnipotentH1 computes it at the unipotent level: as p
-does not divide |T| = (q-1)^n, inflation-restriction gives H^1(B, M) =
-H^1(N, M)^T, and twisting by chi1^{-1} leaves the N-action unchanged.  So one
-solve of H^1(N, Res_N Ind chi2), with the action of T and of the
-F_q-scalars on it as small F_p matrices, gives the dimension for every chi1
-by a nullity.  The solve is shared by every chi2 as well: N permutes the
-cosets B\\G with b of unit diagonal (reps[i]·n = b·reps[j]), so chi2(diag
-b) = 1 and Res_N Ind chi2 is the same permutation module for every chi2.
-Only T's action depends on chi2, and only through one scalar per Bruhat
-cell: T and N keep each cell B\\BwB, and a generator t of T scales every
-coset of cell w by the one diagonal w t w^{-1}, so on cell w T acts by
-chi2(w t w^{-1}) times its action on Ind 1.  So UnipotentH1.cell_multiplicities
-splits H^1(N, Res_N Ind 1) over the cells and tabulates once per cell the
-multiplicity m_w(beta) of every character beta of T in it, and the
-dimension for (chi1, chi2) is the sum over w of m_w(chi1 chi2(w . w^{-1})^{-1}),
-one lookup per cell.  Both modules come from gmodule.induced_module on the
-cosets of group.BruhatCosets, which finds them cell by cell with the
-generators of T and N and checks the unit diagonals, the cells and their
-torus diagonals, so this route enumerates neither G nor B.  The B-level
-solve of H^1(B, Hom_{F_q}(F_q[chi1], Res_B Ind chi2)) is kept in the tests,
-as a reference for this route, and the Mackey ledger's solves over B∩B^w
-check each cell's part.
+Res_B Ind chi2)).  cell_multiplicities computes it at the unipotent
+level: as p does not divide |T| = (q-1)^n, inflation-restriction gives
+H^1(B, M) = H^1(N, M)^T, and twisting by chi1^{-1} leaves the N-action
+unchanged.  So one solve of H^1(N, Res_N Ind chi2), with the action of T
+and of the F_q-scalars on it as small F_p matrices, gives the dimension for
+every chi1 by a nullity.  The solve is shared by every chi2 as well: N
+permutes the cosets B\\G with b of unit diagonal (reps[i]·n = b·reps[j]),
+so chi2(diag b) = 1 and Res_N Ind chi2 is the same permutation module for
+every chi2.  Only T's action depends on chi2, and only through one scalar
+per Bruhat cell: T and N keep each cell B\\BwB, and a generator t of T
+scales every coset of cell w by the one diagonal w t w^{-1}, so on cell w T
+acts by chi2(w t w^{-1}) times its action on Ind 1.  So
+cell_multiplicities splits H^1(N, Res_N Ind 1) over the cells and
+tabulates once per cell the multiplicity m_w(beta) of every character beta
+of T in it, and the dimension for (chi1, chi2) is the sum over w of
+m_w(chi1 chi2(w . w^{-1})^{-1}), one lookup per cell.  Both modules come
+from gmodule.induced_module on the cosets of group.BruhatCosets, which
+finds them cell by cell with the generators of T and N and checks the unit
+diagonals, the cells and their torus diagonals, so this route enumerates
+neither G nor B.  The B-level solve of H^1(B, Hom_{F_q}(F_q[chi1], Res_B
+Ind chi2)) is kept in the tests, as a reference for this route, and the
+Mackey ledger's solves over B∩B^w check each cell's part.
 
 The G-level direct route uses the center the same way.  Z = <gamma I> has
 order q - 1, prime to p, so H^1(G, M) = H^1(G/Z, M^Z) = H^1(G, M^Z), and Z
@@ -264,117 +264,82 @@ def _edge_sweep(H: MatrixGroup) -> _EdgeSweep:
     return sweep
 
 
-class UnipotentH1:
-    """H^1(N, M) for one module M over N, with everything about it that does
-    not depend on how T acts: one cocycle solve over N serves every module
-    over T N whose restriction to N is M.
+def cell_multiplicities(N: MatrixGroup, T: MatrixGroup, MN: FpModule, MT: FpModule, cells,
+                        budget_mb: int = 1024) -> list[np.ndarray]:
+    """For each cell (start, stop), a range of blocks of f coordinates
+    spanning a submodule M_c over T N, the table of dim_{F_p} H^1(T N,
+    Hom_{F_q}(F_q[chi], M_c)) over the characters chi of T, where the module
+    M over T N is MN over N and MT over T on the same space: one cocycle
+    solve of H^1(N, MN), within budget_mb, serves every cell and every chi,
+    and every principal series whose restriction to N is MN.  T normalizes
+    N, p does not divide |T|, and both modules are in fq form; MT over
+    another group, or of another dim, is refused.
 
-    That is what makes the solve shareable between principal series: N
-    permutes the normal-form cosets with b of unit diagonal, which
-    group.BruhatCosets checks when it builds them, so Res_N Ind chi is the
-    permutation module F_q[B\\G] whatever chi is, and only T's action
-    carries chi.  cell_multiplicities reads that action from a module over
-    T on the same space, and splits H^1 over the Bruhat cells.
-
-    T normalizes N, p does not divide |T|, and M is in fq form.  Kept from
-    the solve: the values of the H^1 basis cocycles on N's generators, the
-    reducer that takes a cocycle to its coordinates in the H^1 basis, the
-    F_q-scalar action on those coordinates, and for each generator t of T
-    the H^1 basis evaluated at t^{-1} s t for N's generators s.
+    The table is indexed by the exponents (c_t) with chi(t) = zeta^{c_t}
+    for T's generators t, row-major, which is all_chars order for the
+    generators of build_torus.  H^1(N, M) is the direct sum of the
+    H^1(N, M_c), and the part of an H^1 basis cocycle at a cell's
+    coordinates is a cocycle of M_c, so the coordinates of those parts span
+    H^1(N, M_c), and their reduced rows E are a basis of it.  A_t, the
+    action (t.f)(n) = t f(t^{-1} n t) on coordinate rows, maps that span to
+    itself, where it is (E A_t) read at E's pivot columns.  By
+    inflation-restriction and because twisting by chi^{-1} leaves the
+    N-action alone, the entry for chi is the F_p-nullity of chi(t)^{-1} A_t
+    - 1 stacked over the generators of T, chi(t)^{-1} acting as an
+    F_q-scalar.  Cells whose parts are not cocycles, or whose span T does
+    not keep, are refused.
     """
+    p, fld = MN.p, N.field
+    if T.order % p == 0:
+        raise StructureError("inflation-restriction needs p to be prime to |T|")
+    if not (MN.fq_form and MT.fq_form):
+        raise ModuleError("the F_q-scalar action needs a module in fq form")
+    if MT.group is not T or MT.dim != MN.dim:
+        raise StructureError("the torus action is not a module over T on the solved space")
+    # N is trivial at n = 1, and so is its H^1
+    basis = h1_dim(N, MN, budget_mb=budget_mb).basis if N.generators else []
+    if not basis:
+        return [np.zeros((fld.q - 1) ** len(T.generators), dtype=np.int64) for _ in cells]
+    h, S, d = len(basis), len(N.generators), MN.dim
+    nu = S * d
+    values = np.stack([c.values for c in basis])  # (h, S, d)
+    # rows [B^1 | 0] and [basis | 1]: reducing [z | 0] for z in Z^1 leaves
+    # [0 | -x], where x are z's coordinates in the basis modulo B^1
+    red = linalg.RowReducer(p, nu + h)
+    red.add_rows(np.hstack([_coboundary_rows(MN), np.zeros((d, h), dtype=np.int64)]))
+    red.add_rows(np.hstack([values.reshape(h, nu), np.eye(h, dtype=np.int64)]))
 
-    def __init__(self, N: MatrixGroup, T: MatrixGroup, M: FpModule, budget_mb: int = 1024):
-        p = M.p
-        if T.order % p == 0:
-            raise StructureError("inflation-restriction needs p to be prime to |T|")
-        if not M.fq_form:
-            raise ModuleError("the F_q-scalar action needs a module in fq form")
-        self.N, self.T, self.p, self.dim = N, T, p, M.dim
-        self.h = 0
-        if not N.generators:
-            return  # H^1 of the trivial group
-        r = h1_dim(N, M, budget_mb=budget_mb)
-        h = self.h = r.dim_h1
-        if h == 0:
-            return
-        S, d = len(N.generators), M.dim
-        self._nu = nu = S * d
-        self._values = np.stack([c.values for c in r.basis])  # (h, S, d)
-        # rows [B^1 | 0] and [basis | 1]: reducing [z | 0] for z in Z^1 leaves
-        # [0 | -x], where x are z's coordinates in the basis modulo B^1
-        self._red = linalg.RowReducer(p, nu + h)
-        self._red.add_rows(np.hstack([_coboundary_rows(M), np.zeros((d, h), dtype=np.int64)]))
-        self._red.add_rows(np.hstack([self._values.reshape(h, nu), np.eye(h, dtype=np.int64)]))
-
-        fld = N.field
-        # multiplication by the field generator on values, blockwise in fq form
-        gen_block = np.kron(np.eye(d // fld.f, dtype=np.int64), fld.mult_matrix(fld.generator_code))
-        self._scalar = self._coords(self._values @ gen_block.T % p)
-
-        fvals = np.stack([c.propagate() for c in r.basis])  # (h, |N|, d)
-        self._conj_vals = []
-        for t in T.generators:
-            ti = t.inv()
-            conj = [N.element_id((ti * s) * t) for s in N.generators]
-            self._conj_vals.append(fvals[:, conj, :])
-
-    def _coords(self, images: np.ndarray) -> np.ndarray:
-        h, nu, p = self.h, self._nu, self.p
-        pad = np.zeros((h, h), dtype=np.int64)
-        rest = self._red.reduce(np.hstack([images.reshape(h, nu), pad]))
+    def coords(images: np.ndarray) -> np.ndarray:
+        rest = red.reduce(np.hstack([images.reshape(h, nu), np.zeros((h, h), dtype=np.int64)]))
         if rest[:, :nu].any():
             raise StructureError("the image of an H^1 basis cocycle is not a cocycle")
         return (-rest[:, nu:]) % p
 
-    def cell_multiplicities(self, MT: FpModule, cells) -> list[np.ndarray]:
-        """For each cell (start, stop), a range of blocks of f coordinates
-        spanning a submodule M_c over T N, the table of dim_{F_p} H^1(T N,
-        Hom_{F_q}(F_q[chi], M_c)) over the characters chi of T, where the
-        module over T N is the solved module over N and MT over T, on the
-        same space.
+    # multiplication by the field generator on values, blockwise in fq form
+    gen_block = np.kron(np.eye(d // fld.f, dtype=np.int64), fld.mult_matrix(fld.generator_code))
+    scalar = coords(values @ gen_block.T % p)
+    fvals = np.stack([c.propagate() for c in basis])  # (h, |N|, d)
+    acts = []
+    for t, rho_t in zip(T.generators, MT.gen_action):
+        conj = [N.element_id((t.inv() * s) * t) for s in N.generators]
+        acts.append(coords(fvals[:, conj, :] @ rho_t.T % p))
 
-        The table is indexed by the exponents (c_t) with chi(t) = zeta^{c_t}
-        for T's generators t, row-major, which is all_chars order for the
-        generators of build_torus.  H^1(N, M) is the direct sum of the
-        H^1(N, M_c), and the part of an H^1 basis cocycle at a cell's
-        coordinates is a cocycle of M_c, so the coordinates of those parts
-        span H^1(N, M_c), and their reduced rows E are a basis of it.  A_t,
-        the action (t.f)(n) = t f(t^{-1} n t) on coordinate rows, maps that
-        span to itself, where it is (E A_t) read at E's pivot columns.  By
-        inflation-restriction and because twisting by chi^{-1} leaves the
-        N-action alone, the entry for chi is the F_p-nullity of chi(t)^{-1}
-        A_t - 1 stacked over the generators of T, chi(t)^{-1} acting as an
-        F_q-scalar.  rho(t) is MT's generator matrix; a module over another
-        group, or of another dim, is refused, and so are cells whose parts
-        are not cocycles or whose span T does not keep.
-        """
-        if not MT.fq_form:
-            raise ModuleError("the F_q-scalar action needs a module in fq form")
-        if MT.group is not self.T or MT.dim != self.dim:
-            raise StructureError("the torus action is not a module over T on the solved space")
-        h, p, fld = self.h, self.p, self.N.field
-        if h == 0:
-            return [np.zeros((fld.q - 1) ** len(self.T.generators), dtype=np.int64)
-                    for _ in cells]
-        acts = [self._coords(vals @ rho_t.T % p)
-                for vals, rho_t in zip(self._conj_vals, MT.gen_action)]
-        out = []
-        for start, stop in cells:
-            cols = slice(start * fld.f, stop * fld.f)
-            part = np.zeros_like(self._values)
-            part[:, :, cols] = self._values[:, :, cols]
-            span = linalg.RowReducer(p, h)
-            span.add_rows(self._coords(part))
+    out = []
+    for start, stop in cells:
+        cols = slice(start * fld.f, stop * fld.f)
+        part = np.zeros_like(values)
+        part[:, :, cols] = values[:, :, cols]
+        span = linalg.RowReducer(p, h)
+        span.add_rows(coords(part))
 
-            def on_span(A):
-                image = span.rows @ A % p
-                if span.reduce(image).any():
-                    raise StructureError("the torus moves a cell's H^1 out of it")
-                return image[:, span.pivots]
+        def on_span(A):
+            image = span.rows @ A % p
+            if span.reduce(image).any():
+                raise StructureError("the torus moves a cell's H^1 out of it")
+            return image[:, span.pivots]
 
-            out.append(_multiplicities([on_span(A) for A in acts], on_span(self._scalar),
-                                       fld.q - 1, p))
-        return out
+        out.append(_multiplicities([on_span(A) for A in acts], on_span(scalar), fld.q - 1, p))
+    return out
 
 
 def _multiplicities(acts: list[np.ndarray], scalar: np.ndarray, qm1: int, p: int) -> np.ndarray:

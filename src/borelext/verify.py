@@ -35,13 +35,13 @@ Ext^1_G(Ind chi1, Ind chi2) = Ext^1_B(chi1, Res_B Ind chi2).  p is prime to
 the route needs only Ind chi2 over N and over T, both read off the coset
 table: it enumerates neither G nor B.  N permutes the cosets with trivial
 scalars, so Res_N Ind chi2 is one module for every chi2, and one cocycle
-solve over N per instance (cohom.UnipotentH1) serves every pair.  On the
-Bruhat cell of w, T acts by chi2(w t w^{-1}) times its action on Ind 1, so
-the solve is split once per instance into one table per cell, the
-multiplicity of every character of T in that cell's part of H^1(N, Ind 1),
-and a pair's dimension is the sum over w of one lookup each
-(Instance.shapiro_cells): every chi1 of a chi2 is filled at once by
-exponent arithmetic, with no rank and no module per chi2.  thm1 also runs
+solve over N per instance serves every pair.  On the Bruhat cell of w, T
+acts by chi2(w t w^{-1}) times its action on Ind 1, so the solve is split
+once per instance into one table per cell (cohom.cell_multiplicities), the
+multiplicity of every character of T in that cell's part of H^1(N, Ind 1).
+Instance.shapiro_table gathers each table at every pair by exponent
+arithmetic into one (cells, chi1, chi2) array, with no rank and no module
+per chi2, and a pair's dimension is the sum of its cells.  thm1 also runs
 the G-level direct route where it is cheap (n = 2), and reports any pair
 where the two paths disagree.  That route solves H^1(G, M^Z) for M =
 Hom(Ind chi1, Ind chi2) and the center Z of G: p is prime to |Z| = q - 1,
@@ -51,10 +51,7 @@ on the two factors by central characters that are not Frobenius conjugate
 
 Pairs run one after another in one thread, chi1-major, which is the row
 order of every report.  The first Shapiro pair of an instance makes its N
-solve and its cell tables, and the first pair with a given chi2 fills the
-Shapiro cache for all of its chi1 from the tables.  The solves hold
-the GIL, so a thread pool over chi2 cannot overlap them: with two workers
-the registry took about 40 % longer on 2 vCPUs.
+solve and its Shapiro array, and every later pair reads its sum.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ from .chars import (
     trivial_char,
     weyl_twist,
 )
-from .cohom import UnipotentH1, h1_dim
+from .cohom import cell_multiplicities, h1_dim
 from .field import make_field
 from .gmodule import (
     abelian_quotient_with_torus_action,
@@ -266,8 +263,8 @@ class Instance:
         self._bw: dict[tuple, object] = {}
         self._np: dict[tuple, object] = {}
         self._eig: dict[tuple, list] = {}
-        self._shap: dict[tuple, int] = {}
-        self._cell_tables: list | None = None
+        self._shapiro: np.ndarray | None = None
+        self._shapiro_dims: list[list[int]] | None = None
 
     @cached_property
     def G(self):
@@ -295,9 +292,9 @@ class Instance:
         return all_chars(self.n, self.qm1)
 
     @cached_property
-    def char_exps(self):
-        """The exponents of chars, one row per character."""
-        return np.array([chi.exps for chi in self.chars], dtype=np.int64)
+    def char_index(self):
+        """The position in chars of each exponent vector."""
+        return {chi.exps: i for i, chi in enumerate(self.chars)}
 
     @cached_property
     def bruhat_cosets(self):
@@ -369,43 +366,39 @@ class Instance:
             return _h1(self.G, trivial_module(self.G, 0), cfg)
         return _h1(self.G, hom_module(self.induced(chi1), self.induced(chi2)), cfg)
 
-    def shapiro_cells(self, chi2: TorusChar, cfg: VerifyConfig) -> np.ndarray:
-        """Each Bruhat cell's part of dim Ext^1_G(Ind chi1, Ind chi2) for
-        every chi1, shape (cells, chars), in weyls and chars order.
+    def shapiro_table(self, cfg: VerifyConfig) -> np.ndarray:
+        """Each Bruhat cell's part of dim Ext^1_G(Ind chi1, Ind chi2), shape
+        (cells, chars, chars), indexed [w, chi1, chi2] in weyls and chars
+        order.
 
         Res_{TN} Ind chi2 is the direct sum of its cells, and on cell w T
         acts by chi2(L_w) times its action on Ind 1, with L_w =
         cell_logs[w] (BruhatCosets checks both).  So cell w gives m_w(chi1
         chi2(L_w)^{-1}), where m_w is the cell's table of T-multiplicities on
-        H^1(N, F_q[cell w]) with T acting through Ind 1.  The instance's
-        first call solves H^1(N, Res_N Ind 1) once, within cfg's budget, and
-        tabulates every cell (UnipotentH1.cell_multiplicities).  chi(t_i) =
-        zeta^{e_i} for T's generator t_i, so chi1 chi2(L_w)^{-1} has the
-        exponents e1 - L_w e2, whose position in chars is their code in
-        base q - 1."""
-        cosets = self.bruhat_cosets
-        if self._cell_tables is None:
-            triv = trivial_char(self.n, self.qm1)
-            solved = UnipotentH1(self.N, self.T, induced_module(cosets, self.N, triv),
-                                 budget_mb=cfg.budget_mb)
-            self._cell_tables = solved.cell_multiplicities(induced_module(cosets, self.T, triv),
-                                                           cosets.cells)
-        e2 = np.asarray(chi2.exps, dtype=np.int64)
-        code = self.qm1 ** np.arange(self.n - 1, -1, -1)
-        return np.stack([table[(self.char_exps - L @ e2) % self.qm1 @ code]
-                         for table, L in zip(self._cell_tables, cosets.cell_logs)])
+        H^1(N, F_q[cell w]) with T acting through Ind 1.  The first call
+        solves H^1(N, Res_N Ind 1) once, within cfg's budget, tabulates
+        every cell (cohom.cell_multiplicities), and gathers each cell's
+        table at every pair.  chi(t_i) = zeta^{e_i} for T's generator t_i,
+        so chi1 chi2(L_w)^{-1} has the exponents e1 - L_w e2, whose position
+        in chars is their code in base q - 1."""
+        if self._shapiro is None:
+            cosets, triv = self.bruhat_cosets, trivial_char(self.n, self.qm1)
+            tables = cell_multiplicities(self.N, self.T, induced_module(cosets, self.N, triv),
+                                         induced_module(cosets, self.T, triv), cosets.cells,
+                                         budget_mb=cfg.budget_mb)
+            e = np.array([chi.exps for chi in self.chars], dtype=np.int64)
+            code = self.qm1 ** np.arange(self.n - 1, -1, -1)
+            self._shapiro = np.stack([table[(e[:, None, :] - (e @ L.T)[None]) % self.qm1 @ code]
+                                      for table, L in zip(tables, cosets.cell_logs)])
+        return self._shapiro
 
     def shapiro_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
         """dim Ext^1_G(Ind chi1, Ind chi2) = dim H^1(N, Res_N Ind chi2)^T
-        twisted by chi1, the sum over the Bruhat cells of shapiro_cells.  A
-        chi2's first call caches every chi1."""
-        key = (chi1.exps, chi2.exps)
-        got = self._shap.get(key)
-        if got is None:
-            for chi, dim in zip(self.chars, self.shapiro_cells(chi2, cfg).sum(axis=0).tolist()):
-                self._shap[(chi.exps, chi2.exps)] = dim
-            got = self._shap[key]
-        return got
+        twisted by chi1, the sum over the Bruhat cells of shapiro_table,
+        read from Python lists: the instance's first call builds the table."""
+        if self._shapiro_dims is None:
+            self._shapiro_dims = self.shapiro_table(cfg).sum(axis=0).tolist()
+        return self._shapiro_dims[self.char_index[chi1.exps]][self.char_index[chi2.exps]]
 
 
 _INSTANCES: dict[tuple[int, int, int], Instance] = {}

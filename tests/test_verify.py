@@ -1,14 +1,17 @@
 """The verification layer: one N-level solve per instance, one
 T-multiplicity table per Bruhat cell and rows in chi1-major order, each
-cell's part of the Shapiro dim against its Mackey ledger row, report bytes
-independent of the BLAS thread count, no thread pool loaded by a run, the two oracle paths of
+cell's part of the Shapiro array against its Mackey ledger row, the
+array's cell sums against both oracle routes and its zeros at n = 1, a
+predictor that takes no Weyl length, report bytes independent of the BLAS
+thread count, no thread pool loaded by a run, the two oracle paths of
 thm1, prop4's B-level route against the G-level solve, char_ext against the
 pairwise F_q-Hom module, the shared N solve against the B-level solve at
 every pair of GL_3(F_3), the principal-series oracle at GL_3(F_3) and
 GL_3(F_5) without an element table of G, the direct route's reduction to
 the center-fixed part against the full Hom solve, the pinned bytes of the
-thm1 reports at GL_2(F_5) and GL_2(F_9) and of the prop1-4 and mackey
-reports, and the n = 1 instances, where N is trivial."""
+thm1 reports at GL_2(F_5), GL_2(F_9) and GL_3(F_3), of the mackey reports
+at GL_2(F_5) and GL_3(F_3) and of the prop1-4 reports, and the n = 1
+instances, where N is trivial."""
 
 import hashlib
 import json
@@ -26,7 +29,7 @@ from borelext.chars import TorusChar, frobenius_twist, match_theorem1_condition,
 from borelext import cohom, linalg
 from borelext.cohom import H1Result, h1_dim
 from borelext.gmodule import char_module, det_char_module, fq_hom_module, hom_module, induced_module
-from borelext.group import diag_mat
+from borelext.group import WeylElement, diag_mat
 from borelext.linalg import rank_mod
 
 from _brute import ext1_dim_shapiro
@@ -42,7 +45,7 @@ def _center_id(inst):
 def test_thm1_solves_n_once_and_tabulates_each_cell_once_in_chi1_major_order(monkeypatch, pfn):
     n_solves, tabulated, torus_modules, ranks, inside = [], [], [], [], []
     inst = V.Instance(*pfn)
-    real_solve, real_tabulate = cohom.h1_dim, V.UnipotentH1.cell_multiplicities
+    real_solve, real_tabulate = cohom.h1_dim, V.cell_multiplicities
     real_induced, real_rank = V.induced_module, linalg.rank_mod
 
     def solve(H, M, **kw):
@@ -50,10 +53,10 @@ def test_thm1_solves_n_once_and_tabulates_each_cell_once_in_chi1_major_order(mon
             n_solves.append(M.dim)
         return real_solve(H, M, **kw)
 
-    def tabulate(self, MT, cells):
+    def tabulate(*args, **kw):
         inside.append(True)
         try:
-            tables = real_tabulate(self, MT, cells)
+            tables = real_tabulate(*args, **kw)
         finally:
             inside.pop()
         tabulated.append(len(tables))
@@ -70,7 +73,7 @@ def test_thm1_solves_n_once_and_tabulates_each_cell_once_in_chi1_major_order(mon
         return real_rank(A, p)
 
     monkeypatch.setattr(cohom, "h1_dim", solve)
-    monkeypatch.setattr(V.UnipotentH1, "cell_multiplicities", tabulate)
+    monkeypatch.setattr(V, "cell_multiplicities", tabulate)
     monkeypatch.setattr(V, "induced_module", induced)
     monkeypatch.setattr(linalg, "rank_mod", rank)
     nec, _ = V.verify_thm1(inst)
@@ -89,23 +92,74 @@ def test_thm1_solves_n_once_and_tabulates_each_cell_once_in_chi1_major_order(mon
 def test_each_bruhat_cell_gives_its_mackey_ledger_row(args):
     # cell w's part of the Shapiro dim against the ledger row at the same w,
     # dim H^1(B∩B^w, F_q[chi1^{-1} chi2^w]): char_ext solves it over B∩B^w
-    # itself, sharing no code with UnipotentH1, once per (w, beta)
+    # itself, sharing no code with cell_multiplicities, once per (w, beta)
     inst = V.Instance(*args)
     cfg = V.VerifyConfig()
+    table = inst.shapiro_table(cfg)
+    assert table.shape == (len(inst.weyls), len(inst.chars), len(inst.chars))
     ledger, rows = {}, 0
-    for chi2 in inst.chars:
-        cells = inst.shapiro_cells(chi2, cfg)
-        assert cells.shape == (len(inst.weyls), len(inst.chars))
+    for j, chi2 in enumerate(inst.chars):
         for k, w in enumerate(inst.weyls):
-            for j, chi1 in enumerate(inst.chars):
+            for i, chi1 in enumerate(inst.chars):
                 beta = chi1.inverse() * weyl_twist(chi2, w)
                 if (w.perm, beta.exps) not in ledger:
                     ledger[w.perm, beta.exps] = inst.char_ext(w, beta, cfg)
-                assert cells[k, j] == ledger[w.perm, beta.exps]
+                assert table[k, i, j] == ledger[w.perm, beta.exps]
                 rows += 1
-            assert inst.shapiro_dim(inst.chars[0], chi2, cfg) == cells[:, 0].sum()
+        assert inst.shapiro_dim(inst.chars[0], chi2, cfg) == table[:, 0, j].sum()
     assert rows == len(inst.weyls) * len(inst.chars) ** 2
     assert len(ledger) == len(inst.weyls) * len(inst.chars) and any(ledger.values())
+
+
+@pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2)], ids=str)
+def test_shapiro_table_sums_to_the_pair_dims_of_both_routes(args):
+    # the (cell, chi1, chi2) array, summed over its cells, is what
+    # shapiro_dim reads and what the G-level direct solve gives, pair by pair
+    inst = V.Instance(*args)
+    cfg = V.VerifyConfig()
+    table = inst.shapiro_table(cfg)
+    C = len(inst.chars)
+    assert table.shape == (len(inst.weyls), C, C)
+    assert np.issubdtype(table.dtype, np.integer)
+    for i, chi1 in enumerate(inst.chars):
+        for j, chi2 in enumerate(inst.chars):
+            dim = int(table[:, i, j].sum())
+            assert dim == inst.shapiro_dim(chi1, chi2, cfg) == inst.direct_dim(chi1, chi2, cfg)
+    assert table.any()
+
+
+def test_shapiro_table_at_n1_is_zero_without_a_solve(monkeypatch):
+    # N is trivial at n = 1, so every H^1 vanishes and nothing is solved
+    calls = []
+    real = cohom.h1_dim
+
+    def solve(H, M, **kw):
+        calls.append(H.label)
+        return real(H, M, **kw)
+
+    monkeypatch.setattr(cohom, "h1_dim", solve)
+    inst = V.Instance(3, 1, 1)
+    table = inst.shapiro_table(V.VerifyConfig())
+    assert table.shape == (1, 2, 2) and not table.any()
+    assert calls == []
+
+
+def test_thm1_predictor_takes_no_weyl_length_once_the_weyls_are_built(monkeypatch):
+    # match_theorem1_condition scans weyls in the Bruhat-length order they
+    # come in; the coset search, built first here, checks each cell's size
+    # against q^length once per cell
+    inst = V.Instance(3, 1, 3)
+    inst.weyls, inst.bruhat_cosets
+    real = WeylElement.length
+    calls = []
+
+    def length(w):
+        calls.append(w.perm)
+        return real.fget(w)
+
+    monkeypatch.setattr(WeylElement, "length", property(length))
+    V.verify_thm1(inst)
+    assert calls == []
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -265,12 +319,24 @@ def test_thm1_report_bytes_at_gl2_f5_are_pinned():
 
 
 def test_thm1_report_bytes_at_gl2_f9_are_pinned():
-    # the Shapiro route's 4,096 isotypic ranks are narrow systems, so this
-    # pins the Python-int regime of RowReducer; the digest was taken when
-    # every system went through the blocked numpy eliminator
+    # the Shapiro route's per-cell multiplicity ranks are narrow systems, so
+    # this pins the Python-int regime of RowReducer; the digest was taken
+    # when every system went through the blocked numpy eliminator
     out = V.reports_to_json(V.run_statement("thm1", (3, 2, 2), V.VerifyConfig()))
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "7b418653b4837d3d3249bcae319a22d852088636f7e3345faf225d86b7ed2fc8"
+
+
+@pytest.mark.parametrize("statement,digest", [
+    ("thm1", "c1aa81dc8c82c6a4446f5da1d4e1e5b5fdf57184c2ae99792797c0bd79b0d214"),
+    ("mackey", "bb252461d36cc80af91ee861767bf9eee70328111f62460b1941c0bd86824c28"),
+], ids=["thm1", "mackey"])
+def test_gl3_f3_shapiro_report_bytes_are_pinned(statement, digest):
+    # thm1's dims and mackey's g_level_dim at GL_3(F_3) are sums over the six
+    # Bruhat cells of the Shapiro tables; the digests were taken when each
+    # chi2 gathered its own row of them into a per-pair dict
+    out = V.reports_to_json(V.run_statement(statement, (3, 1, 3), V.VerifyConfig()))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 REPORT_PINS = [
