@@ -18,12 +18,14 @@ elements (FpModule.at) with one sum over the terms of each (edge, block);
 a Hom module builds rho only at the chunk's distinct elements, from its two
 factors.  The nullspace of the rows fed so far always contains Z^1, and it
 is spanned by B^1 and the candidate H^1 representatives, since coboundaries
-satisfy every edge.  After every chunk each candidate is checked against
-every Cayley edge, with the module's products rho(x) v (FpModule.apply).
-If all pass, the nullspace lies in Z^1 as well, so it equals Z^1 and the
-answer is exact; an empty candidate list passes at once, with no product.
-If one fails, feeding goes on.  A sweep that feeds every edge has the whole
-system, so its answer is exact as well.
+satisfy every edge.  After every chunk the stack of candidates is checked
+against every Cayley edge in one walk of the tree (_propagate), with one
+product rho(x) v per generator (FpModule.apply on the stack).  If all pass,
+the nullspace lies in Z^1 as well, so it equals Z^1 and the answer is
+exact; an empty candidate list passes at once, with no product.  If one
+fails, feeding goes on.  A sweep that feeds every edge has the whole
+system, so its answer is exact as well.  The basis cocycles keep the
+values that the passing walk found, and cell_multiplicities reads them.
 
 Principal-series Ext by Shapiro's lemma is H^1(B, Hom_{F_q}(F_q[chi1],
 Res_B Ind chi2)).  cell_multiplicities computes it at the unipotent
@@ -79,32 +81,37 @@ class MemoryBudgetError(RuntimeError):
 
 @dataclass
 class Cocycle:
-    """Values of a 1-cocycle on the group generators, one row per generator."""
+    """Values of a 1-cocycle on the group generators, one row per generator,
+    and, for a basis cocycle that h1_dim's certificate walked, on every
+    element (fvals)."""
 
     group: MatrixGroup
     module: FpModule
     values: np.ndarray  # shape (S, d)
+    fvals: np.ndarray | None = dc_field(default=None, repr=False)  # shape (|H|, d)
 
     def propagate(self) -> np.ndarray:
-        """f(g) for every element, shape (|H|, d), extended along the tree."""
-        return _propagate(self.group, self.module, self.values)
+        """f(g) for every element, shape (|H|, d), kept or extended along the tree."""
+        if self.fvals is not None:
+            return self.fvals
+        return _propagate(self.group, self.module, self.values[None])[0][:, 0]
 
     def defect_count(self) -> int:
         """How many Cayley edges violate f(gs) = f(g) + g f(s)."""
-        return _edge_defects(self.group, self.module, self.values, self.propagate())
+        return _edge_defects(self.group, self.module.p,
+                             *_propagate(self.group, self.module, self.values[None]))
 
     def is_valid(self) -> bool:
         return self.defect_count() == 0
 
 
-def _edge_defects(H: MatrixGroup, M: FpModule, values: np.ndarray, fvals: np.ndarray) -> int:
-    """Defective Cayley edges of the cocycle with these generator values and
-    propagated values fvals."""
+def _edge_defects(H: MatrixGroup, p: int, fvals: np.ndarray, steps: list[np.ndarray]) -> int:
+    """Defective Cayley edges (g, s), f(g) + rho(g) f(s) != f(g s), summed
+    over a stack of cocycles, from _propagate's values and steps."""
     bad = 0
-    for s in range(len(H.generators)):
-        lhs = linalg.mod(fvals + M.apply(slice(None), values[s]), M.p)
-        rhs = fvals[H.cayley[:, s]]
-        bad += int(np.count_nonzero(np.any(lhs != rhs, axis=1)))
+    for s, step in enumerate(steps):
+        lhs = linalg.mod(fvals + step, p)
+        bad += int(np.count_nonzero(np.any(lhs != fvals[H.cayley[:, s]], axis=2)))
     return bad
 
 
@@ -172,18 +179,20 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
         if used == n_edges:
             break
         cand, dim_b1 = _h1_representatives(red, cob, p)
+        fvals = None
         if cand:
-            vals = [v.reshape(S, d) for v in cand]
-            if any(_edge_defects(H, M, v, _propagate(H, M, v)) for v in vals):
+            fvals, steps = _propagate(H, M, np.reshape(cand, (len(cand), S, d)))
+            if _edge_defects(H, p, fvals, steps):
                 continue  # a candidate is not a cocycle; keep feeding edges
-        found = cand, dim_b1
+        found = cand, dim_b1, fvals
         break
     mode = "exhaustive" if used == n_edges else "sampled_verified"
 
-    reps, dim_b1 = found if found is not None else _h1_representatives(red, cob, p)
+    reps, dim_b1, fvals = found if found is not None else (*_h1_representatives(red, cob, p), None)
     dim_z1 = nu - red.rank
     dim_h1 = dim_z1 - dim_b1
-    basis = [Cocycle(H, M, v.reshape(S, d)) for v in reps]
+    basis = [Cocycle(H, M, v.reshape(S, d), None if fvals is None else fvals[:, k])
+             for k, v in enumerate(reps)]
     return H1Result(dim_z1, dim_b1, dim_h1, mode, basis, used)
 
 
@@ -318,11 +327,11 @@ def cell_multiplicities(N: MatrixGroup, T: MatrixGroup, MN: FpModule, MT: FpModu
     # multiplication by the field generator on values, blockwise in fq form
     gen_block = np.kron(np.eye(d // fld.f, dtype=np.int64), fld.mult_matrix(fld.generator_code))
     scalar = coords(values @ gen_block.T % p)
-    fvals = np.stack([c.propagate() for c in basis])  # (h, |N|, d)
+    fvals = [c.propagate() for c in basis]  # kept by the solve's certificate
     acts = []
     for t, rho_t in zip(T.generators, MT.gen_action):
         conj = [N.element_id((t.inv() * s) * t) for s in N.generators]
-        acts.append(coords(fvals[:, conj, :] @ rho_t.T % p))
+        acts.append(coords(np.stack([f[conj] for f in fvals]) @ rho_t.T % p))
 
     out = []
     for start, stop in cells:
@@ -367,12 +376,16 @@ def _multiplicities(acts: list[np.ndarray], scalar: np.ndarray, qm1: int, p: int
     return table
 
 
-def _propagate(H: MatrixGroup, M: FpModule, values: np.ndarray) -> np.ndarray:
-    """f(g) for every element from the generator values."""
-    out = np.zeros((H.order, values.shape[1]), dtype=np.int64)
+def _propagate(H: MatrixGroup, M: FpModule, values: np.ndarray) -> tuple[np.ndarray, list]:
+    """f(g) for every element, shape (|H|, h, d), for a stack of h cocycles
+    given on the generators, shape (h, S, d), in one walk of the tree; and
+    the steps rho(g) f(s) the walk adds, one (|H|, h, d) array per
+    generator s, not reduced mod p."""
+    steps = [M.apply(slice(None), values[:, s]) for s in range(len(H.generators))]
+    out = np.zeros((H.order, len(values), values.shape[2]), dtype=np.int64)
     for s, parents, children in H.tree_batches:
-        out[children] = linalg.mod(out[parents] + M.apply(parents, values[s]), M.p)
-    return out
+        out[children] = linalg.mod(out[parents] + steps[s][parents], M.p)
+    return out, steps
 
 
 def _h1_representatives(red: linalg.RowReducer, cob: np.ndarray,

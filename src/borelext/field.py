@@ -162,6 +162,10 @@ class FieldCtx:
         self._inv = np.zeros(q, dtype=np.int64)
         for c in range(1, q):
             self._inv[c] = self._gpow[(q - 1 - self._dlog[c]) % (q - 1)]
+        # a * b = _pow0[_log0[a] + _log0[b]] for all codes: log 0 is 2(q - 1),
+        # and the powers of the generator read 0 from there on
+        self._log0 = np.where(self._dlog < 0, 2 * (q - 1), self._dlog)
+        self._pow0 = np.concatenate([self._gpow, self._gpow, np.zeros(2 * q - 1, dtype=np.int64)])
         self._frob1 = np.array([self.pow_code(c, p) for c in range(q)], dtype=np.int64)
         self._powmats: np.ndarray | None = None
 

@@ -15,9 +15,9 @@ A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element (act) is the product of the generator
 matrices along the element's word in the group's BFS tree.  A cocycle solve
 asks a module for two reads on batches of elements: the matrices (at), and
-their products with a vector (apply).  Most modules answer both from the
-uint8 table of every element's action, built on first use; apply multiplies
-its rows in int64 without converting the table.  A monomial module writes
+their products with a vector or a stack of them (apply).  Most modules
+answer both from the uint8 table of every element's action, built on first
+use; apply multiplies its rows in int64 without converting the table.  A monomial module writes
 its table from integers: the group keeps one skeleton per block action (the
 block each element sends each block to, and the logs of the diagonal it
 scales by), and each chi fills in its scalars along it.  The other modules
@@ -41,8 +41,10 @@ from .group import (
     Mat,
     MatrixGroup,
     StructureError,
+    batch_mul,
+    batch_normal_form,
+    code_stack,
     coset_action,
-    coset_normal_form,
     identity_mat,
     indecomposable_roots,
 )
@@ -130,10 +132,10 @@ class FpModule:
         return (self._all if self._all is not None else self.act_all())[ids]
 
     def apply(self, ids, v: np.ndarray) -> np.ndarray:
-        """rho(ids[k]) v for each k, shape (len(ids), d), not reduced mod p.
-        The uint8 rows are multiplied in int64 without a converted copy of
-        the table."""
-        return np.einsum("kij,j->ki", self.at(ids), v)
+        """rho(ids[k]) v for each k, shape (len(ids), d), not reduced mod p,
+        or (len(ids), h, d) for a stack v of h vectors.  The uint8 rows are
+        multiplied in int64 without a converted copy of the table."""
+        return np.einsum("kij,...j->k...i", self.at(ids), v)
 
     def __repr__(self):
         return f"FpModule({self.label or 'module'}, dim={self.dim} over F_{self.p}, group={self.group.label})"
@@ -248,10 +250,11 @@ def char_module(B: MatrixGroup, chi: TorusChar) -> MonomialModule:
 def right_coset_data(cosets: BruhatCosets, H: MatrixGroup) -> tuple[np.ndarray, np.ndarray]:
     """The right action of H's generators on the cosets, as
     group.coset_action gives it: reps[i]·s = b·reps[target[i, s]], with the
-    discrete logs of b's diagonal in logs[i, s], from the normal form of
-    each reps[i]·s."""
-    return coset_action(cosets, [coset_normal_form(r * s) for r in cosets.reps
-                                 for s in H.generators])
+    discrete logs of b's diagonal in logs[i, s], from the normal forms of
+    every reps[i]·s, one batch_mul and one batch_normal_form."""
+    prods = batch_mul(cosets.field, code_stack(cosets.reps, cosets.n)[:, None],
+                      code_stack(H.generators, cosets.n))
+    return coset_action(cosets, *batch_normal_form(cosets.field, prods))
 
 
 def induced_module(cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar) -> MonomialModule:
@@ -302,11 +305,13 @@ class HomModule(FpModule):
         return kron.reshape(len(uniq), d, d)[back]
 
     def apply(self, ids, v: np.ndarray) -> np.ndarray:
-        """rho2(x) phi rho1(x^{-1}) for each x in ids, phi being v as a
-        d2 x d1 matrix, flattened; no kron is built."""
+        """rho2(x) phi rho1(x^{-1}) for each x in ids, phi being v (or each
+        vector of a stack) as a d2 x d1 matrix, flattened; no kron is built."""
         M1, M2 = self.factors
-        phi = v.reshape(M2.dim, M1.dim)
-        return (M2.at(ids) @ phi @ M1.at(M1.group.inverse_ids()[ids])).reshape(-1, phi.size)
+        phi = v.reshape(*v.shape[:-1], M2.dim, M1.dim)
+        each = (slice(None),) + (None,) * (v.ndim - 1)  # broadcast over the stack
+        out = M2.at(ids)[each] @ phi @ M1.at(M1.group.inverse_ids()[ids])[each]
+        return out.reshape(len(out), *v.shape)
 
     def _build_all(self) -> np.ndarray:
         """The table as at's output at every element."""

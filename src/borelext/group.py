@@ -11,7 +11,8 @@ not a sum of two of its roots.  G alone is found by BFS closure from
 two generators.
 
 Groups are immutable once built.  Elements are canonicalized as flat tuples
-of F_q codes, which makes identity tests and table lookups cheap.
+of F_q codes, which makes identity tests and table lookups cheap; bulk
+products and coset normal forms go through batch_mul and batch_normal_form.
 """
 
 from __future__ import annotations
@@ -125,6 +126,54 @@ def _mul_codes(field: FieldCtx, n: int, a: tuple[int, ...], b: tuple[int, ...]) 
     return tuple(out)
 
 
+def _fq_mul(field: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products of two arrays of codes, entrywise, from discrete logs."""
+    return field._pow0[field._log0[a] + field._log0[b]]
+
+
+def _fq_sum(field: FieldCtx, terms) -> np.ndarray:
+    """The sum of arrays of codes, entrywise: a // p^m is a code's m-th
+    base-p digit up to a multiple of p, so the digits add mod p."""
+    pp = np.array(field._pp)
+    return sum(t[..., None] // pp for t in terms) % field.p @ pp
+
+
+def batch_mul(field: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over F_q for stacks of n x n code matrices, broadcast over the
+    leading axes, with no q x q table."""
+    return _fq_sum(field, (_fq_mul(field, a[..., :, k, None], b[..., None, k, :])
+                           for k in range(a.shape[-1])))
+
+
+def batch_normal_form(field: FieldCtx, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The representative of the right coset B·g, and the diagonal of b in
+    g = b·rep, as codes, for each invertible matrix of a stack of code
+    matrices, shapes (..., n, n) to (..., n, n) and (..., n).
+
+    Left multiplication by B scales a row and adds multiples of the rows
+    below it.  So the rows are reduced from the bottom up: each row is
+    cleared at the pivot columns of the rows below it, lowest row first,
+    then scaled to a leading 1.  The result depends only on B·g, and the
+    pivot values are the diagonal of b."""
+    n = g.shape[-1]
+    rows = g.reshape(-1, n, n).copy()
+    at = np.arange(len(rows))
+    pivot = np.zeros((len(rows), n), dtype=np.int64)
+    diag = np.zeros((len(rows), n), dtype=np.int64)
+    minus = field.neg_code(1)
+    for i in range(n - 1, -1, -1):
+        row = rows[:, i]
+        for k in range(n - 1, i, -1):
+            a = _fq_mul(field, row[at, pivot[:, k]], minus)
+            row = _fq_sum(field, (row, _fq_mul(field, a[:, None], rows[:, k])))
+        pivot[:, i] = (row != 0).argmax(axis=1)
+        diag[:, i] = row[at, pivot[:, i]]
+        if not diag[:, i].all():
+            raise StructureError("matrix is singular")
+        rows[:, i] = _fq_mul(field, field._inv[diag[:, i]][:, None], row)
+    return rows.reshape(g.shape), diag.reshape(g.shape[:-1])
+
+
 def identity_mat(field: FieldCtx, n: int) -> Mat:
     return Mat(field, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
@@ -203,17 +252,14 @@ class MatrixGroup:
         self.index: dict[tuple[int, ...], int] = {m.codes: i for i, m in enumerate(elements)}
         if len(self.index) != len(elements):
             raise StructureError("duplicate elements in table")
-        size = len(elements)
-        ns = len(generators)
-        self.cayley = np.empty((size, ns), dtype=np.int32)
-        for i, m in enumerate(elements):
-            codes = m.codes
-            for s, g in enumerate(generators):
-                prod = _mul_codes(field, n, codes, g.codes)
-                j = self.index.get(prod)
-                if j is None:
-                    raise StructureError("element table not closed under generators")
-                self.cayley[i, s] = j
+        mats = code_stack(elements, n)
+        self.cayley = np.empty((len(elements), len(generators)), dtype=np.int32)
+        for s, g in enumerate(code_stack(generators, n)):
+            prods = batch_mul(field, mats, g).reshape(-1, n * n).tolist()
+            ids = [self.index.get(tuple(c), -1) for c in prods]
+            if -1 in ids:
+                raise StructureError("element table not closed under generators")
+            self.cayley[:, s] = ids
         self.identity_id = self.index[identity_mat(field, n).codes]
         self._build_bfs()
         self._inv_ids: dict[int, int] = {}
@@ -344,20 +390,27 @@ def build_gl(field: FieldCtx, n: int) -> MatrixGroup:
 
 
 def _bfs_elements(field, n, gens) -> list[Mat]:
-    ident = identity_mat(field, n).codes
-    seen = {ident}
-    out = [ident]
-    frontier = deque([ident])
-    gcodes = [g.codes for g in gens]
-    while frontier:
-        a = frontier.popleft()
-        for g in gcodes:
-            b = _mul_codes(field, n, a, g)
-            if b not in seen:
-                seen.add(b)
-                out.append(b)
-                frontier.append(b)
-    return [Mat(field, n, c) for c in out]
+    """The closure of the generators from the identity in BFS order, one
+    level at a time: one batch_mul of the level with every generator, and
+    the new products kept in the order (element, generator) reaches them."""
+    ident = identity_mat(field, n)
+    seen = {ident.codes: None}
+    level, gens = code_stack([ident], n), code_stack(gens, n)
+    while len(level):
+        prods = batch_mul(field, level[:, None], gens).reshape(-1, n, n)
+        level = prods[_add_new(seen, prods)]
+    return [Mat(field, n, c) for c in seen]
+
+
+def _add_new(seen: dict, mats: np.ndarray) -> list[int]:
+    """The positions in a stack of code matrices of those not in seen, each
+    added to seen (a dict, kept in insertion order) where it first occurs."""
+    new = []
+    for j, c in enumerate(map(tuple, mats.reshape(-1, mats.shape[-1] ** 2).tolist())):
+        if c not in seen:
+            seen[c] = None
+            new.append(j)
+    return new
 
 
 def _positive_roots(n: int) -> list[tuple[int, int]]:
@@ -455,42 +508,17 @@ def commutator_subgroup(H: MatrixGroup) -> MatrixGroup:
     return _pattern_group(H.field, H.n, _sums_of_two(roots), False, f"[{H.label},{H.label}]")
 
 
-def coset_normal_form(g: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The representative of the right coset B·g, and the diagonal of b in
-    g = b·rep, as codes.
-
-    Left multiplication by B scales a row and adds multiples of the rows
-    below it.  So the rows are reduced from the bottom up: each row is
-    cleared at the pivot columns of the rows below it, lowest row first,
-    then scaled to a leading 1.  The result depends only on B·g, and the
-    pivot values are the diagonal of b."""
-    fld, n = g.field, g.n
-    rows = [list(g.codes[i * n : (i + 1) * n]) for i in range(n)]
-    pivot = [0] * n
-    diag = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        for k in range(n - 1, i, -1):
-            a = row[pivot[k]]
-            if a:
-                row = [fld.sub_code(x, fld.mul_code(a, y)) for x, y in zip(row, rows[k])]
-        lead = next(j for j, x in enumerate(row) if x)
-        diag[i] = row[lead]
-        inv = fld.inv_code(row[lead])
-        rows[i] = [fld.mul_code(inv, x) for x in row]
-        pivot[i] = lead
-    return tuple(c for row in rows for c in row), tuple(diag)
-
-
 class BruhatCosets:
     """The right cosets B\\G in Bruhat normal form, with the right action of
     the generators of T and N, built without an element table of G or of B.
 
     Each Bruhat cell B\\BwB is the orbit of the permutation matrix of w
-    under right multiplication by B = T·N, so the cosets are found cell by
-    cell in the order of `weyls`, searching with T's and N's generators.
-    index maps a representative's codes to its position in reps, and cells
-    holds each cell's range (start, stop) of positions, in `weyls` order.
+    under right multiplication by B = T·N, so the cosets are found with T's
+    and N's generators, all cells at once, one BFS level (one batch_mul and
+    batch_normal_form) at a time; reps holds each cell's cosets in the order
+    the search reaches them, cell by cell in the order of `weyls`.  index
+    maps a representative's codes to its position in reps, and cells holds
+    each cell's range (start, stop) of positions.
     actions maps a group to the right action of its generators
     (coset_action): T's and N's come from the images the search computes
     anyway, and another group's is added the first time an induced module
@@ -507,55 +535,58 @@ class BruhatCosets:
 
     def __init__(self, T: MatrixGroup, N: MatrixGroup, weyls):
         fld, n = T.field, T.n
-        gens = [g.codes for g in T.generators + N.generators]
-        index: dict[tuple[int, ...], int] = {}
-        reps: list[tuple[int, ...]] = []
-        images = []
-        cells = []
-        for w in weyls:
-            start = len(reps)
-            rep = coset_normal_form(w.rep)[0]
-            index[rep] = start
-            reps.append(rep)
-            i = start
-            while i < len(reps):
-                for s in gens:
-                    image = coset_normal_form(Mat(fld, n, _mul_codes(fld, n, reps[i], s)))
-                    images.append(image)
-                    if index.setdefault(image[0], len(reps)) == len(reps):
-                        reps.append(image[0])
-                i += 1
-            if len(reps) - start != fld.q ** w.length:
-                raise StructureError(f"Bruhat cell of {w.perm} has {len(reps) - start} "
-                                     f"cosets, expected q^{w.length}")
-            cells.append((start, len(reps)))
-        if len(reps) != gl_order(fld.q, n) // (T.order * N.order):
+        gens = code_stack(T.generators + N.generators, n)
+        level = batch_normal_form(fld, code_stack([w.rep for w in weyls], n))[0]
+        cell = np.arange(len(weyls))
+        seen = dict.fromkeys(map(tuple, level.reshape(len(level), -1).tolist()))
+        levels = []
+        while len(level):
+            image, diag = batch_normal_form(fld, batch_mul(fld, level[:, None], gens))
+            levels.append((level, cell, image, diag))
+            new = _add_new(seen, image)
+            level, cell = image.reshape(-1, n, n)[new], np.repeat(cell, len(gens))[new]
+        found, cell, images, diags = map(np.concatenate, zip(*levels))
+        order = np.argsort(cell, kind="stable")
+        sizes = np.bincount(cell, minlength=len(weyls)).tolist()
+        for w, size in zip(weyls, sizes):
+            if size != fld.q ** w.length:
+                raise StructureError(f"Bruhat cell of {w.perm} has {size} cosets, "
+                                     f"expected q^{w.length}")
+        if len(order) != gl_order(fld.q, n) // (T.order * N.order):
             raise StructureError("Bruhat cells do not cover B\\G")
+        reps = found[order].reshape(len(order), n * n).tolist()
         self.field, self.n = fld, n
-        self.reps = [Mat(fld, n, c) for c in reps]
-        self.index = index
-        self.cells = cells
-        target, logs = coset_action(self, images)
+        self.reps = [Mat(fld, n, tuple(c)) for c in reps]
+        self.index = {tuple(c): i for i, c in enumerate(reps)}
+        stops = np.cumsum(sizes).tolist()
+        self.cells = list(zip([0] + stops[:-1], stops))
+        target, logs = coset_action(self, images[order], diags[order])
         st = len(T.generators)
         if logs[:, st:].any():
             raise StructureError("a generator of N moves a coset by a non-unit diagonal")
-        self.cell_logs = cell_torus_logs(cells, target, logs[:, :st])
+        self.cell_logs = cell_torus_logs(self.cells, target, logs[:, :st])
         self.actions: dict[MatrixGroup, tuple[np.ndarray, np.ndarray]] = {
             T: (target[:, :st], logs[:, :st]), N: (target[:, st:], logs[:, st:])}
 
 
-def coset_action(cosets: BruhatCosets, images) -> tuple[np.ndarray, np.ndarray]:
-    """The right action of S generators on the cosets, from the images
-    coset_normal_form(reps[i]·s), i-major: reps[i]·s = b·reps[target[i, s]],
-    and logs[i, s] holds the discrete logs of b's diagonal.  Each column of
-    target is checked to be a permutation, as right multiplication by s
-    must be."""
-    fld, k, n = cosets.field, len(cosets.reps), cosets.n
-    target = np.array([cosets.index[rep] for rep, _ in images], dtype=np.int64).reshape(k, -1)
+def code_stack(mats, n: int) -> np.ndarray:
+    """The codes of a list of n x n matrices, shape (len(mats), n, n)."""
+    return np.array([m.codes for m in mats], dtype=np.int64).reshape(-1, n, n)
+
+
+def coset_action(cosets: BruhatCosets, images: np.ndarray,
+                 diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The right action of S generators on the cosets, from the normal forms
+    (images, diag) of reps[i]·s, shapes (k, S, n, n) and (k, S, n):
+    reps[i]·s = b·reps[target[i, s]], and logs[i, s] holds the discrete
+    logs of b's diagonal.  Each column of target is checked to be a
+    permutation, as right multiplication by s must be."""
+    k, S = images.shape[:2]
+    target = np.array([cosets.index[c] for c in map(tuple, images.reshape(k * S, -1).tolist())],
+                      dtype=np.int64).reshape(k, S)
     if (np.sort(target, axis=0) != np.arange(k)[:, None]).any():
         raise StructureError("a generator does not permute the cosets")
-    logs = [fld.dlog_code(c) for _, diag in images for c in diag]
-    return target, np.array(logs, dtype=np.int64).reshape(k, target.shape[1], n)
+    return target, cosets.field._dlog[diag]
 
 
 def cell_torus_logs(cells, target: np.ndarray, logs: np.ndarray) -> np.ndarray:

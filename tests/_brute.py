@@ -12,8 +12,9 @@ table of f over the whole group that the cocycle solver once built its edge
 rows from, the explicit root extension of a Borel subgroup, the coboundary,
 fixed-point and solvability checks, which now rank with gauss_rank, and
 Ind_B^G chi built by walking G's element table, with the B-level Shapiro
-solve on its restriction, and the twist-matching predicates that build a
-TorusChar for every (k, i, w) they try.
+solve on its restriction, the twist-matching predicates that build a
+TorusChar for every (k, i, w) they try, and the Bruhat coset normal form of
+one matrix with the one-coset-at-a-time search that BruhatCosets once ran.
 """
 
 from __future__ import annotations
@@ -116,14 +117,38 @@ def brute_h1(H, M):
     return z1, b1, z1 - b1
 
 
-def brute_cocycle_defects(H, M, gen_values):
-    """How many pairs (g, h) in H x H violate f(gh) = f(g) + rho(g) f(h).
+def brute_cocycle_table(H, M, gen_values):
+    """f(g) for every element id, shape (|H|, d), from the generator
+    values, extended as in _brute_extend."""
+    f, _ = _brute_extend(H, M, gen_values)
+    return np.array([f[g] for g in range(H.order)], dtype=np.int64).reshape(H.order, M.dim)
 
-    f and rho are extended from their generator values by a BFS of our own
+
+def brute_cocycle_defects(H, M, gen_values):
+    """How many pairs (g, h) in H x H violate f(gh) = f(g) + rho(g) f(h),
+    for f and rho extended as in brute_cocycle_table.  Zero exactly when
+    gen_values define a 1-cocycle.
+    """
+    p, d = M.p, M.dim
+    f, rho = _brute_extend(H, M, gen_values)
+
+    def apply(A, v):
+        return [sum(A[i][j] * v[j] for j in range(d)) % p for i in range(d)]
+
+    bad = 0
+    for g in range(H.order):
+        for h in range(H.order):
+            rhs = [(a + b) % p for a, b in zip(f[g], apply(rho[g], f[h]))]
+            if f[H.mul_ids(g, h)] != rhs:
+                bad += 1
+    return bad
+
+
+def _brute_extend(H, M, gen_values):
+    """f and rho on every element id, as dicts of lists: a BFS of our own
     over H.mul_ids, with f(gs) = f(g) + rho(g) f(s) and rho(gs) = rho(g)
     rho(s) on first visits; the library's BFS tree, act tables and cocycle
-    code are not used.  Zero exactly when gen_values define a 1-cocycle.
-    """
+    code are not used."""
     p = M.p
     d = M.dim
     gens = [H.index[g.codes] for g in H.generators]
@@ -150,13 +175,7 @@ def brute_cocycle_defects(H, M, gen_values):
                 queue.append(gs)
     if len(f) != H.order:
         raise AssertionError("generators do not generate the group")
-    bad = 0
-    for g in range(H.order):
-        for h in range(H.order):
-            rhs = [(a + b) % p for a, b in zip(f[g], apply(rho[g], f[h]))]
-            if f[H.mul_ids(g, h)] != rhs:
-                bad += 1
-    return bad
+    return f, rho
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -216,6 +235,62 @@ def tn_factor(b):
         raise StructureError("element is not upper-triangular")
     t = diag_mat(b.field, b.diagonal_codes())
     return t, t.inv() * b
+
+
+def coset_normal_form(g):
+    """The representative of the right coset B·g, and the diagonal of b in
+    g = b·rep, as codes, for one matrix: the rows are reduced from the
+    bottom up, each cleared at the pivot columns of the rows below it with
+    the field's scalar code arithmetic, then scaled to a leading 1."""
+    fld, n = g.field, g.n
+    rows = [list(g.codes[i * n : (i + 1) * n]) for i in range(n)]
+    pivot = [0] * n
+    diag = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        for k in range(n - 1, i, -1):
+            a = row[pivot[k]]
+            if a:
+                row = [fld.sub_code(x, fld.mul_code(a, y)) for x, y in zip(row, rows[k])]
+        lead = next(j for j, x in enumerate(row) if x)
+        diag[i] = row[lead]
+        inv = fld.inv_code(row[lead])
+        rows[i] = [fld.mul_code(inv, x) for x in row]
+        pivot[i] = lead
+    return tuple(c for row in rows for c in row), tuple(diag)
+
+
+def one_by_one_bruhat_cosets(T, N, weyls):
+    """(reps, cells, cell_logs, actions) of group.BruhatCosets from a search
+    of one cell, and one coset, after the other: a queue per cell, one
+    per-matrix product and coset_normal_form per (coset, generator), and
+    the targets and discrete logs read per image.  reps are code tuples,
+    and actions maps T and N to (target, logs)."""
+    fld, n = T.field, T.n
+    gens = T.generators + N.generators
+    index, reps, images, cells = {}, [], [], []
+    for w in weyls:
+        start = len(reps)
+        rep = coset_normal_form(w.rep)[0]
+        index[rep] = start
+        reps.append(rep)
+        i = start
+        while i < len(reps):
+            for s in gens:
+                image = coset_normal_form(Mat(fld, n, reps[i]) * s)
+                images.append(image)
+                if image[0] not in index:
+                    index[image[0]] = len(reps)
+                    reps.append(image[0])
+            i += 1
+        cells.append((start, len(reps)))
+    S, st = len(gens), len(T.generators)
+    target = np.array([index[rep] for rep, _ in images], dtype=np.int64).reshape(-1, S)
+    logs = np.array([[fld.dlog_code(c) for c in diag] for _, diag in images],
+                    dtype=np.int64).reshape(-1, S, n)
+    cell_logs = logs[[start for start, _ in cells], :st]
+    actions = {T: (target[:, :st], logs[:, :st]), N: (target[:, st:], logs[:, st:])}
+    return reps, cells, cell_logs, actions
 
 
 def brute_coset_data(G, B):

@@ -37,10 +37,11 @@ from borelext.group import (
     build_unipotent,
     weyl_elements,
 )
-from borelext.verify import get_instance
+from borelext.verify import Instance, get_instance, verify_thm1
 
 from _brute import (
     brute_cocycle_defects,
+    brute_cocycle_table,
     brute_coset_data,
     brute_edge_rows,
     brute_h1,
@@ -452,21 +453,82 @@ def test_modules_over_a_generator_free_group(F3):
 
 def test_basis_cocycle_checks_copy_no_action_table():
     # propagating an H^1 basis cocycle of the N-module at GL_3(F_3) and
-    # counting its defects read the uint8 table's rows in batches: the traced
-    # peak stays below one int64 copy of the table (8 * 73,008 B)
+    # counting its defects read the uint8 table once per generator: the
+    # traced peak stays below one int64 copy of the table (8 * 73,008 B).
+    # The basis cocycle keeps its certificate's values, so the walk is
+    # measured on a cocycle with the same generator values and none kept
     inst = get_instance(3, 1, 3)
     M = induced_module(inst.bruhat_cosets, inst.N, inst.chars[0])
     r = h1_dim(inst.N, M)
     table = M.act_all()
     assert table.dtype == np.uint8 and table.nbytes == 73_008 and r.basis
+    assert r.basis[0].fvals is not None
+    c = Cocycle(inst.N, M, r.basis[0].values)
     tracemalloc.start()
     try:
-        r.basis[0].propagate()
-        assert r.basis[0].defect_count() == 0
+        c.propagate()
+        assert c.defect_count() == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * table.nbytes
+
+
+def test_stack_certificate_catches_one_non_cocycle_among_cocycles(F3):
+    # a basis cocycle, a cocycle that differs from it by a coboundary, and a
+    # broken one in one stack: the walk's defect count is the broken one's
+    B = build_borel(F3, 2)
+    M = char_module(B, simple_root(1, 2, 2))
+    c = h1_dim(B, M).basis[0]
+    shifted = Cocycle(B, M, (c.values + 1) % 3)
+    bad = _break_at_torus_generator(B, c)
+    assert shifted.is_valid() and bad.defect_count() > 0
+    stack = np.stack([c.values, shifted.values, bad.values])
+    fvals, steps = cohom._propagate(B, M, stack)
+    assert fvals.shape == (B.order, 3, M.dim)
+    assert cohom._edge_defects(B, M.p, fvals, steps) == bad.defect_count()
+    assert cohom._edge_defects(B, M.p, fvals[:, :2], [s[:, :2] for s in steps]) == 0
+    for k, cocycle in enumerate((c, shifted, bad)):
+        assert (fvals[:, k] == Cocycle(B, M, cocycle.values).propagate()).all()
+
+
+@pytest.mark.parametrize("which", ["borel-char", "unipotent-induced"])
+def test_basis_keeps_the_values_of_its_certificate_walk(which):
+    # sampled solves with h = 2 and h = 4 candidates: each basis cocycle's
+    # kept values are a fresh walk of its own generator values and the
+    # brute-force table, and every cocycle is valid
+    fld = make_field(3, 2)
+    if which == "borel-char":
+        H = build_borel(fld, 2)
+        M = char_module(H, TorusChar((1, 7), 8))
+    else:
+        H = build_unipotent(fld, 2)
+        cosets = BruhatCosets(build_torus(fld, 2), H, weyl_elements(fld, 2))
+        M = induced_module(cosets, H, trivial_char(2, 8))
+    r = h1_dim(H, M)
+    assert r.mode == "sampled_verified" and len(r.basis) in (2, 4)
+    for c in r.basis:
+        assert c.fvals is not None and c.fvals.shape == (H.order, M.dim)
+        fresh = Cocycle(H, M, c.values)
+        assert fresh.fvals is None
+        assert (c.propagate() == fresh.propagate()).all()
+        assert (c.fvals == brute_cocycle_table(H, M, c.values)).all()
+        assert c.is_valid()
+
+
+def test_thm1_at_gl3_f3_walks_the_tree_once(monkeypatch):
+    # the certificate walks the N solve's 8 candidates in one stack, and
+    # cell_multiplicities reads the values that walk kept
+    walks = []
+    real = cohom._propagate
+
+    def counted(H, M, values):
+        walks.append(len(values))
+        return real(H, M, values)
+
+    monkeypatch.setattr(cohom, "_propagate", counted)
+    reports = verify_thm1(Instance(3, 1, 3))
+    assert walks == [8] and reports[0].pairs
 
 
 def test_h1_of_the_zero_module_assembles_nothing(F3):

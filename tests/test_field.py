@@ -161,3 +161,11 @@ def test_pow_negative_exponent():
     a = F9.element((1, 2))
     assert (a ** -1) * a == F9.one
     assert a ** 0 == F9.one
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 2), (7, 1)])
+def test_log_and_power_arrays_multiply_every_pair(p, f):
+    # the gather that batched matrix products use, with 0 at log 2(q - 1)
+    F = make_field(p, f)
+    for a, b in itertools.product(range(F.q), repeat=2):
+        assert F._pow0[F._log0[a] + F._log0[b]] == F.mul_code(a, b)

@@ -240,10 +240,16 @@ def test_hom_batch_reader_equals_the_tree_table(p):
         act = M
         got = act.at(ids)
         assert got.dtype == np.uint8 and (got == table[ids]).all()
-        for v in rng.integers(0, p, size=(2, M.dim)):
+        vs = rng.integers(0, p, size=(2, M.dim))
+        for v in vs:
             want = np.einsum("kij,j->ki", table.astype(np.int64), v) % p
+            assert act.apply(ids, v).shape == (len(ids), M.dim)
             assert (act.apply(ids, v) % p == want[ids]).all()
             assert (act.apply(slice(None), v) % p == want).all()
+        # a stack of vectors gives each one's products, stacked on axis 1
+        stacked = act.apply(ids, vs)
+        assert stacked.shape == (len(ids), len(vs), M.dim)
+        assert all((stacked[:, j] == act.apply(ids, v)).all() for j, v in enumerate(vs))
         assert M._all is None
 
 
@@ -258,8 +264,15 @@ def test_table_batch_reader_equals_the_table(gl2_f3):
         assert (act.at(ids) == table[ids]).all()
         v = rng.integers(0, M.p, M.dim)
         want = table.astype(np.int64) @ v
+        assert act.apply(ids, v).shape == (len(ids), M.dim)
         assert (act.apply(ids, v) == want[ids]).all()
         assert (act.apply(slice(None), v) == want).all()
+        # a stack of vectors gives each one's products, stacked on axis 1
+        vs = rng.integers(0, M.p, (3, M.dim))
+        stacked = act.apply(ids, vs)
+        assert stacked.shape == (len(ids), len(vs), M.dim)
+        assert all((stacked[:, j] == table.astype(np.int64)[ids] @ v).all()
+                   for j, v in enumerate(vs))
 
 
 def test_endomorphisms_of_induced(gl2_f3):

@@ -15,8 +15,9 @@ from borelext.group import (
     build_gl,
     build_torus,
     build_unipotent,
+    _mul_codes,
+    batch_normal_form,
     commutator_subgroup,
-    coset_normal_form,
     gl_order,
     intersect_conjugate,
     unipotent_part,
@@ -27,7 +28,9 @@ from _brute import (
     brute_commutator_subgroup,
     brute_intersect_conjugate,
     brute_unipotent_part,
+    coset_normal_form,
     double_cosets,
+    one_by_one_bruhat_cosets,
     tn_factor,
     word_for,
 )
@@ -189,30 +192,97 @@ def test_coset_normal_form_is_a_function_of_the_coset(p, f, n):
             assert coset_normal_form(rand_mat(upper=True) * g)[0] == rep
 
 
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2)], ids=["3-1", "3-2"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batch_normal_form_matches_one_matrix_at_a_time(p, f, n):
+    # random invertible matrices, in one stack, against the per-matrix
+    # reference; the identity-like permutation matrices are included
+    fld = make_field(p, f)
+    rng = np.random.default_rng(100 * fld.q + n)
+    mats = [w.rep for w in weyl_elements(fld, n)]
+    while len(mats) < 60:
+        g = Mat(fld, n, tuple(int(c) for c in rng.integers(0, fld.q, n * n)))
+        if g.det_code():
+            mats.append(g)
+    reps, diag = batch_normal_form(fld, group.code_stack(mats, n))
+    assert reps.shape == (len(mats), n, n) and diag.shape == (len(mats), n)
+    for g, rep, dg in zip(mats, reps.tolist(), diag.tolist()):
+        assert coset_normal_form(g) == (tuple(c for row in rep for c in row), tuple(dg))
+
+
+def test_batch_normal_form_refuses_a_singular_matrix(F3):
+    g = group.code_stack([Mat(F3, 2, (1, 2, 2, 1))], 2)  # det 1 - 4 = 0 mod 3
+    with pytest.raises(StructureError, match="singular"):
+        batch_normal_form(F3, g)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (1031, 1), (37, 2)])
+def test_batch_mul_matches_one_product_at_a_time(p, f):
+    # random 3 x 3 code matrices, broadcast against one, including fields
+    # past the q x q list tables that _mul_codes reads up to q = 1024
+    fld = make_field(p, f)
+    rng = np.random.default_rng(fld.q)
+    a = rng.integers(0, fld.q, (12, 3, 3))
+    a[0] = 0
+    b = rng.integers(0, fld.q, (3, 3))
+    got = group.batch_mul(fld, a, b)
+    assert got.shape == (12, 3, 3)
+    for x, y in zip(a, got):
+        want = _mul_codes(fld, 3, tuple(x.ravel().tolist()), tuple(b.ravel().tolist()))
+        assert tuple(y.ravel().tolist()) == want
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)],
+                         ids=["3-1-2", "3-2-2", "3-1-3", "5-1-3"])
+def test_level_search_matches_the_one_coset_at_a_time_search(p, f, n):
+    fld = make_field(p, f)
+    T, N, ws = build_torus(fld, n), build_unipotent(fld, n), weyl_elements(fld, n)
+    cosets = BruhatCosets(T, N, ws)
+    reps, cells, cell_logs, actions = one_by_one_bruhat_cosets(T, N, ws)
+    assert [r.codes for r in cosets.reps] == reps
+    assert cosets.cells == cells
+    assert all(type(c) is int for cell in cosets.cells for c in cell)
+    for got, want in [(cosets.cell_logs, cell_logs)] + [
+            (cosets.actions[H][i], actions[H][i]) for H in (T, N) for i in (0, 1)]:
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 2), (5, 1, 2)])
+def test_cayley_tables_match_one_product_at_a_time(p, f, n):
+    fld = make_field(p, f)
+    for H in [build_torus(fld, n), build_unipotent(fld, n), build_borel(fld, n),
+              build_gl(fld, n)]:
+        want = [[H.index[_mul_codes(fld, n, m.codes, s.codes)] for s in H.generators]
+                for m in H.elements]
+        assert H.cayley.tolist() == want
+
+
 def test_bruhat_cosets_reject_a_target_that_is_not_a_permutation(F3, monkeypatch):
     # the last image computed is sent to the identity coset, which its own
     # generators already reach: every cell keeps its size, so only the
     # permutation check can see the fault
     T, N = build_torus(F3, 3), build_unipotent(F3, 3)
     ws = weyl_elements(F3, 3)
-    real = group.coset_normal_form
+    real = group.batch_normal_form
     calls = []
 
-    def counted(g):
+    def counted(fld, g):
         calls.append(g)
-        return real(g)
+        return real(fld, g)
 
-    monkeypatch.setattr(group, "coset_normal_form", counted)
+    monkeypatch.setattr(group, "batch_normal_form", counted)
     cosets = BruhatCosets(T, N, ws)
     total = len(calls)
-    identity_rep = cosets.reps[0].codes
+    identity_rep = np.array(cosets.reps[0].codes).reshape(3, 3)
 
-    def corrupted(g):
+    def corrupted(fld, g):
         calls.append(g)
-        rep, diag = real(g)
-        return (identity_rep, diag) if len(calls) == 2 * total else (rep, diag)
+        reps, diag = real(fld, g)
+        if len(calls) == 2 * total:
+            reps.reshape(-1, 3, 3)[-1] = identity_rep
+        return reps, diag
 
-    monkeypatch.setattr(group, "coset_normal_form", corrupted)
+    monkeypatch.setattr(group, "batch_normal_form", corrupted)
     with pytest.raises(StructureError, match="permute"):
         BruhatCosets(T, N, ws)
     # G's generators go through the same check: the first image outside the
@@ -221,14 +291,15 @@ def test_bruhat_cosets_reject_a_target_that_is_not_a_permutation(F3, monkeypatch
     assert gmodule.right_coset_data(cosets, G)[0].shape == (len(cosets.reps), len(G.generators))
     moved = []
 
-    def corrupted_g(g):
-        rep, diag = real(g)
-        if moved or rep == identity_rep:
-            return rep, diag
-        moved.append(g)
-        return identity_rep, diag
+    def corrupted_g(fld, g):
+        reps, diag = real(fld, g)
+        for i, rep in enumerate(reps.reshape(-1, 3, 3)):
+            if not moved and (rep != identity_rep).any():
+                moved.append(i)
+                rep[:] = identity_rep
+        return reps, diag
 
-    monkeypatch.setattr(gmodule, "coset_normal_form", corrupted_g)
+    monkeypatch.setattr(gmodule, "batch_normal_form", corrupted_g)
     with pytest.raises(StructureError, match="permute"):
         gmodule.right_coset_data(cosets, G)
     assert len(moved) == 1
@@ -244,17 +315,19 @@ def test_bruhat_cosets_reject_an_n_image_with_a_non_unit_diagonal(p, f, monkeypa
     ws = weyl_elements(fld, 3)
     cosets = BruhatCosets(T, N, ws)
     assert not cosets.actions[N][1].any()
-    real = group.coset_normal_form
+    real = group.batch_normal_form
+    n1 = np.array(N.generators[0].codes).reshape(3, 3)
     seen = []
 
-    def corrupted(g):
-        rep, diag = real(g)
-        if g.codes != N.generators[0].codes:
-            return rep, diag
-        seen.append(g)
-        return rep, (fld.generator_code,) + diag[1:]
+    def corrupted(fld, g):
+        reps, diag = real(fld, g)
+        for i, (x, dg) in enumerate(zip(g.reshape(-1, 3, 3), diag.reshape(-1, 3))):
+            if (x == n1).all():
+                seen.append(i)
+                dg[0] = fld.generator_code
+        return reps, diag
 
-    monkeypatch.setattr(group, "coset_normal_form", corrupted)
+    monkeypatch.setattr(group, "batch_normal_form", corrupted)
     with pytest.raises(StructureError, match="non-unit diagonal"):
         BruhatCosets(T, N, ws)
     assert len(seen) == 1
@@ -299,8 +372,8 @@ def test_cell_check_refuses_a_coset_moved_across_cells_or_a_varying_diagonal(F3,
     # BruhatCosets runs the check on the action its search found
     real = group.coset_action
 
-    def corrupted(cosets, images):
-        tgt, lg = real(cosets, images)
+    def corrupted(cosets, images, diag):
+        tgt, lg = real(cosets, images, diag)
         lg = lg.copy()
         lg[-1, 0] = (0, 0, 0)
         return tgt, lg
