@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("field", help="field context: modulus, generator, tables")
+    sp = sub.add_parser("field", help="field context: p, f, q, modulus and generator")
     _add_common(sp)
 
     sp = sub.add_parser("group", help="order and generators of G, B, T or N")

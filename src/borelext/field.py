@@ -2,9 +2,11 @@
 
 Elements are stored as length-f coefficient vectors over F_p in the basis
 1, x, ..., x^{f-1} modulo a fixed irreducible polynomial, and are carried
-around as integer codes c_0 + c_1 p + ... + c_{f-1} p^{f-1}.  The context
-precomputes a discrete-log table against a fixed multiplicative generator,
-which makes character evaluation and inversion table lookups.
+around as integer codes c_0 + c_1 p + ... + c_{f-1} p^{f-1}.  There is one
+arithmetic on codes, for scalars and arrays alike: a product adds discrete
+logs against a fixed multiplicative generator and reads the power back,
+and a sum adds base-p digits mod p.  Only field construction multiplies
+coefficient vectors, to find the generator and its powers.
 
 The modulus is the lexicographically smallest monic irreducible of its
 degree (coefficients compared constant term first), and the generator is
@@ -19,7 +21,6 @@ import itertools
 import numpy as np
 
 DEFAULT_MAX_Q = 1 << 16
-_LIST_TABLE_MAX_Q = 1024
 
 
 class FieldError(ValueError):
@@ -134,7 +135,14 @@ class Fq:
 
 
 class FieldCtx:
-    """The field F_{p^f}: modulus, generator, discrete logs, Frobenius."""
+    """The field F_{p^f}: modulus, generator, discrete logs, Frobenius.
+
+    _log0[a] is the discrete log of the code a, and 2(q - 1) for a = 0;
+    _pow0[e] is the generator's e-th power for e < 2(q - 1) and 0 from
+    there on, so a * b = _pow0[_log0[a] + _log0[b]] for every pair of
+    codes.  The scalar forms read the same two tables as Python lists,
+    which index faster one element at a time.  a // p^m is the code a's
+    m-th base-p digit up to a multiple of p, so sums add those mod p."""
 
     def __init__(self, p: int, f: int):
         if p == 2:
@@ -153,20 +161,11 @@ class FieldCtx:
         self.modulus = self._find_modulus()
         # x^k mod modulus for k up to 2f-2, as coefficient tuples
         self._xpow = self._reduction_table()
-        self._mulL = None
-        self._addL = None
-        if q <= _LIST_TABLE_MAX_Q:
-            self._build_list_tables()
         self.generator_code = self._find_generator()
         self._dlog, self._gpow = self._build_dlog()
-        self._inv = np.zeros(q, dtype=np.int64)
-        for c in range(1, q):
-            self._inv[c] = self._gpow[(q - 1 - self._dlog[c]) % (q - 1)]
-        # a * b = _pow0[_log0[a] + _log0[b]] for all codes: log 0 is 2(q - 1),
-        # and the powers of the generator read 0 from there on
         self._log0 = np.where(self._dlog < 0, 2 * (q - 1), self._dlog)
         self._pow0 = np.concatenate([self._gpow, self._gpow, np.zeros(2 * q - 1, dtype=np.int64)])
-        self._frob1 = np.array([self.pow_code(c, p) for c in range(q)], dtype=np.int64)
+        self._logs, self._pows = self._log0.tolist(), self._pow0.tolist()
         self._powmats: np.ndarray | None = None
 
     # --- construction helpers -------------------------------------------
@@ -194,25 +193,9 @@ class FieldCtx:
 
     def _reduction_table(self):
         # x^k mod modulus for k = 0 .. 2f-2
-        p, f = self.p, self.f
-        table = []
-        for k in range(2 * f - 1):
-            mono = [0] * k + [1]
-            table.append(tuple(_poly_mod(tuple(mono), self.modulus, p)) + (0,) * f)
-        return [t[:f] for t in table]
-
-    def _build_list_tables(self):
-        q = self.q
-        mul = [[0] * q for _ in range(q)]
-        add = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                m = self._mul_raw(a, b)
-                s = self._add_raw(a, b)
-                mul[a][b] = mul[b][a] = m
-                add[a][b] = add[b][a] = s
-        self._mulL = mul
-        self._addL = add
+        top = 2 * self.f - 1
+        return [tuple(_poly_mod(tuple(int(i == k) for i in range(top)), self.modulus, self.p))
+                for k in range(top)]
 
     def _find_generator(self) -> int:
         primes = _factorize(self.q - 1)
@@ -220,7 +203,7 @@ class FieldCtx:
             code = sum(c * self._pp[i] for i, c in enumerate(tail))
             if code == 0:
                 continue
-            if all(self.pow_code(code, (self.q - 1) // ell) != 1 for ell in primes):
+            if all(self._pow_raw(code, (self.q - 1) // ell) != 1 for ell in primes):
                 return code
         raise FieldError("no generator found")  # unreachable
 
@@ -234,7 +217,7 @@ class FieldCtx:
                 raise FieldError("generator order too small")
             dlog[c] = e
             gpow[e] = c
-            c = self.mul_code(c, self.generator_code)
+            c = self._mul_raw(c, self.generator_code)
         if c != 1:
             raise FieldError("generator order does not divide q-1")
         return dlog, gpow
@@ -242,26 +225,15 @@ class FieldCtx:
     # --- code arithmetic --------------------------------------------------
 
     def code_coeffs(self, code: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.f):
-            out.append(code % p)
-            code //= p
-        return tuple(out)
+        return tuple(code // m % self.p for m in self._pp)
 
     def coeffs_code(self, coeffs) -> int:
         if len(coeffs) > self.f:
             raise FieldError("too many coefficients")
         return sum((c % self.p) * self._pp[i] for i, c in enumerate(coeffs))
 
-    def _add_raw(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        for pp in self._pp:
-            out += (((a // pp) + (b // pp)) % p) * pp
-        return out
-
     def _mul_raw(self, a: int, b: int) -> int:
+        """a * b by multiplying coefficient vectors mod the modulus."""
         p, f = self.p, self.f
         ca = self.code_coeffs(a)
         cb = self.code_coeffs(b)
@@ -279,30 +251,42 @@ class FieldCtx:
                         acc[k] = (acc[k] + m * red[k]) % p
         return sum(c * self._pp[i] for i, c in enumerate(acc))
 
+    def _pow_raw(self, a: int, e: int) -> int:
+        """a^e for e >= 0 by square and multiply with _mul_raw."""
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return out
+
     def add_code(self, a: int, b: int) -> int:
-        if self._addL is not None:
-            return self._addL[a][b]
-        return self._add_raw(a, b)
+        p = self.p
+        return sum((a // m + b // m) % p * m for m in self._pp)
 
     def sub_code(self, a: int, b: int) -> int:
-        return self.add_code(a, self.neg_code(b))
+        p = self.p
+        return sum((a // m - b // m) % p * m for m in self._pp)
 
     def neg_code(self, a: int) -> int:
         p = self.p
-        out = 0
-        for pp in self._pp:
-            out += ((-(a // pp)) % p) * pp
-        return out
+        return sum(-(a // m) % p * m for m in self._pp)
 
     def mul_code(self, a: int, b: int) -> int:
-        if self._mulL is not None:
-            return self._mulL[a][b]
-        return self._mul_raw(a, b)
+        logs = self._logs
+        return self._pows[logs[a] + logs[b]]
+
+    def dot_code(self, xs, ys) -> int:
+        """The sum of x * y over two equally long sequences of codes."""
+        logs, pows, p = self._logs, self._pows, self.p
+        terms = [pows[logs[x] + logs[y]] for x, y in zip(xs, ys)]
+        return sum(sum([t // m for t in terms]) % p * m for m in self._pp)
 
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise FieldError("division by zero in F_q")
-        return int(self._inv[a])
+        return self.pow_code(a, -1)
 
     def pow_code(self, a: int, e: int) -> int:
         if a == 0:
@@ -311,28 +295,34 @@ class FieldCtx:
             if e == 0:
                 return 1
             raise FieldError("0 has no negative powers")
-        if hasattr(self, "_dlog"):
-            return int(self._gpow[(int(self._dlog[a]) * e) % (self.q - 1)])
-        # used during construction, before the dlog table exists
-        if e < 0:
-            raise FieldError("negative power before tables are ready")
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul_code(out, base)
-            base = self.mul_code(base, base)
-            e >>= 1
-        return out
+        return self._pows[self._logs[a] * e % (self.q - 1)]
 
     def frob_code(self, a: int, k: int = 1) -> int:
-        for _ in range(k % self.f):
-            a = int(self._frob1[a])
-        return a
+        return self.pow_code(a, self.p ** (k % self.f))
 
     def dlog_code(self, a: int) -> int:
         if a == 0:
             raise FieldError("dlog(0) is undefined")
-        return int(self._dlog[a])
+        return self._logs[a]
+
+    # --- array arithmetic -------------------------------------------------
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The products of two arrays of codes, entrywise, broadcast."""
+        return self._pow0[self._log0[a] + self._log0[b]]
+
+    def sum_arrays(self, terms) -> np.ndarray:
+        """The sum of an iterable of arrays of codes, entrywise, broadcast."""
+        pp = np.array(self._pp)
+        return sum(t[..., None] // pp for t in terms) % self.p @ pp
+
+    def inv_array(self, a: np.ndarray) -> np.ndarray:
+        """The inverses of an array of nonzero codes."""
+        return self._gpow[-self._dlog[a] % (self.q - 1)]
+
+    def dlog_array(self, a: np.ndarray) -> np.ndarray:
+        """The discrete logs of an array of nonzero codes."""
+        return self._dlog[a]
 
     # --- element-level API ------------------------------------------------
 

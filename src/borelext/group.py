@@ -18,7 +18,6 @@ products and coset normal forms go through batch_mul and batch_normal_form.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 import numpy as np
 
@@ -104,45 +103,15 @@ class Mat:
 
 
 def _mul_codes(field: FieldCtx, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    mul = field._mulL
-    add = field._addL
-    if mul is None:
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = field.add_code(acc, field.mul_code(a[i * n + k], b[k * n + j]))
-                out.append(acc)
-        return tuple(out)
-    out = []
-    for i in range(n):
-        arow = a[i * n : (i + 1) * n]
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc = add[acc][mul[arow[k]][b[k * n + j]]]
-            out.append(acc)
-    return tuple(out)
-
-
-def _fq_mul(field: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The products of two arrays of codes, entrywise, from discrete logs."""
-    return field._pow0[field._log0[a] + field._log0[b]]
-
-
-def _fq_sum(field: FieldCtx, terms) -> np.ndarray:
-    """The sum of arrays of codes, entrywise: a // p^m is a code's m-th
-    base-p digit up to a multiple of p, so the digits add mod p."""
-    pp = np.array(field._pp)
-    return sum(t[..., None] // pp for t in terms) % field.p @ pp
+    cols = [b[j::n] for j in range(n)]
+    return tuple(field.dot_code(a[i : i + n], col) for i in range(0, n * n, n) for col in cols)
 
 
 def batch_mul(field: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over F_q for stacks of n x n code matrices, broadcast over the
-    leading axes, with no q x q table."""
-    return _fq_sum(field, (_fq_mul(field, a[..., :, k, None], b[..., None, k, :])
-                           for k in range(a.shape[-1])))
+    leading axes."""
+    return field.sum_arrays(field.mul_array(a[..., :, k, None], b[..., None, k, :])
+                            for k in range(a.shape[-1]))
 
 
 def batch_normal_form(field: FieldCtx, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,13 +133,13 @@ def batch_normal_form(field: FieldCtx, g: np.ndarray) -> tuple[np.ndarray, np.nd
     for i in range(n - 1, -1, -1):
         row = rows[:, i]
         for k in range(n - 1, i, -1):
-            a = _fq_mul(field, row[at, pivot[:, k]], minus)
-            row = _fq_sum(field, (row, _fq_mul(field, a[:, None], rows[:, k])))
+            a = field.mul_array(row[at, pivot[:, k]], minus)
+            row = field.sum_arrays((row, field.mul_array(a[:, None], rows[:, k])))
         pivot[:, i] = (row != 0).argmax(axis=1)
         diag[:, i] = row[at, pivot[:, i]]
         if not diag[:, i].all():
             raise StructureError("matrix is singular")
-        rows[:, i] = _fq_mul(field, field._inv[diag[:, i]][:, None], row)
+        rows[:, i] = field.mul_array(field.inv_array(diag[:, i])[:, None], row)
     return rows.reshape(g.shape), diag.reshape(g.shape[:-1])
 
 
@@ -260,48 +229,51 @@ class MatrixGroup:
             if -1 in ids:
                 raise StructureError("element table not closed under generators")
             self.cayley[:, s] = ids
-        self.identity_id = self.index[identity_mat(field, n).codes]
+        self.identity_id = self.index.get(identity_mat(field, n).codes, -1)
+        if self.identity_id < 0:
+            raise StructureError("element table lacks the identity")
         self._build_bfs()
-        self._inv_ids: dict[int, int] = {}
         self._inv_table: np.ndarray | None = None
         self.pattern: tuple | None = None  # (roots, torus) of a pattern group
 
     def _build_bfs(self):
-        size = len(self.elements)
+        """The BFS tree from the identity, one level at a time: the next
+        level is the unseen products of the level with the generators, each
+        kept where it first occurs in (element, generator) order, which is
+        the order a first-in first-out walk reaches them."""
+        size, S = self.cayley.shape
         parent = np.full(size, -1, dtype=np.int32)
         via = np.full(size, -1, dtype=np.int32)
-        order = np.empty(size, dtype=np.int32)
+        depth = np.zeros(size, dtype=np.int32)
         seen = np.zeros(size, dtype=bool)
-        q = deque([self.identity_id])
         seen[self.identity_id] = True
-        k = 0
-        while q:
-            i = q.popleft()
-            order[k] = i
-            k += 1
-            for s in range(self.cayley.shape[1]):
-                j = int(self.cayley[i, s])
-                if not seen[j]:
-                    seen[j] = True
-                    parent[j] = i
-                    via[j] = s
-                    q.append(j)
-        if k != size:
-            raise StructureError("generators do not generate the element table")
-        self.bfs_order = order
-        self.bfs_parent = parent
-        self.bfs_gen = via
-        # tree edges grouped by (BFS depth, generator) for batched propagation
-        depth = self.bfs_depth = np.zeros(size, dtype=np.int32)
-        for i in order[1:]:
-            depth[i] = depth[parent[i]] + 1
-        batches = []
-        for lv in range(1, int(depth.max(initial=0)) + 1):
-            at = order[(depth[order] == lv)]
-            for s in range(self.cayley.shape[1]):
-                children = at[via[at] == s]
+        # first[e]: the first position of e among its level's products
+        first = np.full(size, size * S, dtype=np.int64)
+        level = np.array([self.identity_id], dtype=np.int32)
+        levels, batches = [level], []
+        while True:
+            products = self.cayley[level].ravel()
+            at = np.flatnonzero(~seen[products])
+            if not at.size:
+                break
+            np.minimum.at(first, products[at], at)
+            at = at[first[products[at]] == at]
+            level = products[at]
+            seen[level] = True
+            parent[level], via[level] = levels[-1][at // S], at % S
+            depth[level] = len(levels)
+            levels.append(level)
+            # tree edges grouped by (BFS depth, generator) for batched propagation
+            for s in range(S):
+                children = level[via[level] == s]
                 if children.size:
                     batches.append((s, parent[children], children))
+        self.bfs_order = np.concatenate(levels)
+        if len(self.bfs_order) != size:
+            raise StructureError("generators do not generate the element table")
+        self.bfs_parent = parent
+        self.bfs_gen = via
+        self.bfs_depth = depth
         self.tree_batches = batches
 
     @property
@@ -331,18 +303,23 @@ class MatrixGroup:
         return self.index[prod]
 
     def inv_id(self, i: int) -> int:
-        j = self._inv_ids.get(i)
-        if j is None:
-            j = self.index[self.elements[i].inv().codes]
-            self._inv_ids[i] = j
-            self._inv_ids[j] = i
-        return j
+        return int(self.inverse_ids()[i])
 
     def inverse_ids(self) -> np.ndarray:
-        """inv_id of every element, as an array built once."""
+        """The id of every element's inverse, read off the Cayley table:
+        right multiplication by s^{-1} undoes column s, and an element's
+        inverse is the identity times the inverses of its BFS word's
+        generators in reverse, walked up the tree for all elements at once."""
         if self._inv_table is None:
-            self._inv_table = np.fromiter(
-                (self.inv_id(i) for i in range(self.order)), np.int64, self.order)
+            size, S = self.cayley.shape
+            undo = np.empty_like(self.cayley)
+            undo[self.cayley, np.arange(S)] = np.arange(size, dtype=np.int32)[:, None]
+            at = np.arange(size)
+            out = np.full(size, self.identity_id, dtype=np.int64)
+            while (live := at != self.identity_id).any():
+                out[live] = undo[out[live], self.bfs_gen[at[live]]]
+                at[live] = self.bfs_parent[at[live]]
+            self._inv_table = out
         return self._inv_table
 
     def is_subgroup_of(self, other: "MatrixGroup") -> bool:
@@ -586,7 +563,7 @@ def coset_action(cosets: BruhatCosets, images: np.ndarray,
                       dtype=np.int64).reshape(k, S)
     if (np.sort(target, axis=0) != np.arange(k)[:, None]).any():
         raise StructureError("a generator does not permute the cosets")
-    return target, cosets.field._dlog[diag]
+    return target, cosets.field.dlog_array(diag)
 
 
 def cell_torus_logs(cells, target: np.ndarray, logs: np.ndarray) -> np.ndarray:

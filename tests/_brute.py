@@ -14,11 +14,16 @@ fixed-point and solvability checks, which now rank with gauss_rank, and
 Ind_B^G chi built by walking G's element table, with the B-level Shapiro
 solve on its restriction, the twist-matching predicates that build a
 TorusChar for every (k, i, w) they try, and the Bruhat coset normal form of
-one matrix with the one-coset-at-a-time search that BruhatCosets once ran.
+one matrix with the one-coset-at-a-time search that BruhatCosets once ran,
+and the first-in first-out walk that built a group's BFS tree.  The
+subgroup, double-coset, induced-module and H^1 references multiply
+matrices with mat_mul, through q x q tables built from coefficient
+vectors, not through the field's discrete logs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 
@@ -34,6 +39,7 @@ from borelext.chars import (
     weyl_twist,
 )
 from borelext.cohom import Cocycle, h1_dim
+from borelext.field import make_field
 from borelext.gmodule import FpModule, char_module, fq_hom_module
 from borelext.group import (
     Mat,
@@ -73,6 +79,42 @@ def gauss_rank(rows, p):
     return len(gauss_rref(rows, p)[1])
 
 
+def add_raw(field, a, b):
+    """a + b in F_q, coefficient by coefficient."""
+    return field.coeffs_code([x + y for x, y in zip(field.code_coeffs(a), field.code_coeffs(b))])
+
+
+@functools.lru_cache(maxsize=None)
+def fq_tables(p, f):
+    """The q x q product and sum tables of F_q, from the product of
+    coefficient vectors that field construction uses (_mul_raw) and
+    add_raw, not from the field's discrete logs."""
+    F = make_field(p, f)
+    mul = [[F._mul_raw(a, b) for b in range(F.q)] for a in range(F.q)]
+    add = [[add_raw(F, a, b) for b in range(F.q)] for a in range(F.q)]
+    return mul, add
+
+
+def mat_mul(x, y):
+    """The product of two Mats, entry by entry through fq_tables."""
+    fld, n = x.field, x.n
+    mul, add = fq_tables(fld.p, fld.f)
+    a, b = x.codes, y.codes
+    out = []
+    for i in range(0, n * n, n):
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = add[acc][mul[a[i + k]][b[k * n + j]]]
+            out.append(acc)
+    return Mat(fld, n, tuple(out))
+
+
+def mul_ids(H, i, j):
+    """The id of H.elements[i] * H.elements[j], by mat_mul."""
+    return H.index[mat_mul(H.elements[i], H.elements[j]).codes]
+
+
 def brute_h1(H, M):
     """(dim Z^1, dim B^1, dim H^1) by solving for f : H -> M directly.
 
@@ -96,7 +138,7 @@ def brute_h1(H, M):
         rows.append(row)
     for g in range(size):
         for h in range(size):
-            gh = H.mul_ids(g, h)
+            gh = mul_ids(H, g, h)
             for i in range(d):
                 row = [0] * nun
                 row[var(gh, i)] += 1
@@ -139,14 +181,14 @@ def brute_cocycle_defects(H, M, gen_values):
     for g in range(H.order):
         for h in range(H.order):
             rhs = [(a + b) % p for a, b in zip(f[g], apply(rho[g], f[h]))]
-            if f[H.mul_ids(g, h)] != rhs:
+            if f[mul_ids(H, g, h)] != rhs:
                 bad += 1
     return bad
 
 
 def _brute_extend(H, M, gen_values):
     """f and rho on every element id, as dicts of lists: a BFS of our own
-    over H.mul_ids, with f(gs) = f(g) + rho(g) f(s) and rho(gs) = rho(g)
+    over mul_ids, with f(gs) = f(g) + rho(g) f(s) and rho(gs) = rho(g)
     rho(s) on first visits; the library's BFS tree, act tables and cocycle
     code are not used."""
     p = M.p
@@ -168,7 +210,7 @@ def _brute_extend(H, M, gen_values):
     queue = [e]
     for g in queue:
         for s, sid in enumerate(gens):
-            gs = H.mul_ids(g, sid)
+            gs = mul_ids(H, g, sid)
             if gs not in f:
                 f[gs] = [(a + b) % p for a, b in zip(f[g], apply(rho[g], gen_f[s]))]
                 rho[gs] = matmul(rho[g], gen_rho[s])
@@ -305,7 +347,7 @@ def brute_coset_data(G, B):
         k = len(rep_ids)
         rep_ids.append(i)
         for bid in b_ids:
-            coset_of[G.mul_ids(bid, i)] = k
+            coset_of[mul_ids(G, bid, i)] = k
     return rep_ids, coset_of
 
 
@@ -322,9 +364,9 @@ def brute_induced_module(G, B, chi, coset_data=None):
     for g in G.generators:
         out = np.zeros((d, d), dtype=np.int64)
         for i, ri in enumerate(rep_ids):
-            rig = G.mul_ids(ri, G.element_id(g))
+            rig = mul_ids(G, ri, G.element_id(g))
             j = int(coset_of[rig])
-            t, _ = tn_factor(G.elements[rig] * G.elements[rep_ids[j]].inv())
+            t, _ = tn_factor(mat_mul(G.elements[rig], G.elements[rep_ids[j]].inv()))
             out[i * f : (i + 1) * f, j * f : (j + 1) * f] = fld.mult_matrix(evaluate(chi, t).code)
         acts.append(out)
     return FpModule(G, acts, label=f"brute-induced{chi.exps}", fq_form=True)
@@ -341,7 +383,7 @@ def ext1_dim_shapiro(B, chi1, res_ind):
 def brute_intersect_conjugate(B, w):
     """Codes of {m in B : w m w^{-1} in B}, by filtering B's element table."""
     wi = w.rep.inv()
-    return {m.codes for m in B.elements if ((w.rep * m) * wi).codes in B.index}
+    return {m.codes for m in B.elements if mat_mul(mat_mul(w.rep, m), wi).codes in B.index}
 
 
 def brute_unipotent_part(H):
@@ -358,7 +400,7 @@ def mulclose(mats):
     while frontier:
         a = frontier.popleft()
         for g in mats:
-            b = a * g
+            b = mat_mul(a, g)
             if b.codes not in seen:
                 seen.add(b.codes)
                 frontier.append(b)
@@ -369,7 +411,47 @@ def brute_commutator_subgroup(H):
     """Codes of the closure of all commutators a b a^{-1} b^{-1} in H."""
     els = H.elements
     invs = [m.inv() for m in els]
-    return mulclose({(a * b) * (ai * bi) for a, ai in zip(els, invs) for b, bi in zip(els, invs)})
+    return mulclose({mat_mul(mat_mul(a, b), mat_mul(ai, bi))
+                     for a, ai in zip(els, invs) for b, bi in zip(els, invs)})
+
+
+def fifo_bfs(H):
+    """(order, parent, gen, depth, batches) of H's BFS tree, by a first-in
+    first-out walk of the Cayley table one element and generator at a
+    time, as MatrixGroup once built it; batches group the tree edges by
+    (depth, generator) as (generator, parents, children)."""
+    size, S = H.cayley.shape
+    parent = np.full(size, -1, dtype=np.int32)
+    via = np.full(size, -1, dtype=np.int32)
+    order = np.empty(size, dtype=np.int32)
+    seen = np.zeros(size, dtype=bool)
+    queue = deque([H.identity_id])
+    seen[H.identity_id] = True
+    k = 0
+    while queue:
+        i = queue.popleft()
+        order[k] = i
+        k += 1
+        for s in range(S):
+            j = int(H.cayley[i, s])
+            if not seen[j]:
+                seen[j] = True
+                parent[j] = i
+                via[j] = s
+                queue.append(j)
+    if k != size:
+        raise AssertionError("generators do not generate the group")
+    depth = np.zeros(size, dtype=np.int32)
+    for i in order[1:]:
+        depth[i] = depth[parent[i]] + 1
+    batches = []
+    for lv in range(1, int(depth.max(initial=0)) + 1):
+        at = order[depth[order] == lv]
+        for s in range(S):
+            children = at[via[at] == s]
+            if children.size:
+                batches.append((s, parent[children], children))
+    return order, parent, via, depth, batches
 
 
 def word_for(G, i):
@@ -399,7 +481,7 @@ def double_cosets(G, B):
         for i in coset:
             m = G.elements[i]
             for g in B.generators:
-                for prod in (g * m, m * g):
+                for prod in (mat_mul(g, m), mat_mul(m, g)):
                     j = G.index[prod.codes]
                     if not seen[j]:
                         seen[j] = True

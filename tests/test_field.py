@@ -1,13 +1,15 @@
-"""Field arithmetic: construction choices, tables, Frobenius, dlog."""
+"""Field arithmetic: construction choices, discrete logs and digit sums
+against coefficient vectors, Frobenius, dlog."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from borelext import field
-from borelext.field import FieldError, dlog, frobenius, make_field
+from borelext.field import FieldCtx, FieldError, dlog, frobenius, make_field
 
-from _brute import poly_mul_mod, poly_order
+from _brute import add_raw, poly_mul_mod, poly_order
 
 
 def test_rejects_even_characteristic():
@@ -165,7 +167,61 @@ def test_pow_negative_exponent():
 
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 2), (7, 1)])
 def test_log_and_power_arrays_multiply_every_pair(p, f):
-    # the gather that batched matrix products use, with 0 at log 2(q - 1)
+    # the gather that every product reads, with 0 at log 2(q - 1), against
+    # the product of coefficient vectors that field construction uses
     F = make_field(p, f)
     for a, b in itertools.product(range(F.q), repeat=2):
-        assert F._pow0[F._log0[a] + F._log0[b]] == F.mul_code(a, b)
+        assert F._pow0[F._log0[a] + F._log0[b]] == F.mul_code(a, b) == F._mul_raw(a, b)
+    grid = np.arange(F.q)
+    want = [[F._mul_raw(a, b) for b in range(F.q)] for a in range(F.q)]
+    assert F.mul_array(grid[:, None], grid).tolist() == want
+    assert [F._mul_raw(a, b) for a, b in zip(range(1, F.q), F.inv_array(grid[1:]).tolist())] \
+        == [1] * (F.q - 1)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 2), (3, 3)])
+def test_digit_sums_add_every_pair(p, f):
+    F = make_field(p, f)
+    want = [[add_raw(F, a, b) for b in range(F.q)] for a in range(F.q)]
+    assert [[F.add_code(a, b) for b in range(F.q)] for a in range(F.q)] == want
+    grid = np.arange(F.q)
+    assert F.sum_arrays((grid[:, None], grid)).tolist() == want
+    for a, b in itertools.product(range(F.q), repeat=2):
+        assert add_raw(F, F.sub_code(a, b), b) == a
+    assert all(add_raw(F, a, F.neg_code(a)) == 0 for a in range(F.q))
+    assert all(F._mul_raw(a, F.inv_code(a)) == 1 for a in range(1, F.q))
+
+
+@pytest.mark.parametrize("p,f", [(31, 2), (1031, 1), (37, 2)])
+def test_arithmetic_on_a_sample_around_q_1024(p, f):
+    # q = 961, 1031 and 1369: a seeded sample of pairs, scalar and array
+    # forms against coefficient vectors, with 0 in the sample
+    F = make_field(p, f)
+    rng = np.random.default_rng(F.q)
+    a, b = rng.integers(0, F.q, (2, 500))
+    a[0] = b[1] = 0
+    prods = [F._mul_raw(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    sums = [add_raw(F, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert [F.mul_code(x, y) for x, y in zip(a.tolist(), b.tolist())] == prods
+    assert [F.add_code(x, y) for x, y in zip(a.tolist(), b.tolist())] == sums
+    assert F.mul_array(a, b).tolist() == prods
+    assert F.sum_arrays((a, b)).tolist() == sums
+    dot = 0
+    for x in prods:
+        dot = add_raw(F, dot, x)
+    assert F.dot_code(a.tolist(), b.tolist()) == dot
+    assert F.sum_arrays(iter(np.array(prods)[:, None])).tolist() == [dot]
+
+
+def test_field_construction_multiplies_fewer_than_2q_coefficient_vectors(monkeypatch):
+    # the generator search and its powers, and nothing q x q
+    calls = []
+    raw = FieldCtx._mul_raw
+
+    def counted(self, a, b):
+        calls.append(None)
+        return raw(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "_mul_raw", counted)
+    F = make_field(31, 2)
+    assert len(calls) < 2 * F.q

@@ -9,6 +9,7 @@ from borelext.field import make_field
 from borelext.group import (
     BruhatCosets,
     Mat,
+    MatrixGroup,
     SizeBudgetError,
     StructureError,
     build_borel,
@@ -18,6 +19,7 @@ from borelext.group import (
     _mul_codes,
     batch_normal_form,
     commutator_subgroup,
+    diag_mat,
     gl_order,
     intersect_conjugate,
     unipotent_part,
@@ -30,6 +32,8 @@ from _brute import (
     brute_unipotent_part,
     coset_normal_form,
     double_cosets,
+    fifo_bfs,
+    mat_mul,
     one_by_one_bruhat_cosets,
     tn_factor,
     word_for,
@@ -218,8 +222,8 @@ def test_batch_normal_form_refuses_a_singular_matrix(F3):
 
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (1031, 1), (37, 2)])
 def test_batch_mul_matches_one_product_at_a_time(p, f):
-    # random 3 x 3 code matrices, broadcast against one, including fields
-    # past the q x q list tables that _mul_codes reads up to q = 1024
+    # random 3 x 3 code matrices, broadcast against one, array form against
+    # scalar form, including fields with q above 1024
     fld = make_field(p, f)
     rng = np.random.default_rng(fld.q)
     a = rng.integers(0, fld.q, (12, 3, 3))
@@ -252,8 +256,7 @@ def test_cayley_tables_match_one_product_at_a_time(p, f, n):
     fld = make_field(p, f)
     for H in [build_torus(fld, n), build_unipotent(fld, n), build_borel(fld, n),
               build_gl(fld, n)]:
-        want = [[H.index[_mul_codes(fld, n, m.codes, s.codes)] for s in H.generators]
-                for m in H.elements]
+        want = [[H.index[mat_mul(m, s).codes] for s in H.generators] for m in H.elements]
         assert H.cayley.tolist() == want
 
 
@@ -525,3 +528,42 @@ def test_bfs_words_resolve(F5):
         for s in word:
             acc = acc * G.generators[s]
         assert acc.codes == G.elements[i].codes
+
+
+def test_a_table_without_the_identity_is_refused(F3):
+    # the coset diag(1, 2)·<diag(2, 1)> of GL_2(F_3) is closed under its
+    # generator, so only the identity lookup can see the fault
+    a, s = diag_mat(F3, (1, 2)), diag_mat(F3, (2, 1))
+    with pytest.raises(StructureError, match="identity"):
+        MatrixGroup(F3, 2, "coset", [a, mat_mul(a, s)], [s])
+
+
+ARRAY_CASES = [(3, 1, 2), (3, 2, 2), (5, 1, 2), (3, 1, 3)]
+
+
+@pytest.mark.parametrize("p,f,n", ARRAY_CASES, ids=["3-1-2", "3-2-2", "5-1-2", "3-1-3"])
+def test_inverse_ids_match_matrix_inverses(p, f, n):
+    fld = make_field(p, f)
+    for H in [build_torus(fld, n), build_unipotent(fld, n), build_borel(fld, n),
+              build_gl(fld, n)]:
+        want = [H.index[m.inv().codes] for m in H.elements]
+        got = H.inverse_ids()
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert [H.inv_id(i) for i in range(H.order)] == want
+
+
+@pytest.mark.parametrize("p,f,n", ARRAY_CASES, ids=["3-1-2", "3-2-2", "5-1-2", "3-1-3"])
+def test_level_bfs_matches_the_fifo_walk(p, f, n):
+    fld = make_field(p, f)
+    B = build_borel(fld, n)
+    groups = [build_torus(fld, n), build_unipotent(fld, n), B, build_gl(fld, n)]
+    groups += [intersect_conjugate(B, w) for w in weyl_elements(fld, n)]
+    for H in groups:
+        order, parent, gen, depth, batches = fifo_bfs(H)
+        pairs = [(H.bfs_order, order), (H.bfs_parent, parent), (H.bfs_gen, gen),
+                 (H.bfs_depth, depth)]
+        assert [s for s, _, _ in H.tree_batches] == [s for s, _, _ in batches]
+        for (_, got_par, got_ch), (_, par, ch) in zip(H.tree_batches, batches):
+            pairs += [(got_par, par), (got_ch, ch)]
+        for got, want in pairs:
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
