@@ -27,6 +27,16 @@ fails, feeding goes on.  A sweep that feeds every edge has the whole
 system, so its answer is exact as well.  The basis cocycles keep the
 values that the passing walk found, and cell_multiplicities reads them.
 
+A solve is gauged at s*, the first generator of order m prime to p.
+H^1(<s*>, M) = 0, so every cocycle is cohomologous to one in Z' = {f :
+f(s*) = 0}, and Z' meets B^1 in delta(M^{s*}), M^{s*} being the image of
+the projector e = m^{-1} sum_{i<m} rho(s*)^i.  So the system drops the
+unknowns f(s*), H^1 = Z'/delta(M^{s*}) takes a narrow quotient step, the
+dims of Z^1 and B^1 add back the d - dim M^{s*} coboundaries outside Z',
+and the certificate is the argument above on Z', with the candidates
+checked at f(s*) = 0.  A p-group has no such generator, so the N-level
+solve is never gauged.
+
 Principal-series Ext by Shapiro's lemma is H^1(B, Hom_{F_q}(F_q[chi1],
 Res_B Ind chi2)).  cell_multiplicities computes it at the unipotent
 level: as p does not divide |T| = (q-1)^n, inflation-restriction gives
@@ -70,7 +80,7 @@ import numpy as np
 
 from . import linalg
 from .gmodule import FpModule, ModuleError
-from .group import MatrixGroup, StructureError
+from .group import MatrixGroup, StructureError, torus_conjugate_ids
 
 CHUNK_EDGES = 8  # non-tree edges fed to the eliminator at a time
 
@@ -123,18 +133,29 @@ class H1Result:
     mode: str  # "sampled_verified" if a check ended the sweep, else "exhaustive"
     basis: list[Cocycle] = dc_field(default_factory=list)
     edges_used: int = 0
+    gauge: int | None = None  # the generator s* with f(s*) = 0, if any
+    gauged: int = 0  # the unknowns the gauge removed from the system
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.dim_z1, self.dim_b1, self.dim_h1)
 
 
-def _coboundary_rows(M: FpModule) -> np.ndarray:
-    """Row j is the cocycle s -> (rho(s) - 1) e_j, flattened over generators."""
+def _coboundary_rows(M: FpModule, gauge=None, powers=None) -> tuple[np.ndarray, int]:
+    """Rows spanning the coboundaries with f(gauge) = 0, over the other
+    generators, and the dims of B^1 they leave out.  Row j is s -> (rho(s)
+    - 1) v_j, v_j = e_j ungauged; gauged at s*, v_j runs over a basis of
+    M^{s*}, the image of the sum of rho over s*'s powers (m e), and d - dim
+    M^{s*} dims are left out."""
     d = M.dim
     eye = np.eye(d, dtype=np.int64)
-    blocks = [((a - eye) % M.p).T for a in M.gen_action]
-    return np.hstack(blocks) if blocks else np.zeros((d, 0), dtype=np.int64)
+    blocks = [((a - eye) % M.p).T for s, a in enumerate(M.gen_action) if s != gauge]
+    rows = np.hstack(blocks) if blocks else np.zeros((d, 0), dtype=np.int64)
+    if gauge is None:
+        return rows, 0
+    fixed = linalg.RowReducer(M.p, d)
+    fixed.add_rows(M.at(powers).sum(axis=0, dtype=np.int64).T)
+    return fixed.rows @ rows % M.p, d - fixed.rank
 
 
 def _spread_order(E: int) -> np.ndarray:
@@ -147,7 +168,7 @@ def _spread_order(E: int) -> np.ndarray:
 
 
 def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
-    """dim_{F_p} H^1(H, M) with cocycle witnesses."""
+    """dim_{F_p} H^1(H, M) with cocycle witnesses, 0 at the gauge if any."""
     if M.group is not H:
         raise StructureError("module is not over the given group")
     p, d = M.p, M.dim
@@ -167,21 +188,27 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
         )
     sweep = _edge_sweep(H)
     n_edges = len(sweep.edges)
+    gauge = sweep.gauge
+    gauged = 0 if gauge is None else d
 
-    red = linalg.RowReducer(p, nu)
-    cob = _coboundary_rows(M)
+    def values(vs) -> np.ndarray:  # unknowns to generator values, f(s*) = 0
+        vs = np.reshape(vs, (len(vs), -1, d))
+        return vs if gauge is None else np.insert(vs, gauge, 0, axis=1)
+
+    red = linalg.RowReducer(p, nu - gauged)
+    cob, outside = _coboundary_rows(M, gauge, sweep.powers)
     used = 0
     found = None
     while used < n_edges:
         stop = min(used + CHUNK_EDGES, n_edges)
-        red.add_rows(sweep.rows(M, used, stop))
+        red.add_rows(sweep.rows(M, used, stop, gauge))
         used = stop
         if used == n_edges:
             break
         cand, dim_b1 = _h1_representatives(red, cob, p)
         fvals = None
         if cand:
-            fvals, steps = _propagate(H, M, np.reshape(cand, (len(cand), S, d)))
+            fvals, steps = _propagate(H, M, values(cand))
             if _edge_defects(H, p, fvals, steps):
                 continue  # a candidate is not a cocycle; keep feeding edges
         found = cand, dim_b1, fvals
@@ -189,11 +216,12 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
     mode = "exhaustive" if used == n_edges else "sampled_verified"
 
     reps, dim_b1, fvals = found if found is not None else (*_h1_representatives(red, cob, p), None)
-    dim_z1 = nu - red.rank
+    dim_z1 = nu - gauged - red.rank + outside
+    dim_b1 += outside
     dim_h1 = dim_z1 - dim_b1
-    basis = [Cocycle(H, M, v.reshape(S, d), None if fvals is None else fvals[:, k])
-             for k, v in enumerate(reps)]
-    return H1Result(dim_z1, dim_b1, dim_h1, mode, basis, used)
+    basis = [Cocycle(H, M, v, None if fvals is None else fvals[:, k])
+             for k, v in enumerate(values(reps) if reps else [])]
+    return H1Result(dim_z1, dim_b1, dim_h1, mode, basis, used, gauge, gauged)
 
 
 class _EdgeSweep:
@@ -207,8 +235,10 @@ class _EdgeSweep:
     (y, t) from the identity to x.  The steps the paths of g and g s share,
     above their lowest common ancestor, cancel, so a term is (block,
     element, sign): +rho(g) in block s, + for each step up from g to the
-    ancestor and - for each step up from g s.  Only arrays are kept, never
-    the group, so the cache entry keyed by the group does not keep it alive.
+    ancestor and - for each step up from g s.  The sweep holds the gauge s*
+    and its powers; a gauged solve has f(s*) = 0, so terms in block s*
+    vanish.  Only arrays are kept, never the group, so the cache entry keyed
+    by the group does not keep it alive.
     """
 
     def __init__(self, H: MatrixGroup):
@@ -220,25 +250,34 @@ class _EdgeSweep:
         self.S = S
         self._parent, self._gen, self._cayley = H.bfs_parent, H.bfs_gen, H.cayley
         self._depth = H.bfs_depth
-        self._chunks: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._chunks: dict[tuple[int, int, int | None], tuple[np.ndarray, ...]] = {}
+        self.gauge = self.powers = None
+        for s in range(S):
+            powers = [H.identity_id]
+            while (x := int(H.cayley[powers[-1], s])) != H.identity_id:
+                powers.append(x)
+            if len(powers) % H.field.p:
+                self.gauge, self.powers = s, np.array(powers)
+                break
 
-    def rows(self, M: FpModule, start: int, stop: int) -> np.ndarray:
-        """The d rows of each edge in edges[start:stop], not reduced mod p:
-        one scatter of the summed signed rho(element) into (edge, block),
-        with rho read through M.at."""
-        terms = self._chunks.get((start, stop))
+    def rows(self, M: FpModule, start: int, stop: int, gauge: int | None = None) -> np.ndarray:
+        """The d rows of each edge in edges[start:stop] over f(s), s not
+        the gauge, not reduced mod p: one scatter of the summed signed
+        rho(element) into (edge, block), with rho read through M.at."""
+        key = (start, stop, gauge)
+        terms = self._chunks.get(key)
         if terms is None:
-            terms = self._chunks[(start, stop)] = self._terms(self.edges[start:stop])
+            terms = self._chunks[key] = self._terms(self.edges[start:stop], gauge)
         elt, sign, starts, slots = terms
-        rho = M.at(elt)
-        m, S, d = stop - start, self.S, rho.shape[1]
+        m, S, d = stop - start, self.S - (gauge is not None), M.dim
         out = np.zeros((m * S, d, d), dtype=np.int64)
-        out[slots] = np.add.reduceat(rho * sign[:, None, None], starts, axis=0)
+        out[slots] = np.add.reduceat(M.at(elt) * sign[:, None, None], starts, axis=0)
         return out.reshape(m, S, d, d).transpose(0, 2, 1, 3).reshape(m * d, S * d)
 
-    def _terms(self, batch: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The batch's terms sorted by slot = edge * S + block: their
-        elements and signs, where each slot's run starts, and the slots."""
+    def _terms(self, batch: np.ndarray, gauge: int | None) -> tuple[np.ndarray, ...]:
+        """The batch's terms sorted by slot = edge * S + block, without
+        those in block s* when gauged: their elements and signs, where each
+        slot's run starts, and the slots."""
         S = self.S
         g, s = batch[:, 0], batch[:, 1]
         k = np.arange(len(batch))
@@ -255,11 +294,15 @@ class _EdgeSweep:
                 sign.append(np.full(len(x), sgn, dtype=np.int64))
                 cur[up] = self._parent[x]
             live = ends[0] != ends[1]
-        slot = np.concatenate(slot)
+        slot, elt, sign = map(np.concatenate, (slot, elt, sign))
+        if gauge is not None:  # slot e * S + b moves to e * (S - 1) + b - (b > s*)
+            block = slot % S
+            keep = block != gauge
+            slot, elt, sign = (slot - slot // S - (block > gauge))[keep], elt[keep], sign[keep]
         order = np.argsort(slot, kind="stable")
         slot = slot[order]
-        starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
-        return np.concatenate(elt)[order], np.concatenate(sign)[order], starts, slot[starts]
+        starts = np.flatnonzero(np.diff(slot, prepend=-1))
+        return elt[order], sign[order], starts, slot[starts]
 
 
 _SWEEPS: weakref.WeakKeyDictionary[MatrixGroup, _EdgeSweep] = weakref.WeakKeyDictionary()
@@ -315,7 +358,7 @@ def cell_multiplicities(N: MatrixGroup, T: MatrixGroup, MN: FpModule, MT: FpModu
     # rows [B^1 | 0] and [basis | 1]: reducing [z | 0] for z in Z^1 leaves
     # [0 | -x], where x are z's coordinates in the basis modulo B^1
     red = linalg.RowReducer(p, nu + h)
-    red.add_rows(np.hstack([_coboundary_rows(MN), np.zeros((d, h), dtype=np.int64)]))
+    red.add_rows(np.hstack([_coboundary_rows(MN)[0], np.zeros((d, h), dtype=np.int64)]))
     red.add_rows(np.hstack([values.reshape(h, nu), np.eye(h, dtype=np.int64)]))
 
     def coords(images: np.ndarray) -> np.ndarray:
@@ -330,7 +373,7 @@ def cell_multiplicities(N: MatrixGroup, T: MatrixGroup, MN: FpModule, MT: FpModu
     fvals = [c.propagate() for c in basis]  # kept by the solve's certificate
     acts = []
     for t, rho_t in zip(T.generators, MT.gen_action):
-        conj = [N.element_id((t.inv() * s) * t) for s in N.generators]
+        conj = torus_conjugate_ids(N, t)
         acts.append(coords(np.stack([f[conj] for f in fvals]) @ rho_t.T % p))
 
     out = []
@@ -390,8 +433,10 @@ def _propagate(H: MatrixGroup, M: FpModule, values: np.ndarray) -> tuple[np.ndar
 
 def _h1_representatives(red: linalg.RowReducer, cob: np.ndarray,
                         p: int) -> tuple[list[np.ndarray], int]:
-    """H^1 representatives among the nullspace basis vectors, and dim B^1,
-    from one elimination of the coboundaries' coordinates.
+    """H^1 representatives among the nullspace basis vectors, and the dim
+    of the coboundaries' span, from one elimination of their coordinates.
+    The coboundaries are all of B^1, or in a gauged solve delta(M^{s*}),
+    whose few rows make this elimination narrow.
 
     Coboundaries satisfy every edge, so they lie in the nullspace, and their
     coordinates in its basis are their values at the free columns.  Basis

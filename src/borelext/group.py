@@ -546,6 +546,17 @@ class BruhatCosets:
             T: (target[:, :st], logs[:, :st]), N: (target[:, st:], logs[:, st:])}
 
 
+def torus_conjugate_ids(H: MatrixGroup, t: Mat) -> list[int]:
+    """The ids of t^{-1} s t for H's generators s and a diagonal t that
+    normalizes H, read by scaling entry (i, j) of s by t_i^{-1} t_j."""
+    if not t.is_diagonal():
+        raise StructureError("conjugation by scaling needs a diagonal matrix")
+    fld, diag = H.field, t.diagonal_codes()
+    scale = [fld.mul_code(fld.inv_code(a), b) for a in diag for b in diag]
+    return [H.element_id(Mat(fld, H.n, tuple(map(fld.mul_code, s.codes, scale))))
+            for s in H.generators]
+
+
 def code_stack(mats, n: int) -> np.ndarray:
     """The codes of a list of n x n matrices, shape (len(mats), n, n)."""
     return np.array([m.codes for m in mats], dtype=np.int64).reshape(-1, n, n)

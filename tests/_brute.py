@@ -18,7 +18,10 @@ one matrix with the one-coset-at-a-time search that BruhatCosets once ran,
 and the first-in first-out walk that built a group's BFS tree.  The
 subgroup, double-coset, induced-module and H^1 references multiply
 matrices with mat_mul, through q x q tables built from coefficient
-vectors, not through the field's discrete logs.
+vectors, not through the field's discrete logs.  Where brute_h1's |H| d
+unknowns are too many, brute_h1_generators takes the values on the
+generators as the unknowns, with a BFS and an elimination (np_rank) of its
+own, and the tests check it against brute_h1 where both run.
 """
 
 from __future__ import annotations
@@ -156,6 +159,65 @@ def brute_h1(H, M):
                 row[var(g, i)] = (rho[g][i][j] - (1 if i == j else 0)) % p
         cob.append(row)
     b1 = gauss_rank(cob, p) if cob else 0
+    return z1, b1, z1 - b1
+
+
+def np_rank(A, p):
+    """Rank over F_p of an integer array, by an elimination of its own:
+    rows are taken 512 at a time, reduced against the reduced echelon rows
+    found so far with one product, and what is left adds pivots one row at
+    a time."""
+    A = np.asarray(A, dtype=np.int64) % p
+    R, piv = A[:0], []
+    for start in range(0, len(A), 512):
+        B = A[start : start + 512]
+        if piv:
+            B = (B - B[:, piv] @ R) % p
+        B = B[B.any(axis=1)]
+        while len(B):
+            c = int(np.flatnonzero(B[0])[0])
+            r = B[0] * pow(int(B[0, c]), -1, p) % p
+            R = np.vstack([(R - np.outer(R[:, c], r)) % p, r])
+            piv.append(c)
+            B = (B[1:] - np.outer(B[1:, c], r)) % p
+            B = B[B.any(axis=1)]
+    return len(piv)
+
+
+def brute_h1_generators(H, M):
+    """(dim Z^1, dim B^1, dim H^1) with the values on the generators as the
+    unknowns, for groups where brute_h1's |H| d unknowns are too many.  A
+    BFS of our own over mul_ids writes f(g) as a linear map of them, with
+    f(g s) = f(g) + rho(g) f(s) and rho(g s) = rho(g) rho(s) on first
+    visits; every pair (g, s) of an element and a generator then gives the
+    rows of f(g s) - f(g) - rho(g) f(s) = 0, which cut out Z^1 because the
+    generators generate.  Ranked by np_rank; dim B^1 is d - dim M^H."""
+    p, d, S = M.p, M.dim, len(H.generators)
+    gens = [H.index[g.codes] for g in H.generators]
+    acts = [np.asarray(a, dtype=np.int64) % p for a in M.gen_action]
+    e = H.identity_id
+    F = {e: np.zeros((d, S * d), dtype=np.int64)}
+    rho = {e: np.eye(d, dtype=np.int64)}
+    queue = [e]
+    for g in queue:
+        for s, sid in enumerate(gens):
+            gs = mul_ids(H, g, sid)
+            if gs not in F:
+                F[gs] = F[g].copy()
+                F[gs][:, s * d : (s + 1) * d] += rho[g]
+                F[gs] %= p
+                rho[gs] = rho[g] @ acts[s] % p
+                queue.append(gs)
+    if len(F) != H.order:
+        raise AssertionError("generators do not generate the group")
+    rows = []
+    for g in queue:
+        for s, sid in enumerate(gens):
+            r = F[mul_ids(H, g, sid)] - F[g]
+            r[:, s * d : (s + 1) * d] -= rho[g]
+            rows.append(r)
+    z1 = S * d - (np_rank(np.vstack(rows), p) if rows else 0)
+    b1 = d - fixed_points_dim(M)
     return z1, b1, z1 - b1
 
 

@@ -4,6 +4,7 @@ two-step inflation computation of H^1(B, F_q[chi])."""
 
 import functools
 import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 
 from borelext.chars import TorusChar, all_chars, evaluate, frobenius_twist, simple_root, trivial_char
 from borelext import cohom, linalg
+from borelext import group as group_mod
 from borelext.cohom import Cocycle, MemoryBudgetError, cell_multiplicities, h1_dim
 from borelext.field import make_field
 from borelext.gmodule import (
@@ -45,12 +47,15 @@ from _brute import (
     brute_coset_data,
     brute_edge_rows,
     brute_h1,
+    brute_h1_generators,
     brute_induced_module,
     build_E_alpha,
     equivariant_hom_dim,
     ext1_dim_shapiro,
+    gauss_rank,
     is_coboundary,
     non_tree_edges,
+    np_rank,
     tn_factor,
 )
 
@@ -274,8 +279,9 @@ def test_build_E_alpha_rejects_wrong_root(F3):
 
 
 def _solver_cases():
-    """Every character module over the Borels of GL_2(F_3) and GL_2(F_9), and
-    one Hom between principal series of GL_2(F_3)."""
+    """Every character module over the Borels of GL_2(F_3) and GL_2(F_9), one
+    Hom between principal series of GL_2(F_3) and Res_B Ind chi over the
+    Borel of GL_2(F_3), a module of several blocks; all are gauged."""
     F3, F9 = make_field(3, 1), make_field(3, 2)
     B3, B9, G3 = build_borel(F3, 2), build_borel(F9, 2), build_gl(F3, 2)
     cosets = BruhatCosets(build_torus(F3, 2), build_unipotent(F3, 2), weyl_elements(F3, 2))
@@ -283,7 +289,7 @@ def _solver_cases():
     i2 = induced_module(cosets, G3, TorusChar((1, 1), 2))
     return ([(B3, char_module(B3, c)) for c in all_chars(2, 2)]
             + [(B9, char_module(B9, c)) for c in all_chars(2, 8)]
-            + [(G3, hom_module(i1, i2))])
+            + [(G3, hom_module(i1, i2)), (B3, restrict(i2, B3))])
 
 
 def _non_tree_edges(H):
@@ -352,6 +358,13 @@ def test_tree_path_edge_rows_match_the_table_reference(p, f, n, group):
     assert (mid == rows[a * d : b * d]).all()
     assert (mid % M.p == brute_edge_rows(H, M, edges[a:b])).all()
     assert cohom._edge_sweep(H) is sweep
+    # gauged at s*: the reference's rows without block s*'s columns
+    g = sweep.gauge
+    assert g == 0
+    keep = [c for c in range(rows.shape[1]) if c // d != g]
+    gauged = sweep.rows(act, 0, E, g)
+    assert (gauged % M.p == brute_edge_rows(H, M, edges)[:, keep]).all()
+    assert (sweep.rows(act, a, b, g) == gauged[a * d : b * d]).all()
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -735,7 +748,7 @@ def test_h1_representatives_match_one_by_one_extension():
     for H, M in _solver_cases():
         p = M.p
         r = h1_dim(H, M)
-        cob = cohom._coboundary_rows(M)
+        cob, _ = cohom._coboundary_rows(M)
         z1 = np.vstack([cob] + [c.values.reshape(1, -1) for c in r.basis])
         constraints = nullspace_mod(z1, p)  # rows whose nullspace is Z^1
         for keep in (constraints.shape[0], constraints.shape[0] // 2, 1):
@@ -750,6 +763,111 @@ def test_h1_representatives_match_one_by_one_extension():
             want = [v for v in red.nullspace() if quot.add_rows(v[None, :])]
             assert dim_b1 == rank_mod(cob, p) == r.dim_b1
             assert len(reps) == len(want) and all((a == b).all() for a, b in zip(reps, want))
+
+
+def _check_gauged_solve(H, M, want):
+    # dims as the reference gives them, and a basis that vanishes at the
+    # gauge, is made of cocycles and meets B^1 only in 0: no nonzero
+    # combination of it is a coboundary
+    r = h1_dim(H, M)
+    assert (r.gauge, r.gauged) == (0, M.dim)
+    assert r.dims == want
+    assert len(r.basis) == r.dim_h1
+    for c in r.basis:
+        assert not c.values[0].any() and c.is_valid()
+    for coef in itertools.product(range(M.p), repeat=r.dim_h1):
+        if any(coef):
+            values = sum(k * c.values for k, c in zip(coef, r.basis)) % M.p
+            assert not is_coboundary(H, M, Cocycle(H, M, values))
+    return r
+
+
+def test_generator_reference_matches_the_function_space_reference(F3):
+    # brute_h1_generators, the reference for groups too large for brute_h1,
+    # agrees with brute_h1 wherever both run, and its np_rank with gauss_rank
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        A = rng.integers(0, 3, size=(rng.integers(1, 40), rng.integers(1, 12)))
+        A[rng.random(A.shape) < 0.5] = 0
+        assert np_rank(A, 3) == gauss_rank(A.tolist(), 3)
+    G, B, T, N, chars, inds = _gl_setup(3, 1, 2)
+    cases = [(B, restrict(inds[c.exps], B)) for c in chars]
+    cases += [(B, char_module(B, c)) for c in chars]
+    T1 = build_torus(make_field(3, 2), 1)
+    cases += [(T1, trivial_module(T1, 3)), (build_unipotent(F3, 2), trivial_module(build_unipotent(F3, 2), 2))]
+    for H, M in cases:
+        assert brute_h1_generators(H, M) == brute_h1(H, M)
+
+
+@pytest.mark.parametrize("p,sample", [(3, None), (5, 3)], ids=["3-1-2", "5-1-2"])
+def test_gauged_hom_solves_match_the_reference(p, sample):
+    # every Hom between principal series of GL_2(F_3), and a seeded sample of
+    # those of GL_2(F_5) whose central characters agree (M^Z != 0), are
+    # gauged at diag(zeta, 1), of order q - 1
+    G, B, T, N, chars, inds = _gl_setup(p, 1, 2)
+    pairs = [(c1, c2) for c1 in chars for c2 in chars
+             if sample is None or (sum(c1.exps) - sum(c2.exps)) % (p - 1) == 0]
+    if sample:
+        pairs = [pairs[i] for i in np.random.default_rng(0).choice(len(pairs), sample, replace=False)]
+    assert cohom._edge_sweep(G).powers.size == p - 1
+    found = 0
+    for c1, c2 in pairs:
+        M = hom_module(inds[c1.exps], inds[c2.exps])
+        found += _check_gauged_solve(G, M, brute_h1_generators(G, M)).dim_h1
+    assert found > 0
+
+
+@pytest.mark.parametrize("p,f,sample", [(3, 1, None), (3, 2, 3)], ids=["3-1-2", "3-2-2"])
+def test_gauged_res_b_ind_solves_match_the_reference(p, f, sample):
+    # Res_B Ind chi over B, several blocks of f coordinates, gauged at the
+    # first torus generator; every chi at (3,1,2), a seeded sample at (3,2,2)
+    G, B, T, N, chars, inds = _gl_setup(p, f, 2)
+    if sample:
+        chars = [chars[i] for i in np.random.default_rng(0).choice(len(chars), sample, replace=False)]
+    for c in chars:
+        M = restrict(inds[c.exps], B)
+        want = brute_h1(B, M) if B.order <= 12 else brute_h1_generators(B, M)
+        _check_gauged_solve(B, M, want)
+
+
+def test_every_unknown_gauged_away(F3):
+    # one generator of order prime to p: the gauge removes every unknown,
+    # so H^1 = 0, and Z^1 = B^1 still have their dims; the one non-tree
+    # edge has all its terms in block s*
+    F9 = make_field(3, 2)
+    T1, T9 = build_torus(F3, 1), build_torus(F9, 1)
+    blocks = [char_module(T9, TorusChar((e,), 8)).gen_action[0] for e in (0, 3)]
+    swap = FpModule(T1, [np.array([[0, 1], [1, 0]])])
+    pair = FpModule(T9, [np.block([[blocks[0], np.zeros((2, 2), dtype=np.int64)],
+                                   [np.zeros((2, 2), dtype=np.int64), blocks[1]]])])
+    for H, M in [(T1, trivial_module(T1, 2)), (T1, swap), (T9, pair)]:
+        r = h1_dim(H, M)
+        assert (r.gauge, r.gauged, r.mode, r.edges_used) == (0, M.dim, "exhaustive", 1)
+        assert r.dims == brute_h1(H, M) and r.dim_h1 == 0 and not r.basis
+    assert cohom._edge_sweep(T9).rows(pair, 0, 1, 0).shape == (4, 0)
+
+
+def test_p_groups_are_not_gauged(F3):
+    # N is a p-group, so no generator has order prime to p; B's gauge is its
+    # first torus generator, also for a character module
+    inst = get_instance(3, 1, 3)
+    N = inst.N
+    assert cohom._edge_sweep(N).gauge is None
+    r = h1_dim(N, induced_module(inst.bruhat_cosets, N, trivial_char(3, 2)))
+    assert (r.gauge, r.gauged) == (None, 0) and r.dim_h1 > 0
+    B = build_borel(F3, 2)
+    M = char_module(B, simple_root(1, 2, 2))
+    r = _check_gauged_solve(B, M, brute_h1(B, M))
+    assert r.dim_h1 == 1 and r.basis[0].values[1:].any()
+
+
+def test_thm1_at_gl3_f3_takes_no_matrix_product_or_inverse(monkeypatch):
+    # cell_multiplicities conjugates N's generators by T's by scaling entries
+    calls = []
+    monkeypatch.setattr(group_mod, "_mul_codes", lambda *a: calls.append("mul"))
+    monkeypatch.setattr(group_mod.Mat, "inv", lambda self: calls.append("inv"))
+    assert verify_thm1(Instance(3, 1, 3))[0].pairs
+    assert calls == []
 
 
 def test_h1_of_cyclic_group_of_order_251():

@@ -567,3 +567,17 @@ def test_level_bfs_matches_the_fifo_walk(p, f, n):
             pairs += [(got_par, par), (got_ch, ch)]
         for got, want in pairs:
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)],
+                         ids=["3-1-2", "3-2-2", "3-1-3", "5-1-3"])
+def test_torus_conjugates_by_scaling_match_the_product(p, f, n):
+    # t^{-1} s t read by scaling the entries of s equals the Mat product,
+    # for every torus generator t and unipotent generator s
+    fld = make_field(p, f)
+    T, N = build_torus(fld, n), build_unipotent(fld, n)
+    for t in T.generators:
+        want = [N.element_id((t.inv() * s) * t) for s in N.generators]
+        assert group.torus_conjugate_ids(N, t) == want
+    with pytest.raises(StructureError):
+        group.torus_conjugate_ids(N, N.generators[0])
