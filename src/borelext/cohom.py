@@ -15,9 +15,9 @@ that does not keep the group alive: the ordered edges, and each chunk's
 terms, walked up the tree on the first solve that feeds the chunk.  A solve
 then assembles a chunk's rows from the module's matrices at the chunk's
 elements (FpModule.at) with one sum over the terms of each (edge, block);
-a Hom module builds rho only at the chunk's distinct elements, from its two
-factors.  The nullspace of the rows fed so far always contains Z^1, and it
-is spanned by B^1 and the candidate H^1 representatives, since coboundaries
+a monomial module, Hom modules included, writes rho only at those elements.
+The nullspace of the rows fed so far always contains Z^1, and it is
+spanned by B^1 and the candidate H^1 representatives, since coboundaries
 satisfy every edge.  After every chunk the stack of candidates is checked
 against every Cayley edge in one walk of the tree (_propagate), with one
 product rho(x) v per generator (FpModule.apply on the stack).  If all pass,
@@ -63,10 +63,10 @@ Mackey ledger's solves over B∩B^w check each cell's part.
 
 The G-level direct route uses the center the same way.  Z = <gamma I> has
 order q - 1, prime to p, so H^1(G, M) = H^1(G/Z, M^Z) = H^1(G, M^Z), and Z
-acts on Ind chi by the scalar chi(gamma I).  So M^Z = 0 for a Hom module
-between principal series whose central characters are not Frobenius
-conjugate, and the caller hands h1_dim the zero module, which it answers
-without assembling a system.
+acts on Ind chi by the scalar chi(gamma I), so on Hom_{F_q}(Ind chi1, Ind
+chi2) by the F_q-scalar chi2(gamma I) / chi1(gamma I).  So M^Z = 0 for
+principal series whose central characters differ, and the caller hands
+h1_dim the zero module, which it answers without assembling a system.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
     size = H.order
     # an upper bound on the module's action data: the uint8 table (1 byte an
     # entry) and room for int64 work on it (8); a solve reads the table's
-    # rows in batches, and a Hom module its two factors' smaller tables
+    # rows in batches, and a monomial module builds no table at all
     footprint = 9 * size * d * d
     if footprint > budget_mb * (1 << 20):
         raise MemoryBudgetError(

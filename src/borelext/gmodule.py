@@ -2,29 +2,29 @@
 character modules F_q[chi], induced modules Ind_B^G chi, Hom modules,
 restriction, and isomorphism testing of character modules.
 
-Character and induced modules are one kind, MonomialModule: every element
+Every verdict solves over one module kind, MonomialModule: every element
 moves each block of F_q to one block and scales it by chi of a diagonal.
 An induced module has a block per right coset of B\\G, over any group H of
 matrices (G itself, or T and N for the restrictions the Shapiro route
-reads), and a character module is the one-block case.  The cosets are in
-Bruhat normal form (group.BruhatCosets), which holds the action of T's and
-N's generators from its search; right_coset_data gives another group's,
-once per group, so no element table of G is walked to build a module.
+reads), a character module is the one-block case, and Hom_{F_q} of two
+of them is one on the pairs of their blocks.  The cosets are in Bruhat
+normal form (group.BruhatCosets), which holds the action of T's and N's
+generators from its search; right_coset_data gives another group's, once
+per group, so no element table of G is walked to build a module.
 
 A module stores one invertible matrix over F_p per group generator; the
 action of an arbitrary element (act) is the product of the generator
 matrices along the element's word in the group's BFS tree.  A cocycle solve
 asks a module for two reads on batches of elements: the matrices (at), and
-their products with a vector or a stack of them (apply).  Most modules
-answer both from the uint8 table of every element's action, built on first
-use; apply multiplies its rows in int64 without converting the table.  A monomial module writes
-its table from integers: the group keeps one skeleton per block action (the
-block each element sends each block to, and the logs of the diagonal it
-scales by), and each chi fills in its scalars along it.  The other modules
-fill their tables with matrix products along the tree.  A Hom module
-answers both reads from its two factors' tables, so its own |H| d^2 table
-is built only when act_all asks for it, and then through at.  Modules are
-immutable apart from the table cache.
+their products with a vector or a stack of them (apply).  A monomial
+module answers both from integers, with no table: the group keeps one
+skeleton per block action (the block each element sends each block to,
+and the logs of the diagonal it scales by), chi turns the logs into
+scalars, and a Hom module reads its factors'.  Any other module (trivial,
+det, F_p-Hom, restricted, quotient) answers from the uint8 table of every
+element's action, filled with matrix products along the tree on first use;
+apply multiplies its rows in int64 without converting the table.  Modules
+are immutable apart from that cache.
 """
 
 from __future__ import annotations
@@ -159,46 +159,73 @@ def det_char_module(G: MatrixGroup, a: int) -> FpModule:
 class MonomialModule(FpModule):
     """chi spread over k blocks of F_q that the elements of H permute and
     scale: Ind_B^G chi over a group H of n x n matrices on the k right
-    cosets B\\G (induced_module), and, with k = 1, the character module
-    F_q[chi] of an upper-triangular H, chi induced from H to itself
-    (char_module).
+    cosets B\\G (induced_module), with k = 1 the character module F_q[chi]
+    of an upper-triangular H (char_module), and Hom_{F_q} of two such
+    modules on the pairs of their blocks (fq_hom_module).
 
     Generator s sends block i to block target[i, s] and scales it by
     chi(t), where t is the diagonal with discrete logs logs[i, s]: block
     (i, target[i, s]) of its matrix is multiplication by chi(t).  A product
     of such matrices is again one, with the targets composed and the logs
     added, because the diagonal of a product of upper-triangular matrices
-    is the product of the diagonals.  So the table of every element's
-    action is written from the group's skeleton (_skeleton), which depends
-    on (target, logs) and not on chi: one scatter of the scalar blocks
-    chi(t) along the skeleton's block permutations, with no product of
-    matrices.  The skeleton is built on the first table of one of the
-    group's modules, and every chi on the same blocks shares it.
+    is the product of the diagonals.  So element x sends block i to P[x, i]
+    and scales it by zeta^E[x, i], E = L chi, where (P, L) is the group's
+    skeleton (_skeleton), which depends on (target, logs) and not on chi;
+    a Hom module reads (P, E) from its two factors.  No table is kept: at
+    writes the matrices at the ids asked for, and apply gathers v's blocks
+    along P and scales each once.
     """
 
     def __init__(self, H: MatrixGroup, target: np.ndarray, logs: np.ndarray, chi: TorusChar,
-                 label: str):
-        acts = _monomial_matrices(H.field, chi, target.T, logs.transpose(1, 0, 2))
-        super().__init__(H, list(acts), label=label, dim=target.shape[0] * H.field.f,
-                         fq_form=True, derived=True)
-        self.target, self.logs, self.chi = target, logs, chi
+                 label: str, factors: tuple[MonomialModule, MonomialModule] | None = None):
+        self.target, self.logs, self.chi, self.factors = target, logs, chi, factors
+        self.k = target.shape[0]
+        self._scalars = H.field.power_matrices().astype(np.uint8)  # zeta^e, e < q - 1
+        self._skel: tuple[np.ndarray, np.ndarray] | None = None  # P and E at every element
+        gen_exps = logs.transpose(1, 0, 2) @ np.array(chi.exps) % (H.field.q - 1)
+        super().__init__(H, list(self._matrices(target.T, gen_exps)), label=label,
+                         dim=self.k * H.field.f, fq_form=True, derived=True)
 
-    def _build_all(self) -> np.ndarray:
-        """The table as one scatter of chi's scalar blocks along the
-        skeleton."""
-        return _monomial_matrices(self.group.field, self.chi,
-                                  *_skeleton(self.group, self.target, self.logs))
+    def _blocks(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """P and E at ids, shapes (len(ids), k); a Hom's block (j, i) goes
+        to (P2[x, j], P1[x, i]), scaled by zeta^(E2[x, j] - E1[x, i])."""
+        qm1 = self.group.field.q - 1
+        if self.factors is not None:
+            (P1, E1), (P2, E2) = (M._blocks(ids) for M in self.factors)
+            m, k1 = P1.shape
+            return ((P2[:, :, None] * k1 + P1[:, None, :]).reshape(m, self.k),
+                    ((E2[:, :, None] - E1[:, None, :]) % qm1).reshape(m, self.k))
+        if self._skel is None:
+            P, L = _skeleton(self.group, self.target, self.logs)
+            self._skel = P, L @ np.array(self.chi.exps) % qm1
+        P, E = self._skel
+        return P[ids], E[ids]
 
+    def _matrices(self, P: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """One uint8 matrix per row x of P: block (i, P[x, i]) is
+        multiplication by zeta^E[x, i]; with one block, one gather."""
+        if self.k == 1:
+            return self._scalars[E[:, 0]]
+        (m, k), f = P.shape, self._scalars.shape[1]
+        out = np.zeros((m, k, f, k, f), dtype=np.uint8)
+        out[np.arange(m)[:, None], np.arange(k), :, P, :] = self._scalars[E]
+        return out.reshape(m, k * f, k * f)
 
-def _monomial_matrices(fld, chi: TorusChar, P: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """One matrix per row x of P, shape (len(P), d, d), as uint8: block
-    (i, P[x, i]) is multiplication by chi(t), where t is the diagonal with
-    discrete logs L[x, i]."""
-    (m, k), f = P.shape, fld.f
-    out = np.zeros((m, k, f, k, f), dtype=np.uint8)
-    out[np.arange(m)[:, None], np.arange(k), :, P, :] = fld.power_matrices()[
-        L @ np.asarray(chi.exps, dtype=np.int64) % (fld.q - 1)]
-    return out.reshape(m, k * f, k * f)
+    def at(self, ids) -> np.ndarray:
+        return self._matrices(*self._blocks(ids))
+
+    def apply(self, ids, v: np.ndarray) -> np.ndarray:
+        P, E = self._blocks(ids)
+        stack = v.reshape(-1, self.k, v.shape[-1] // self.k)
+        blocks = stack[np.arange(len(stack))[:, None], P[:, None]]  # (m, h, k, f)
+        scale = self._scalars[E][:, None]
+        out = scale[..., 0] * blocks[..., :1]
+        for j in range(1, blocks.shape[-1]):  # the f columns of each zeta^E
+            out += scale[..., j] * blocks[..., j : j + 1]
+        return out.reshape(len(P), *v.shape)
+
+    def act_all(self) -> np.ndarray:
+        return self.at(np.arange(self.group.order))
 
 
 _SKELETONS: weakref.WeakKeyDictionary[MatrixGroup, dict] = weakref.WeakKeyDictionary()
@@ -276,88 +303,37 @@ def induced_module(cosets: BruhatCosets, H: MatrixGroup, chi: TorusChar) -> Mono
     return MonomialModule(H, target, logs, chi, label=f"induced{chi.exps}")
 
 
-class HomModule(FpModule):
+def hom_module(M1: FpModule, M2: FpModule) -> FpModule:
     """Hom_{F_p}(M1, M2) with g acting by phi -> rho2(g) phi rho1(g)^{-1},
-    flattened row-major so the action matrix is kron(rho2(g), rho1(g^{-1})^T).
-
-    at and apply read the two factors' tables, so a cocycle solve never
-    builds this module's |H| d^2 table; the generator matrices and act_all
-    are at's output, at the generators and at every element."""
-
-    def __init__(self, M1: FpModule, M2: FpModule):
-        if M1.group is not M2.group:
-            raise ModuleError("hom requires modules over the same group")
-        G = M1.group
-        self.factors = (M1, M2)
-        acts = self.at(np.array([G.element_id(g) for g in G.generators], dtype=np.int64))
-        super().__init__(G, list(acts), label=f"hom({M1.label},{M2.label})",
-                         dim=M1.dim * M2.dim, derived=True)
-
-    def at(self, ids) -> np.ndarray:
-        """kron(rho2(x), rho1(x^{-1})^T) built only at the distinct elements
-        of ids, as uint8; a product of two residues fits in uint16."""
-        M1, M2 = self.factors
-        uniq, back = np.unique(ids, return_inverse=True)
-        a2 = M2.at(uniq).astype(np.uint16)
-        a1 = M1.at(M1.group.inverse_ids()[uniq])
-        kron = linalg.mod(np.einsum("gij,glk->gikjl", a2, a1), M1.p).astype(np.uint8)
-        d = M1.dim * M2.dim
-        return kron.reshape(len(uniq), d, d)[back]
-
-    def apply(self, ids, v: np.ndarray) -> np.ndarray:
-        """rho2(x) phi rho1(x^{-1}) for each x in ids, phi being v (or each
-        vector of a stack) as a d2 x d1 matrix, flattened; no kron is built."""
-        M1, M2 = self.factors
-        phi = v.reshape(*v.shape[:-1], M2.dim, M1.dim)
-        each = (slice(None),) + (None,) * (v.ndim - 1)  # broadcast over the stack
-        out = M2.at(ids)[each] @ phi @ M1.at(M1.group.inverse_ids()[ids])[each]
-        return out.reshape(len(out), *v.shape)
-
-    def _build_all(self) -> np.ndarray:
-        """The table as at's output at every element."""
-        return self.at(np.arange(self.group.order))
-
-
-def hom_module(M1: FpModule, M2: FpModule) -> HomModule:
-    """Hom_{F_p}(M1, M2) with the conjugation action."""
-    return HomModule(M1, M2)
-
-
-def fq_hom_module(M1: FpModule, M2: FpModule) -> FpModule:
-    """Hom_{F_q}(M1, M2) for a module M1 of one F_q-dimension and M2 in fq
-    form, with the same conjugation action as hom_module restricted to the
-    F_q-linear maps: M1's action is a scalar character u(g), so the module
-    is M2 twisted by u(g)^{-1}.
-
-    Extensions between F_q-representations live here: over F_p the full
-    Hom splits into f Frobenius-skewed summands and Ext dimensions pick up
-    a factor of f, so pairing the modules F_q-linearly is what matches the
-    one-dimensional-over-F_q statements being verified.  Any other left
-    module raises ModuleError.
-    """
+    flattened row-major: kron(rho2(g), rho1(g^{-1})^T) at the generators.
+    At f = 1 it is fq_hom_module's module, generator by generator."""
     if M1.group is not M2.group:
         raise ModuleError("hom requires modules over the same group")
-    if not (M1.fq_form and M2.fq_form):
-        raise ModuleError("fq_hom_module needs both modules in fq form")
-    fld = M1.group.field
-    f = fld.f
-    if M1.dim != f:
-        raise ModuleError("fq_hom_module needs a left module of one F_q-dimension")
-    acts = []
-    for s, a1 in enumerate(M1.gen_action):
-        u = fld.coeffs_code([int(c) for c in a1[:, 0]])
-        tw = _block_diag(fld.mult_matrix(fld.inv_code(u)), M2.dim // f)
-        acts.append(M2.gen_action[s] @ tw % M1.p)
-    return FpModule(M1.group, acts, label=f"fqhom({M1.label},{M2.label})", fq_form=True,
+    G = M1.group
+    acts = [np.kron(M2.act(x), M1.act(G.inv_id(x)).T) for x in map(G.element_id, G.generators)]
+    return FpModule(G, acts, label=f"hom({M1.label},{M2.label})", dim=M1.dim * M2.dim,
                     derived=True)
 
 
-def _block_diag(block: np.ndarray, count: int) -> np.ndarray:
-    f = block.shape[0]
-    out = np.zeros((f * count, f * count), dtype=np.int64)
-    for i in range(count):
-        out[i * f : (i + 1) * f, i * f : (i + 1) * f] = block
-    return out
+def fq_hom_module(M1: MonomialModule, M2: MonomialModule) -> MonomialModule:
+    """Hom_{F_q}(M1, M2) with g acting by phi -> rho2(g) phi rho1(g)^{-1}, a
+    monomial module on the pairs (j, i) of blocks, row-major: the F_q-linear
+    map from block i of M1 to block j of M2 goes to the one from P1[i] to
+    P2[j], scaled by chi2(t2) chi1(t1)^{-1}, so its logs are the factors'
+    side by side and its character (chi2, chi1^{-1}).  Ext between
+    F_q-representations is counted here; over F_p the Hom splits into f
+    Frobenius-twisted summands.  A module that is not monomial raises
+    ModuleError."""
+    if M1.group is not M2.group:
+        raise ModuleError("hom requires modules over the same group")
+    if not (isinstance(M1, MonomialModule) and isinstance(M2, MonomialModule)):
+        raise ModuleError("fq_hom_module needs two monomial modules")
+    (k1, S), k2 = M1.target.shape, M2.k
+    target = (M2.target[:, None] * k1 + M1.target[None]).reshape(k2 * k1, S)
+    logs = np.concatenate(np.broadcast_arrays(M2.logs[:, None], M1.logs[None]), axis=3)
+    chi = TorusChar(M2.chi.exps + M1.chi.inverse().exps, M1.chi.qm1)
+    return MonomialModule(M1.group, target, logs.reshape(k2 * k1, S, -1), chi,
+                          label=f"fqhom({M1.label},{M2.label})", factors=(M1, M2))
 
 
 def restrict(M: FpModule, H: MatrixGroup) -> FpModule:

@@ -42,12 +42,12 @@ multiplicity of every character of T in that cell's part of H^1(N, Ind 1).
 Instance.shapiro_table gathers each table at every pair by exponent
 arithmetic into one (cells, chi1, chi2) array, with no rank and no module
 per chi2, and a pair's dimension is the sum of its cells.  thm1 also runs
-the G-level direct route where it is cheap (n = 2), and reports any pair
-where the two paths disagree.  That route solves H^1(G, M^Z) for M =
-Hom(Ind chi1, Ind chi2) and the center Z of G: p is prime to |Z| = q - 1,
-so this is H^1(G, M), and M^Z = 0, with no Hom module built, when Z acts
-on the two factors by central characters that are not Frobenius conjugate
-(Instance.direct_dim).
+the G-level direct route where it is cheap (n = 2, f = 1), and reports
+any pair where the two paths disagree.  That route solves H^1(G, M^Z) for
+M = Hom_{F_q}(Ind chi1, Ind chi2), F_q-linear like the Shapiro route, and
+the center Z of G: p is prime to |Z| = q - 1, so this is H^1(G, M), and
+M^Z = 0, with no Hom module built, when the central characters of the two
+factors differ (Instance.direct_dim).
 
 Pairs run one after another in one thread, chi1-major, which is the row
 order of every report.  The first Shapiro pair of an instance makes its N
@@ -70,7 +70,6 @@ from .chars import (
     TwistWitness,
     all_chars,
     eigencharacters,
-    frobenius_twist,
     match_simple_root_twist,
     match_theorem1_condition,
     trivial_char,
@@ -82,7 +81,7 @@ from .gmodule import (
     abelian_quotient_with_torus_action,
     char_module,
     char_modules_isomorphic,
-    hom_module,
+    fq_hom_module,
     induced_module,
     trivial_module,
 )
@@ -353,18 +352,16 @@ class Instance:
 
     def direct_dim(self, chi1: TorusChar, chi2: TorusChar, cfg: VerifyConfig) -> int:
         """dim Ext^1_G(Ind chi1, Ind chi2) by a G-level solve of H^1(G, M^Z),
-        M = Hom(Ind chi1, Ind chi2).
+        M = Hom_{F_q}(Ind chi1, Ind chi2).
 
         p is prime to |Z| = q - 1, so H^1(G, M) = H^1(G, M^Z).  z = gamma I
-        acts on Ind chi as the F_q-scalar c = gamma^{sum chi}, and on M with
-        the eigenvalues c2^{p^i} / c1^{p^j}, so M^Z = 0 exactly when no k < f
-        gives sum chi2 = p^k sum chi1 (mod q - 1).  Then the Hom module is
-        never built; otherwise M itself is solved, which is exact.  Either
-        way the pair makes one h1_dim call."""
-        z1, z2 = (TorusChar((sum(chi.exps),), self.qm1) for chi in (chi1, chi2))
-        if all(frobenius_twist(z1, k) != z2 for k in range(self.f)):
+        acts on Ind chi as the F_q-scalar c = gamma^{sum chi}, and on M as
+        c2 / c1, so M^Z = 0 exactly when sum chi1 != sum chi2 (mod q - 1).
+        Then the Hom module is never built; otherwise M itself is solved,
+        which is exact.  Either way the pair makes one h1_dim call."""
+        if (sum(chi1.exps) - sum(chi2.exps)) % self.qm1:
             return _h1(self.G, trivial_module(self.G, 0), cfg)
-        return _h1(self.G, hom_module(self.induced(chi1), self.induced(chi2)), cfg)
+        return _h1(self.G, fq_hom_module(self.induced(chi1), self.induced(chi2)), cfg)
 
     def shapiro_table(self, cfg: VerifyConfig) -> np.ndarray:
         """Each Bruhat cell's part of dim Ext^1_G(Ind chi1, Ind chi2), shape

@@ -12,7 +12,8 @@ table of f over the whole group that the cocycle solver once built its edge
 rows from, the explicit root extension of a Borel subgroup, the coboundary,
 fixed-point and solvability checks, which now rank with gauss_rank, and
 Ind_B^G chi built by walking G's element table, with the B-level Shapiro
-solve on its restriction, the twist-matching predicates that build a
+solve on its restriction through the scalar twist that Hom_{F_q} from a
+module of one F_q-dimension once was (brute_fq_hom), the twist-matching predicates that build a
 TorusChar for every (k, i, w) they try, and the Bruhat coset normal form of
 one matrix with the one-coset-at-a-time search that BruhatCosets once ran,
 and the first-in first-out walk that built a group's BFS tree.  The
@@ -43,7 +44,7 @@ from borelext.chars import (
 )
 from borelext.cohom import Cocycle, h1_dim
 from borelext.field import make_field
-from borelext.gmodule import FpModule, char_module, fq_hom_module
+from borelext.gmodule import FpModule, ModuleError, char_module, hom_module
 from borelext.group import (
     Mat,
     StructureError,
@@ -434,12 +435,47 @@ def brute_induced_module(G, B, chi, coset_data=None):
     return FpModule(G, acts, label=f"brute-induced{chi.exps}", fq_form=True)
 
 
+def brute_fq_hom(M1, M2):
+    """Hom_{F_q}(M1, M2) for a module M1 of one F_q-dimension and M2 in fq
+    form, any two FpModules over one group: M1 acts by a scalar u(g), so the
+    module is M2 twisted by u(g)^{-1}, each f-block of M2's generator times
+    multiplication by u^{-1}.  Any other left module raises ModuleError."""
+    if M1.group is not M2.group:
+        raise ModuleError("hom requires modules over the same group")
+    if not (M1.fq_form and M2.fq_form):
+        raise ModuleError("brute_fq_hom needs both modules in fq form")
+    fld = M1.group.field
+    f = fld.f
+    if M1.dim != f:
+        raise ModuleError("brute_fq_hom needs a left module of one F_q-dimension")
+    acts = []
+    for s, a1 in enumerate(M1.gen_action):
+        u = fld.coeffs_code([int(c) for c in a1[:, 0]])
+        tw = np.kron(np.eye(M2.dim // f, dtype=np.int64), fld.mult_matrix(fld.inv_code(u)))
+        acts.append(M2.gen_action[s] @ tw % M1.p)
+    return FpModule(M1.group, acts, label=f"brute-fqhom({M1.label},{M2.label})", fq_form=True,
+                    derived=True)
+
+
+def brute_kron_hom(M1, M2):
+    """hom_module(M1, M2), the F_p-Hom, with its table written from its
+    factors' tables as kron(rho2(x), rho1(x^{-1})^T) at every element, not
+    filled with products along the tree: one small einsum where the tree
+    needs |H| products of d x d matrices."""
+    M = hom_module(M1, M2)
+    H, p = M.group, M.p
+    a2 = M2.act_all().astype(np.uint16)
+    a1 = M1.act_all()[H.inverse_ids()]
+    M._all = (np.einsum("gij,glk->gikjl", a2, a1) % p).astype(np.uint8).reshape(H.order, M.dim, M.dim)
+    return M
+
+
 def ext1_dim_shapiro(B, chi1, res_ind):
     """dim Ext^1_G(Ind chi1, Ind chi2) at the B level, as H^1(B,
-    Hom_{F_q}(F_q[chi1], res_ind)) for res_ind = Res_B Ind chi2: Frobenius
-    reciprocity makes this equal to the G-level number while the system
-    stays much smaller."""
-    return h1_dim(B, fq_hom_module(char_module(B, chi1), res_ind))
+    Hom_{F_q}(F_q[chi1], res_ind)) for res_ind = Res_B Ind chi2, any module
+    in fq form: Frobenius reciprocity makes this equal to the G-level number
+    while the system stays much smaller."""
+    return h1_dim(B, brute_fq_hom(char_module(B, chi1), res_ind))
 
 
 def brute_intersect_conjugate(B, w):

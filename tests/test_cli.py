@@ -3,7 +3,8 @@ are usage errors, `verify all` needs no --p while a single statement does,
 CSV and JSON carry schema 2 without a solver-mode field, ExtReport.check
 rejects contract-breaking rows, a failing report sets exit code 1, and
 ext-ps gives the same dims on its direct and Shapiro paths and passes at
-p = 3 on both."""
+p = 3 on both, and counts F_q-linear extensions on the direct path at
+GL_2(F_9)."""
 
 import json
 
@@ -121,3 +122,16 @@ def test_ext_ps_direct_and_shapiro_paths_agree(capsys):
     assert dims["direct"] == dims["shapiro"]
     assert codes == {"direct": 0, "shapiro": 0}
     assert any(d for _, _, d in dims["direct"])
+
+
+def test_ext_ps_direct_counts_f_q_linear_extensions_at_f9(capsys):
+    # at GL_2(F_9) the direct path solves Hom_{F_q}(Ind chi1, Ind chi2), so
+    # the pair (0,0) -> (1,7) has dim 2, as on the Shapiro path; over F_p it
+    # would count both Frobenius twists of chi1, 4.  The memory guard
+    # charges 9 |G| d^2 = 1,978 MiB for it, so the budget is raised
+    code = cli.main(["ext-ps", "--p", "3", "--f", "2", "--n", "2", "--chi1", "0,0",
+                     "--chi2", "1,7", "--budget-mb", "2048", "--path", "direct",
+                     "--output", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["verdict"] == "pass"
+    assert [(r["chi1"], r["chi2"], r["dim"]) for r in out["pairs"]] == [([0, 0], [1, 7], 2)]

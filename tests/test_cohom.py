@@ -17,6 +17,7 @@ import pytest
 
 from borelext.chars import TorusChar, all_chars, evaluate, frobenius_twist, simple_root, trivial_char
 from borelext import cohom, linalg
+from borelext import verify as V
 from borelext import group as group_mod
 from borelext.cohom import Cocycle, MemoryBudgetError, cell_multiplicities, h1_dim
 from borelext.field import make_field
@@ -25,6 +26,7 @@ from borelext.gmodule import (
     MonomialModule,
     abelian_quotient_with_torus_action,
     char_module,
+    fq_hom_module,
     hom_module,
     induced_module,
     restrict,
@@ -49,6 +51,7 @@ from _brute import (
     brute_h1,
     brute_h1_generators,
     brute_induced_module,
+    brute_kron_hom,
     build_E_alpha,
     equivariant_hom_dim,
     ext1_dim_shapiro,
@@ -369,20 +372,23 @@ def test_tree_path_edge_rows_match_the_table_reference(p, f, n, group):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_hom_solve_reads_the_factors_and_builds_no_table(p):
-    # a Hom module's solve reads its action from its factors and leaves its
-    # own table unbuilt; dims, mode, edges used and basis values are those of
-    # the same solve on a table-backed module with the same generators, and
-    # of the Hom module's solve once its table is built.  At GL_2(F_5) the
+    # the F_q-Hom of two induced modules is solved from its factors' blocks,
+    # and after the solve no monomial module has built a table; dims, mode,
+    # edges used and basis values are those of the same solve on a
+    # table-backed module with the same generators, and on hom_module's
+    # kron, which at f = 1 has those generators too.  At GL_2(F_5) the
     # pairs are those whose central characters agree (M^Z != 0)
-    G, B, T, N, chars, inds = _gl_setup(p, 1, 2)
-    pairs = [(c1, c2) for c1 in chars for c2 in chars
+    inst = get_instance(p, 1, 2)
+    G = inst.G
+    pairs = [(c1, c2) for c1 in inst.chars for c2 in inst.chars
              if (sum(c1.exps) - sum(c2.exps)) % (p - 1) == 0][: 12 if p == 3 else 6]
     certified = 0
     for chi1, chi2 in pairs:
-        M = hom_module(inds[chi1.exps], inds[chi2.exps])
+        M1, M2 = (induced_module(inst.bruhat_cosets, G, c) for c in (chi1, chi2))
+        M = fq_hom_module(M1, M2)
         r = h1_dim(G, M)
-        assert M._all is None
-        for other in (FpModule(G, M.gen_action, derived=True), M):
+        assert all(m._all is None for m in (M, M1, M2))
+        for other in (FpModule(G, M.gen_action, derived=True), hom_module(M1, M2)):
             other.act_all()
             ref = h1_dim(G, other)
             assert (r.dims, r.mode, r.edges_used) == (ref.dims, ref.mode, ref.edges_used)
@@ -391,6 +397,27 @@ def test_hom_solve_reads_the_factors_and_builds_no_table(p):
         assert all(c.is_valid() for c in r.basis)
         certified += r.mode == "sampled_verified"
     assert certified > 0
+
+
+def test_no_solve_over_a_monomial_module_builds_a_table(monkeypatch):
+    # thm1 on both routes, the Mackey ledger and prop4 at GL_2(F_3), and the
+    # B3 pair's G-level solve at GL_2(F_9): every module they solve over is
+    # monomial, and none fills a table of every element's action
+    built = []
+    real = FpModule._build_all
+
+    def recorded(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FpModule, "_build_all", recorded)
+    inst = Instance(3, 1, 2)
+    assert V.verify_thm1(inst) and V.mackey_all(inst) and V.verify_prop4(inst).pairs
+    assert len(inst._ind) == len(inst.chars)
+    f9 = Instance(3, 2, 2)
+    assert f9.direct_dim(f9.char((0, 0)), f9.char((1, 7)), V.VerifyConfig(budget_mb=2048)) == 2
+    assert built == []
+    assert all(M._all is None for M in list(inst._ind.values()) + list(f9._ind.values()))
 
 
 def test_edge_sweep_is_kept_per_group_and_dropped_with_it(F3):
@@ -605,7 +632,8 @@ def _gl_setup(p, f, n):
 )
 def test_two_path_ext_gl2_f3_all_pairs(p, f, n, direct, chi2s):
     # Ext^1_G(Ind chi1, Ind chi2) three ways: the G-level solve (only where
-    # |G| is small), the B-level Shapiro solve, and the N-level T-isotypic
+    # |G| is small, f = 1, over the F_p-Hom with its table written from the
+    # factors'), the B-level Shapiro solve, and the N-level T-isotypic
     # route; at f = 2 one chi2 is checked against all 64 chi1.  The table
     # representatives are not in normal form, so N's action carries chi2,
     # each chi2 gets its own N solve, and its table is read as one cell
@@ -622,7 +650,7 @@ def test_two_path_ext_gl2_f3_all_pairs(p, f, n, direct, chi2s):
             shap = ext1_dim_shapiro(B, c1, res).dim_h1
             assert got == shap
             if direct:
-                assert h1_dim(G, hom_module(inds[c1.exps], inds[c2.exps])).dim_h1 == shap
+                assert h1_dim(G, brute_kron_hom(inds[c1.exps], inds[c2.exps])).dim_h1 == shap
             seen += got
     assert seen > 0
 

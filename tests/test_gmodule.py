@@ -1,9 +1,12 @@
 """Modules: character/induced/hom constructions, restriction, fixed points,
 isomorphism testing, the abelianized unipotent quotient, Ind_B^G chi built
 from the Bruhat cosets, over G and over B, against the build that walks G's
-element table, and the tables that character and induced modules write from
-their group's skeleton against the tables of products along the BFS tree,
-with the skeleton cache's laziness and lifetime."""
+element table, and the reads (at, apply) that character, induced and
+F_q-Hom modules answer from their group's skeleton, with no table, against
+the tables of products along the BFS tree, with the skeleton cache's
+laziness and lifetime.  The F_q-Hom is checked against the F_p-Hom's kron
+at f = 1, against the scalar twist of the reference at one block, and
+against the conjugation of F_q-linear maps at f = 2."""
 
 import gc
 import weakref
@@ -50,6 +53,8 @@ from borelext.verify import get_instance
 from _brute import (
     brute_coset_data,
     brute_commutator_subgroup,
+    brute_fq_hom,
+    brute_kron_hom,
     brute_induced_module,
     fixed_points_dim,
     tn_factor,
@@ -171,15 +176,17 @@ def test_hom_module_action(gl2_f3):
 
 
 def test_hom_module_act_from_its_factors(gl2_f3):
-    # without a table a Hom module acts by kron(rho2(g), rho1(g^{-1})^T) of
-    # its factors, as the generator words along the BFS tree give it
+    # both Hom modules act at every element by kron(rho2(g), rho1(g^{-1})^T)
+    # of their factors at f = 1: the F_p-Hom along its generator words, and
+    # the F_q-Hom from its factors' blocks, with no table
     G, B = gl2_f3
-    M = hom_module(_induced(G, TorusChar((1, 0), 2)), _induced(G, TorusChar((0, 1), 2)))
-    want = [FpModule.act(M, g) for g in range(G.order)]
+    M1, M2 = _induced(G, TorusChar((1, 0), 2)), _induced(G, TorusChar((0, 1), 2))
+    want = [np.kron(M2.act(g), M1.act(G.inv_id(g)).T) % 3 for g in range(G.order)]
+    M = hom_module(M1, M2)
     assert all((M.act(g) == a).all() for g, a in enumerate(want))
-    assert M._all is None
-    M.act_all()
-    assert all((M.act(g) == a).all() for g, a in enumerate(want))
+    fq = fq_hom_module(M1, M2)
+    assert (fq.at(np.arange(G.order)) == np.array(want)).all()
+    assert all(m._all is None for m in (fq, M1, M2))
 
 
 @pytest.mark.parametrize("args,group", [((3, 1, 3), "B"), ((5, 1, 2), "G")], ids=str)
@@ -218,12 +225,12 @@ def _hom_pairs(p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_hom_batch_reader_equals_the_tree_table(p):
-    # a Hom module's at and apply, read from its factors' tables, against the
-    # table a module with the same generators fills along the BFS tree: at()
-    # on shuffled ids with repeats that cover every element, and apply()
-    # against the table times random vectors.  The generators themselves come
-    # from at, so they are checked against kron(rho2(s), rho1(s^{-1})^T) of
-    # the factors' tables
+    # the F_q-Hom of two induced modules at f = 1 reads at and apply from
+    # its factors' blocks; against the table a module with the same
+    # generators fills along the BFS tree: at() on shuffled ids with
+    # repeats that cover every element, and apply() against the table times
+    # random vectors.  Its generators are kron(rho2(s), rho1(s^{-1})^T) of
+    # the factors' tables, hom_module's, and no module builds a table
     fld = make_field(p, 1)
     G = build_gl(fld, 2)
     cosets = _cosets(fld, 2)
@@ -231,26 +238,27 @@ def test_hom_batch_reader_equals_the_tree_table(p):
     rng = np.random.default_rng(p)
     ids = np.concatenate([rng.permutation(G.order), rng.integers(0, G.order, G.order // 2)])
     for chi1, chi2 in _hom_pairs(p):
-        M = hom_module(ind[chi1], ind[chi2])
-        rho1, rho2 = (ind[chi].act_all().astype(np.int64) for chi in (chi1, chi2))
+        M = fq_hom_module(ind[chi1], ind[chi2])
+        rho1, rho2 = (FpModule._build_all(ind[chi]).astype(np.int64) for chi in (chi1, chi2))
+        kron = hom_module(ind[chi1], ind[chi2])
         for s, g in enumerate(G.generators):
             x = G.element_id(g)
             assert (M.gen_action[s] == np.kron(rho2[x], rho1[G.inv_id(x)].T) % p).all()
+            assert (M.gen_action[s] == kron.gen_action[s]).all()
         table = FpModule(G, M.gen_action).act_all()
-        act = M
-        got = act.at(ids)
+        got = M.at(ids)
         assert got.dtype == np.uint8 and (got == table[ids]).all()
         vs = rng.integers(0, p, size=(2, M.dim))
         for v in vs:
             want = np.einsum("kij,j->ki", table.astype(np.int64), v) % p
-            assert act.apply(ids, v).shape == (len(ids), M.dim)
-            assert (act.apply(ids, v) % p == want[ids]).all()
-            assert (act.apply(slice(None), v) % p == want).all()
+            assert M.apply(ids, v).shape == (len(ids), M.dim)
+            assert (M.apply(ids, v) % p == want[ids]).all()
+            assert (M.apply(slice(None), v) % p == want).all()
         # a stack of vectors gives each one's products, stacked on axis 1
-        stacked = act.apply(ids, vs)
+        stacked = M.apply(ids, vs)
         assert stacked.shape == (len(ids), len(vs), M.dim)
-        assert all((stacked[:, j] == act.apply(ids, v)).all() for j, v in enumerate(vs))
-        assert M._all is None
+        assert all((stacked[:, j] == M.apply(ids, v)).all() for j, v in enumerate(vs))
+        assert all(m._all is None for m in (M, ind[chi1], ind[chi2]))
 
 
 def test_table_batch_reader_equals_the_table(gl2_f3):
@@ -426,19 +434,45 @@ def test_fq_hom_module_of_chars_is_ratio_char(F9):
 
 
 def test_fq_hom_module_general_vs_twist_path(F9):
-    # the scalar-twist path is the only one: a left module of one
-    # F_q-dimension gives a module, a larger one is refused
+    # a left module of one F_q-dimension: the monomial Hom is the scalar
+    # twist of the reference, which works on plain modules, and refuses a
+    # larger left module; the monomial Hom refuses any module that is not
+    # monomial, restricted or hand-built
     G, B = build_gl(F9, 2), build_borel(F9, 2)
     chi = TorusChar((1, 7), 8)
     ind = _induced(G, chi)
     M1 = char_module(B, TorusChar((2, 5), 8))
-    fast = fq_hom_module(M1, restrict(ind, B))
-    assert fast.dim == ind.dim and fast.fq_form
+    fast = fq_hom_module(M1, induced_module(_cosets(F9, 2), B, chi))
+    twist = brute_fq_hom(M1, restrict(ind, B))
+    assert fast.dim == twist.dim == ind.dim and fast.fq_form and fast.k == ind.k
+    assert all((a == b).all() for a, b in zip(fast.gen_action, twist.gen_action))
     _check_homomorphism_everywhere(fast)
     big = FpModule(B, [np.kron(np.eye(2, dtype=np.int64), a) for a in M1.gen_action],
                    fq_form=True)
     with pytest.raises(ModuleError, match="one F_q-dimension"):
-        fq_hom_module(big, restrict(ind, B))
+        brute_fq_hom(big, restrict(ind, B))
+    for left, right in [(big, fast), (M1, restrict(ind, B))]:
+        with pytest.raises(ModuleError, match="two monomial modules"):
+            fq_hom_module(left, right)
+
+
+@pytest.mark.parametrize("args", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 2)], ids=str)
+def test_fq_hom_of_a_character_equals_the_scalar_twist(args):
+    # Hom_{F_q}(F_q[chi1], Res_B Ind chi2) as a monomial module on 1 x k
+    # blocks against the reference's twist of Ind chi2 by chi1^{-1},
+    # generator by generator, on a seeded sample of pairs and the pair of
+    # trivial characters
+    inst = get_instance(*args)
+    chars, rng = inst.chars, np.random.default_rng(sum(args))
+    pairs = [(chars[0], chars[0])] + [(chars[i], chars[j]) for i, j in
+                                      rng.integers(0, len(chars), size=(6, 2))]
+    for chi1, chi2 in pairs:
+        left = char_module(inst.B, chi1)
+        right = induced_module(inst.bruhat_cosets, inst.B, chi2)
+        M = fq_hom_module(left, right)
+        ref = brute_fq_hom(left, right)
+        assert (M.dim, M.k) == (ref.dim, right.k)
+        assert all((a == b).all() for a, b in zip(M.gen_action, ref.gen_action))
 
 
 def test_fq_hom_requires_fq_form(gl2_f3):
@@ -469,8 +503,10 @@ def test_coset_data_partition(gl2_f3):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_hom_table_from_factors_equals_tree_table(p):
-    # GL_2(F_p): the kron-built table of a Hom module against the table a
-    # hand-built module with the same generators fills along the BFS tree
+    # GL_2(F_p): the table of an F_p-Hom module, the reference's kron of its
+    # factors' tables, and the F_q-Hom of the same induced factors, written
+    # from their blocks, against the table a hand-built module with the
+    # same generators fills along the BFS tree
     from borelext.linalg import is_invertible_mod
 
     fld = make_field(p, 1)
@@ -489,8 +525,12 @@ def test_hom_table_from_factors_equals_tree_table(p):
         table = H.act_all()
         assert table.dtype == np.uint8 and table.shape == (G.order, H.dim, H.dim)
         assert (table == ref.act_all()).all()
-    derived = [ind1, ind2, restrict(ind1, B),
-               fq_hom_module(char_module(B, chars[1]), restrict(ind2, B))]
+        assert (brute_kron_hom(M1, M2).act_all() == table).all()
+        if M1 is not det1:
+            assert (fq_hom_module(M1, M2).act_all() == table).all()
+    derived = [ind1, ind2, restrict(ind1, B), fq_hom_module(ind1, ind2),
+               fq_hom_module(char_module(B, chars[1]), induced_module(cosets, B, chars[-2])),
+               brute_fq_hom(char_module(B, chars[1]), restrict(ind2, B))]
     derived += [char_module(B, chi) for chi in chars]
     for M in derived:
         assert all(is_invertible_mod(a, p) for a in M.gen_action)
@@ -556,6 +596,84 @@ def _assert_table_is_the_tree_table(M, cold, rng):
     assert (act.apply(ids, v) == want[ids]).all()
     assert (act.apply(slice(None), v) == want).all()
     return table
+
+
+def _monomial_case(kind):
+    """A monomial module of the named kind, a fresh one per call."""
+    if kind == "char-B-f2":
+        inst = get_instance(3, 2, 2)
+        return char_module(inst.B, inst.char((1, 7)))
+    if kind.startswith("ind-"):
+        inst = get_instance(*((5, 1, 2) if kind == "ind-G-f1" else (3, 2, 2)))
+        H = {"G": inst.G, "T": inst.T, "N": inst.N}[kind[4]]
+        return induced_module(inst.bruhat_cosets, H, inst.char((2, 1)))
+    inst = get_instance(5, 1, 2)  # hom-G-f1
+    return fq_hom_module(*(induced_module(inst.bruhat_cosets, inst.G, inst.char(e))
+                           for e in ((1, 2), (3, 0))))
+
+
+@pytest.mark.parametrize("kind", ["char-B-f2", "ind-G-f1", "ind-G-f2", "ind-T-f2", "ind-N-f2",
+                                  "hom-G-f1"])
+def test_monomial_reader_equals_the_tree_table(kind):
+    # at and apply, read from the skeleton (and for a Hom from its factors'),
+    # against the table of products FpModule fills along the BFS tree: at
+    # and apply on shuffled ids with repeats that cover every element and
+    # on every element, one vector and a stack of three; no table is built.
+    # The Hom at f = 1 is also hom_module's kron, element by element
+    M, rng = _monomial_case(kind), np.random.default_rng(len(kind))
+    H = M.group
+    ref = FpModule._build_all(M)
+    if kind == "hom-G-f1":
+        M1, M2 = M.factors
+        assert ref.tobytes() == FpModule._build_all(hom_module(M1, M2)).tobytes()
+    ids = np.concatenate([rng.permutation(H.order), rng.integers(0, H.order, H.order // 2 + 1)])
+    got = M.at(ids)
+    assert got.dtype == np.uint8 and (got == ref[ids]).all()
+    assert M.act_all().tobytes() == ref.tobytes()
+    ref = ref.astype(np.int64)
+    v, vs = rng.integers(0, M.p, M.dim), rng.integers(0, M.p, (3, M.dim))
+    for sel in (ids, slice(None)):
+        assert (M.apply(sel, v) == ref[sel] @ v).all()
+        stacked = M.apply(sel, vs)
+        assert stacked.shape == (len(ref[sel]), 3, M.dim)
+        assert (stacked == np.einsum("kij,hj->khi", ref[sel], vs)).all()
+    assert all(m._all is None for m in (M,) + (M.factors or ()))
+
+
+def test_fq_hom_at_f2_conjugates_the_f_q_linear_maps():
+    # Hom_{F_q}(Ind chi1, Ind chi2) over GL_2(F_9), d = 200, with no table
+    # of its own: its coordinates are the F_q entries phi[j, i] of a map
+    # from block i to block j, so x acts by phi -> rho2(x) phi rho1(x^{-1})
+    # on the F_p matrix of phi, whose block (j, i) is multiplication by
+    # phi[j, i], read back from the first column of each block.  at and
+    # apply against that conjugation by the factors' tree tables, on a B3
+    # pair (both central characters 1)
+    inst = get_instance(3, 2, 2)
+    fld, G, p = inst.field, inst.G, inst.p
+    M1, M2 = inst.induced(inst.char((0, 0))), inst.induced(inst.char((1, 7)))
+    M = fq_hom_module(M1, M2)
+    (k1, k2), f = (M1.k, M2.k), fld.f
+    assert (M.k, M.dim) == (k1 * k2, 200)
+    rho1, rho2 = (FpModule._build_all(m).astype(np.int64) for m in (M1, M2))
+    basis = np.stack([fld.mult_matrix(fld.coeffs_code(e)) for e in np.eye(f, dtype=int).tolist()])
+
+    def conj(x, vs):  # vs: (h, d) coordinates; the images at each x, (len(x), h, d)
+        phi = np.einsum("hjit,tab->hjaib", vs.reshape(-1, k2, k1, f), basis)
+        phi = phi.reshape(len(vs), k2 * f, k1 * f)
+        out = rho2[x][:, None] @ phi[None] @ rho1[G.inverse_ids()[x]][:, None] % p
+        out = out.reshape(len(x), len(vs), k2, f, k1, f)[..., 0]
+        return out.transpose(0, 1, 2, 4, 3).reshape(len(x), len(vs), -1)
+
+    rng = np.random.default_rng(9)
+    ids = np.concatenate([rng.permutation(G.order)[:200], rng.integers(0, G.order, 100)])
+    vs = rng.integers(0, p, (3, M.dim))
+    for sel in (ids, np.arange(G.order)):
+        want = conj(sel, vs)
+        assert (M.apply(sel, vs[0]) % p == want[:, 0]).all()
+        assert (M.apply(sel, vs) % p == want).all()
+    few = ids[:12]
+    assert (M.at(few).astype(np.int64).transpose(0, 2, 1) == conj(few, np.eye(M.dim, dtype=np.int64))).all()
+    assert all(m._all is None for m in (M, M1, M2))
 
 
 @pytest.mark.parametrize("args", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)], ids=str)

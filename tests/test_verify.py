@@ -8,7 +8,8 @@ thm1, prop4's B-level route against the G-level solve, char_ext against the
 pairwise F_q-Hom module, the shared N solve against the B-level solve at
 every pair of GL_3(F_3), the principal-series oracle at GL_3(F_3) and
 GL_3(F_5) without an element table of G, the direct route's reduction to
-the center-fixed part against the full Hom solve, the pinned bytes of the
+the center-fixed part against the full Hom solve, the direct and Shapiro
+routes at GL_2(F_9), where the F_p-Hom would count more, the pinned bytes of the
 thm1 reports at GL_2(F_5), GL_2(F_9) and GL_3(F_3), of the mackey reports
 at GL_2(F_5) and GL_3(F_3) and of the prop1-4 reports, and the n = 1
 instances, where N is trivial."""
@@ -25,14 +26,14 @@ import pytest
 
 from borelext import cli
 from borelext import verify as V
-from borelext.chars import TorusChar, frobenius_twist, match_theorem1_condition, weyl_twist
+from borelext.chars import frobenius_twist, match_theorem1_condition, weyl_twist
 from borelext import cohom, linalg
 from borelext.cohom import H1Result, h1_dim
 from borelext.gmodule import char_module, det_char_module, fq_hom_module, hom_module, induced_module
 from borelext.group import WeylElement, diag_mat
 from borelext.linalg import rank_mod
 
-from _brute import ext1_dim_shapiro
+from _brute import brute_fq_hom
 
 
 def _center_id(inst):
@@ -207,7 +208,8 @@ def test_direct_dim_matches_the_full_hom_solve(args, reduced, monkeypatch):
     # p is prime to |Z| = q - 1, so H^1(G, M) = H^1(G, M^Z): every pair makes
     # one h1_dim call, on the zero module exactly where z = gamma I acts on
     # the two induced factors by different scalars, and its answer is the
-    # full Hom module's
+    # full Hom module's, solved from its factors' blocks; at f = 1 that
+    # module has hom_module's kron generators
     dims = []
     real = V.h1_dim
 
@@ -231,7 +233,9 @@ def test_direct_dim_matches_the_full_hom_solve(args, reduced, monkeypatch):
             differ = scalar(chi1) != scalar(chi2)
             assert len(dims) == 1 and (dims.pop() == 0) == differ
             apart += differ
-            M = hom_module(inst.induced(chi1), inst.induced(chi2))
+            M = fq_hom_module(inst.induced(chi1), inst.induced(chi2))
+            kron = hom_module(inst.induced(chi1), inst.induced(chi2))
+            assert all((a == b).all() for a, b in zip(M.gen_action, kron.gen_action))
             assert got == real(inst.G, M).dim_h1
     assert apart == reduced
 
@@ -244,22 +248,24 @@ def gl2_f9():
 @pytest.mark.parametrize("chi1,chi2,fixed", [
     ((0, 0), (0, 1), 0),    # central characters 1 and gamma: apart
     ((1, 0), (1, 1), 0),    # gamma and gamma^2: apart
-    ((0, 0), (1, 7), 400),  # both 1, so z acts trivially on Hom
+    ((0, 0), (1, 7), 200),  # both 1, so z acts trivially on Hom
     ((1, 0), (0, 1), 200),  # both gamma, outside F_3
-    ((1, 0), (1, 2), 200),  # gamma and gamma^3, Frobenius conjugates
+    ((1, 0), (1, 2), 0),    # gamma and gamma^3: Frobenius conjugates, but apart
 ], ids=str)
 def test_center_decision_matches_the_hom_kernel_at_f9(gl2_f9, chi1, chi2, fixed, monkeypatch):
-    # the G-level solve does not fit at GL_2(F_9), so the exponent rule, and
-    # direct_dim's choice of module by it, are checked against the kernel of
-    # rho_Hom(z) - 1 on the 400 x 400 matrix
+    # the exponent rule, and direct_dim's choice of module by it, against
+    # the kernel of rho_Hom(z) - 1 on the 200 x 200 matrix of z on
+    # Hom_{F_q}(Ind chi1, Ind chi2): z acts by the F_q-scalar c2 / c1, so the
+    # kernel is everything where the central characters agree and 0
+    # elsewhere, also where they are Frobenius conjugates
     inst = gl2_f9
     z = _center_id(inst)
-    M1, M2 = inst.induced(inst.char(chi1)), inst.induced(inst.char(chi2))
-    rho = np.kron(M2.act(z), M1.act(inst.G.inv_id(z)).T) % 3
+    M = fq_hom_module(inst.induced(inst.char(chi1)), inst.induced(inst.char(chi2)))
+    rho = M.at(np.array([z]))[0].astype(np.int64)
+    assert (rho == M.act(z)).all()
     d = len(rho)
     assert d - rank_mod((rho - np.eye(d, dtype=np.int64)) % 3, 3) == fixed
-    s1, s2 = (TorusChar((sum(chi),), inst.qm1) for chi in (chi1, chi2))
-    assert all(frobenius_twist(s1, k) != s2 for k in range(inst.f)) == (fixed == 0)
+    assert ((sum(chi1) - sum(chi2)) % inst.qm1 != 0) == (fixed == 0)
     dims = []
 
     def recorded(H, M, **kw):
@@ -271,6 +277,38 @@ def test_center_decision_matches_the_hom_kernel_at_f9(gl2_f9, chi1, chi2, fixed,
     assert dims == [0 if fixed == 0 else d]
 
 
+def _b3_pairs(inst):
+    """The pairs of GL_2(F_9) where Hom_{F_p} and Hom_{F_q} count Ext
+    differently: over F_p the Hom is the sum over k < f of the F_q-Homs from
+    the Frobenius twists chi1^{p^k}, so they differ where a twist k > 0 has
+    a nonzero F_q-dim."""
+    cfg = V.VerifyConfig()
+    return [(c1, c2) for c1 in inst.chars for c2 in inst.chars
+            if any(inst.shapiro_dim(frobenius_twist(c1, k), c2, cfg) for k in range(1, inst.f))]
+
+
+def test_direct_and_shapiro_routes_agree_at_f9(gl2_f9):
+    # the direct route counts F_q-linear extensions: at GL_2(F_9) its G-level
+    # solve of Hom_{F_q}(Ind chi1, Ind chi2) (d = 200) gives shapiro_dim on
+    # the pair (0,0) -> (1,7), on a seeded sample of 3 more of the 128 pairs
+    # where the F_p count differs, and on 2 other pairs whose central
+    # characters agree.  The memory guard still charges 9 |G| d^2 = 1,978 MiB
+    inst = gl2_f9
+    cfg = V.VerifyConfig(budget_mb=2048)
+    b3 = _b3_pairs(inst)
+    assert len(b3) == 128
+    first = (inst.char((0, 0)), inst.char((1, 7)))
+    assert first in b3
+    rng = np.random.default_rng(26)
+    pairs = [first] + [b3[i] for i in rng.choice(len(b3), 3, replace=False)]
+    fixed = [(c1, c2) for c1 in inst.chars for c2 in inst.chars
+             if (sum(c1.exps) - sum(c2.exps)) % inst.qm1 == 0 and (c1, c2) not in b3]
+    pairs += [fixed[i] for i in rng.choice(len(fixed), 2, replace=False)]
+    got = [(inst.direct_dim(c1, c2, cfg), inst.shapiro_dim(c1, c2, cfg)) for c1, c2 in pairs]
+    assert got[0] == (2, 2)
+    assert all(direct == shap for direct, shap in got)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_prop4_matches_the_g_level_solve(p):
     # Shapiro: Ext^1_G(det^a, Ind chi2) = Ext^1_B(det^a|_B, chi2); the report
@@ -279,7 +317,7 @@ def test_prop4_matches_the_g_level_solve(p):
     rep = V.verify_prop4(inst)
     assert len(rep.pairs) == inst.qm1 * len(inst.chars)
     for r in rep.pairs:
-        M = fq_hom_module(det_char_module(inst.G, r.chi1[0]), inst.induced(inst.char(r.chi2)))
+        M = brute_fq_hom(det_char_module(inst.G, r.chi1[0]), inst.induced(inst.char(r.chi2)))
         assert r.dim == h1_dim(inst.G, M).dim_h1
     assert any(r.dim for r in rep.pairs)
 
@@ -401,13 +439,15 @@ def test_prop1_then_prop2_enumerate_b_once():
 
 def test_shared_n_solve_matches_the_b_level_solve_at_gl3_f3():
     # every pair of GL_3(F_3) through the shared N solve against the B-level
-    # Shapiro solve, which solves each pair on its own
+    # Shapiro solve, which solves each pair on its own, over the monomial
+    # Hom_{F_q}(F_q[chi1], Res_B Ind chi2)
     inst = V.Instance(3, 1, 3)
     cfg = V.VerifyConfig()
     for c2 in inst.chars:
         res = induced_module(inst.bruhat_cosets, inst.B, c2)
         for c1 in inst.chars:
-            assert inst.shapiro_dim(c1, c2, cfg) == ext1_dim_shapiro(inst.B, c1, res).dim_h1
+            M = fq_hom_module(char_module(inst.B, c1), res)
+            assert inst.shapiro_dim(c1, c2, cfg) == h1_dim(inst.B, M).dim_h1
 
 
 def test_shapiro_oracle_at_gl3_f5():
