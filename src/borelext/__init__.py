@@ -16,7 +16,7 @@ from .chars import (
     weyl_twist,
 )
 from .cohom import Cocycle, H1Result, h1_dim
-from .field import FieldCtx, FieldError, Fq, dlog, frobenius, make_field
+from .field import FieldCtx, FieldError, make_field
 from .gmodule import (
     FpModule,
     abelian_quotient_with_torus_action,

@@ -4,8 +4,9 @@ predicates used to predict Ext non-vanishing.
 
 A character chi with exponents (a_1, ..., a_n) sends diag(t_1, ..., t_n) to
 the product of t_i^{a_i}.  All lattice operations are exact arithmetic on
-exponents; evaluation goes through the field's discrete-log table.  The
-Weyl twist convention is chi^w(t) = chi(w t w^{-1}).
+exponents; evaluation goes through the field's discrete-log table and
+returns the value's code.  The Weyl twist convention is chi^w(t) = chi(w t
+w^{-1}).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .field import Fq, is_prime
+from .field import is_prime
 
 
 def _char_p(qm1: int) -> int:
@@ -86,20 +87,15 @@ def simple_root(i: int, n: int, qm1: int) -> TorusChar:
     return TorusChar(tuple(exps), qm1)
 
 
-def evaluate(chi: TorusChar, t) -> Fq:
-    """Value of chi at a diagonal matrix, via discrete logs."""
+def evaluate(chi: TorusChar, t) -> int:
+    """The code of chi(t) at a diagonal matrix t over the field of chi, the
+    generator's power at the sum of a_i * dlog(t_i)."""
     if not t.is_diagonal():
         raise ValueError("character evaluation needs a diagonal matrix")
-    return t.field.from_code(value_code(chi, t.field, t.diagonal_codes()))
-
-
-def value_code(chi: TorusChar, fld, diag) -> int:
-    """Code of chi(diag(t_1, ..., t_n)), given the codes of the t_i."""
+    fld = t.field
     if fld.q - 1 != chi.qm1:
         raise ValueError("character and matrix live over different fields")
-    e = 0
-    for a, code in zip(chi.exps, diag):
-        e += a * fld.dlog_code(code)
+    e = sum(a * fld.dlog_code(code) for a, code in zip(chi.exps, t.diagonal_codes()))
     return fld.pow_code(fld.generator_code, e % chi.qm1)
 
 
@@ -201,7 +197,7 @@ def eigencharacters(Q, field) -> list[tuple[TorusChar, int]]:
 def _common_eigenspace_dim(acts, gens, beta, field, dim) -> int:
     rows = []
     for A, t in zip(acts, gens):
-        lam = evaluate(beta, t).code
+        lam = evaluate(beta, t)
         for r in range(dim):
             row = [int(A[r, c]) % field.p for c in range(dim)]
             row[r] = field.sub_code(row[r], lam)

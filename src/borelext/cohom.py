@@ -79,7 +79,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .gmodule import FpModule, ModuleError
+from .gmodule import FpModule, ModuleError, MonomialModule
 from .group import MatrixGroup, StructureError, torus_conjugate_ids
 
 CHUNK_EDGES = 8  # non-tree edges fed to the eliminator at a time
@@ -119,9 +119,9 @@ def _edge_defects(H: MatrixGroup, p: int, fvals: np.ndarray, steps: list[np.ndar
     """Defective Cayley edges (g, s), f(g) + rho(g) f(s) != f(g s), summed
     over a stack of cocycles, from _propagate's values and steps."""
     bad = 0
-    for s, step in enumerate(steps):
-        lhs = linalg.mod(fvals + step, p)
-        bad += int(np.count_nonzero(np.any(lhs != fvals[H.cayley[:, s]], axis=2)))
+    for s, step in enumerate(steps):  # no (|H|, h, d) temporary outlives its step
+        bad += int(np.count_nonzero(np.any(linalg.mod(fvals + step, p) != fvals[H.cayley[:, s]],
+                                           axis=2)))
     return bad
 
 
@@ -168,7 +168,12 @@ def _spread_order(E: int) -> np.ndarray:
 
 
 def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
-    """dim_{F_p} H^1(H, M) with cocycle witnesses, 0 at the gauge if any."""
+    """dim_{F_p} H^1(H, M) with cocycle witnesses, 0 at the gauge if any.
+
+    MemoryBudgetError if a phase may hold over budget_mb MiB: a chunk's
+    assembly (9 bytes a d^2 term, two int64 (edge, block) grids, and 9 |H|
+    d^2 for a module that fills a table, which no MonomialModule does), or
+    a certificate walk (S + 3 int64 (|H|, h, d) arrays and index arrays)."""
     if M.group is not H:
         raise StructureError("module is not over the given group")
     p, d = M.p, M.dim
@@ -177,16 +182,17 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
     S = len(H.generators)
     nu = S * d
     size = H.order
-    # an upper bound on the module's action data: the uint8 table (1 byte an
-    # entry) and room for int64 work on it (8); a solve reads the table's
-    # rows in batches, and a monomial module builds no table at all
-    footprint = 9 * size * d * d
-    if footprint > budget_mb * (1 << 20):
-        raise MemoryBudgetError(
-            f"cocycle system may need up to {footprint} bytes for the module's action "
-            f"(9 |H| d^2 = 9*{size}*{d}^2); budget is {budget_mb} MiB"
-        )
+    table = 0 if isinstance(M, MonomialModule) else size  # matrices a table module keeps
+
+    def charge(need: int, what: str) -> None:
+        if need > budget_mb << 20:
+            raise MemoryBudgetError(f"cocycle solve may need {need} bytes for {what}; "
+                                    f"budget is {budget_mb} MiB")
+
     sweep = _edge_sweep(H)
+    e, terms = CHUNK_EDGES, sweep.terms
+    charge((9 * (terms + table) + 16 * e * S) * d * d, f"a chunk's rows and the action table "
+           f"((9 (terms + table) + 16 e S) d^2 = (9*({terms}+{table})+16*{e}*{S})*{d}^2)")
     n_edges = len(sweep.edges)
     gauge = sweep.gauge
     gauged = 0 if gauge is None else d
@@ -208,6 +214,9 @@ def h1_dim(H: MatrixGroup, M: FpModule, budget_mb: int = 1024) -> H1Result:
         cand, dim_b1 = _h1_representatives(red, cob, p)
         fvals = None
         if cand:
+            h = len(cand)
+            charge(((S + 3) * h + 3) * size * d * 8 + table * d * d, f"the certificate walk "
+                   f"(((S + 3) h + 3) |H| d 8 = ({S + 3}*{h}+3)*{size}*{d}*8, and the table)")
             fvals, steps = _propagate(H, M, values(cand))
             if _edge_defects(H, p, fvals, steps):
                 continue  # a candidate is not a cocycle; keep feeding edges
@@ -250,6 +259,8 @@ class _EdgeSweep:
         self.S = S
         self._parent, self._gen, self._cayley = H.bfs_parent, H.bfs_gen, H.cayley
         self._depth = H.bfs_depth
+        # at most one term per edge and per tree step on its two ends' paths
+        self.terms = CHUNK_EDGES * (1 + 2 * int(H.bfs_depth.max()))
         self._chunks: dict[tuple[int, int, int | None], tuple[np.ndarray, ...]] = {}
         self.gauge = self.powers = None
         for s in range(S):

@@ -2,11 +2,14 @@
 
 Elements are stored as length-f coefficient vectors over F_p in the basis
 1, x, ..., x^{f-1} modulo a fixed irreducible polynomial, and are carried
-around as integer codes c_0 + c_1 p + ... + c_{f-1} p^{f-1}.  There is one
-arithmetic on codes, for scalars and arrays alike: a product adds discrete
-logs against a fixed multiplicative generator and reads the power back,
-and a sum adds base-p digits mod p.  Only field construction multiplies
-coefficient vectors, to find the generator and its powers.
+around as integer codes c_0 + c_1 p + ... + c_{f-1} p^{f-1}.  A field
+element is always its code: there is no element object.  There is one
+arithmetic on codes, in a scalar form on Python ints (add_code, mul_code,
+pow_code, ...) and an array form on numpy arrays of codes (mul_array,
+sum_arrays, inv_array, dlog_array): a product adds discrete logs against a
+fixed multiplicative generator and reads the power back, and a sum adds
+base-p digits mod p.  Only field construction multiplies coefficient
+vectors, to find the generator and its powers.
 
 The modulus is the lexicographically smallest monic irreducible of its
 degree (coefficients compared constant term first), and the generator is
@@ -52,90 +55,8 @@ def _factorize(m: int) -> list[int]:
     return out
 
 
-class Fq:
-    """A single element of F_q, tied to its FieldCtx."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: "FieldCtx", code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.code_coeffs(self.code)
-
-    def __eq__(self, other):
-        if isinstance(other, Fq):
-            return self.code == other.code and self.field is other.field
-        if isinstance(other, int):
-            return self.code == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.f, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Fq):
-            if other.field is not self.field:
-                raise FieldError("elements of different fields")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.add_code(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.sub_code(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.sub_code(c, self.code))
-
-    def __neg__(self):
-        return Fq(self.field, self.field.neg_code(self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.mul_code(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.mul_code(self.code, self.field.inv_code(c)))
-
-    def __pow__(self, e: int):
-        return Fq(self.field, self.field.pow_code(self.code, e))
-
-    def inv(self) -> "Fq":
-        return Fq(self.field, self.field.inv_code(self.code))
-
-    def __repr__(self):
-        return f"Fq({self.field.p}^{self.field.f}: {self.field.poly_str(self.code)})"
-
-
 class FieldCtx:
-    """The field F_{p^f}: modulus, generator, discrete logs, Frobenius.
+    """The field F_{p^f}: modulus, generator and discrete logs.
 
     _log0[a] is the discrete log of the code a, and 2(q - 1) for a = 0;
     _pow0[e] is the generator's e-th power for e < 2(q - 1) and 0 from
@@ -277,12 +198,6 @@ class FieldCtx:
         logs = self._logs
         return self._pows[logs[a] + logs[b]]
 
-    def dot_code(self, xs, ys) -> int:
-        """The sum of x * y over two equally long sequences of codes."""
-        logs, pows, p = self._logs, self._pows, self.p
-        terms = [pows[logs[x] + logs[y]] for x, y in zip(xs, ys)]
-        return sum(sum([t // m for t in terms]) % p * m for m in self._pp)
-
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise FieldError("division by zero in F_q")
@@ -296,9 +211,6 @@ class FieldCtx:
                 return 1
             raise FieldError("0 has no negative powers")
         return self._pows[self._logs[a] * e % (self.q - 1)]
-
-    def frob_code(self, a: int, k: int = 1) -> int:
-        return self.pow_code(a, self.p ** (k % self.f))
 
     def dlog_code(self, a: int) -> int:
         if a == 0:
@@ -323,33 +235,6 @@ class FieldCtx:
     def dlog_array(self, a: np.ndarray) -> np.ndarray:
         """The discrete logs of an array of nonzero codes."""
         return self._dlog[a]
-
-    # --- element-level API ------------------------------------------------
-
-    @property
-    def zero(self) -> Fq:
-        return Fq(self, 0)
-
-    @property
-    def one(self) -> Fq:
-        return Fq(self, 1)
-
-    @property
-    def generator(self) -> Fq:
-        return Fq(self, self.generator_code)
-
-    def element(self, coeffs) -> Fq:
-        if isinstance(coeffs, int):
-            return Fq(self, coeffs % self.p)
-        return Fq(self, self.coeffs_code(coeffs))
-
-    def from_code(self, code: int) -> Fq:
-        if not 0 <= code < self.q:
-            raise FieldError(f"code {code} out of range")
-        return Fq(self, code)
-
-    def elements(self):
-        return (Fq(self, c) for c in range(self.q))
 
     def mult_matrix(self, code: int) -> np.ndarray:
         """Multiplication by the element as an F_p-linear map on F_q,
@@ -404,12 +289,3 @@ def make_field(p: int, f: int) -> FieldCtx:
     read at call time."""
     return FieldCtx(p, f)
 
-
-def frobenius(a: Fq, k: int = 1) -> Fq:
-    """a^(p^k); a field automorphism, the identity when k = f."""
-    return Fq(a.field, a.field.frob_code(a.code, k))
-
-
-def dlog(a: Fq) -> int:
-    """Exponent e with generator^e = a, as an integer mod q-1."""
-    return a.field.dlog_code(a.code)

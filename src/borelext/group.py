@@ -11,8 +11,9 @@ not a sum of two of its roots.  G alone is found by BFS closure from
 two generators.
 
 Groups are immutable once built.  Elements are canonicalized as flat tuples
-of F_q codes, which makes identity tests and table lookups cheap; bulk
-products and coset normal forms go through batch_mul and batch_normal_form.
+of F_q codes, which makes identity tests and table lookups cheap.  Every
+F_q matrix product, of two Mats or of stacks, is one batch_mul, and coset
+normal forms are batch_normal_form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .field import FieldCtx, Fq
+from .field import FieldCtx
 
 DEFAULT_GROUP_BUDGET = 20_000_000
 
@@ -59,11 +60,8 @@ class Mat:
         return hash(self.codes)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        return Mat(self.field, self.n, _mul_codes(self.field, self.n, self.codes, other.codes))
-
-    def entry(self, i: int, j: int) -> Fq:
-        """Entry in row i, column j (1-based)."""
-        return self.field.from_code(self.codes[(i - 1) * self.n + (j - 1)])
+        a, b = (np.reshape(m.codes, (self.n, self.n)) for m in (self, other))
+        return Mat(self.field, self.n, tuple(batch_mul(self.field, a, b).ravel().tolist()))
 
     def diagonal_codes(self) -> tuple[int, ...]:
         n = self.n
@@ -100,11 +98,6 @@ class Mat:
             for i in range(n)
         ]
         return "Mat(" + "; ".join(rows) + ")"
-
-
-def _mul_codes(field: FieldCtx, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    cols = [b[j::n] for j in range(n)]
-    return tuple(field.dot_code(a[i : i + n], col) for i in range(0, n * n, n) for col in cols)
 
 
 def batch_mul(field: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -299,8 +292,7 @@ class MatrixGroup:
         return m.codes in self.index
 
     def mul_ids(self, i: int, j: int) -> int:
-        prod = _mul_codes(self.field, self.n, self.elements[i].codes, self.elements[j].codes)
-        return self.index[prod]
+        return self.index[(self.elements[i] * self.elements[j]).codes]
 
     def inv_id(self, i: int) -> int:
         return int(self.inverse_ids()[i])

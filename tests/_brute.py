@@ -430,7 +430,7 @@ def brute_induced_module(G, B, chi, coset_data=None):
             rig = mul_ids(G, ri, G.element_id(g))
             j = int(coset_of[rig])
             t, _ = tn_factor(mat_mul(G.elements[rig], G.elements[rep_ids[j]].inv()))
-            out[i * f : (i + 1) * f, j * f : (j + 1) * f] = fld.mult_matrix(evaluate(chi, t).code)
+            out[i * f : (i + 1) * f, j * f : (j + 1) * f] = fld.mult_matrix(evaluate(chi, t))
         acts.append(out)
     return FpModule(G, acts, label=f"brute-induced{chi.exps}", fq_form=True)
 
@@ -669,7 +669,7 @@ class BorelRootHom:
 
     def __call__(self, b):
         t, nn = tn_factor(b)
-        at = evaluate(self.alpha, t).code
+        at = evaluate(self.alpha, t)
         top = self.field.mul_code(at, self.psi(nn))
         return Mat(self.field, 2, (at, top, 0, 1))
 
@@ -703,7 +703,7 @@ def build_E_alpha(B, alpha, i):
     unip_els = [m for m in B.elements if m.has_unit_diagonal()]
     for t in torus_els:
         ti = t.inv()
-        at_inv = evaluate(alpha, ti).code
+        at_inv = evaluate(alpha, ti)
         for u in unip_els:
             conj = (ti * u) * t
             if hom.psi(conj) != fld.mul_code(at_inv, hom.psi(u)):
@@ -712,7 +712,7 @@ def build_E_alpha(B, alpha, i):
     vals = np.zeros((len(B.generators), M.dim), dtype=np.int64)
     for s, g in enumerate(B.generators):
         t, nn = tn_factor(g)
-        code = fld.mul_code(evaluate(alpha, t).code, hom.psi(nn))
+        code = fld.mul_code(evaluate(alpha, t), hom.psi(nn))
         vals[s] = fld.code_coeffs(code)
     c = Cocycle(B, M, vals)
     if not c.is_valid():

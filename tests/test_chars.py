@@ -38,12 +38,14 @@ def test_product_of_characters_mod_different_q_is_rejected():
 def test_evaluate_examples():
     F3 = make_field(3, 1)
     t = diag_mat(F3, (2, 2))
-    assert evaluate(TorusChar((1, 1), 2), t).code == 1  # 4 mod 3
-    assert evaluate(trivial_char(2, 2), t).code == 1
+    assert evaluate(TorusChar((1, 1), 2), t) == 1  # 4 mod 3
+    assert evaluate(trivial_char(2, 2), t) == 1
     F9 = make_field(3, 2)
     g = F9.generator_code
     t9 = diag_mat(F9, (g, g))
-    assert evaluate(TorusChar((1, 7), 8), t9) == F9.one  # (x+1)^8 = 1
+    assert evaluate(TorusChar((1, 7), 8), t9) == 1  # (x+1)^8 = 1
+    assert evaluate(TorusChar((1, 0), 8), t9) == g
+    assert isinstance(evaluate(TorusChar((1, 0), 8), t9), int)
 
 
 def test_evaluate_rejects_nondiagonal():
@@ -54,13 +56,23 @@ def test_evaluate_rejects_nondiagonal():
         evaluate(trivial_char(2, 2), transvection(F3, 2, 1, 2, 1))
 
 
+def test_evaluate_rejects_a_character_over_another_field():
+    # F_9's characters are exponents mod 8, and a diagonal matrix over F_3
+    # has values in a field with q - 1 = 2; likewise F_5's (mod 4) over F_9
+    t = diag_mat(make_field(3, 1), (2, 1))
+    with pytest.raises(ValueError, match="different fields"):
+        evaluate(TorusChar((1, 0), 8), t)
+    with pytest.raises(ValueError, match="different fields"):
+        evaluate(TorusChar((1, 0), 4), diag_mat(make_field(3, 2), (1, 1)))
+
+
 def test_evaluate_is_homomorphism_on_torus():
     F5 = make_field(5, 1)
     T = build_torus(F5, 2)
     for chi in all_chars(2, 4):
         for a in T.elements:
             for b in T.elements:
-                assert evaluate(chi, a * b) == evaluate(chi, a) * evaluate(chi, b)
+                assert evaluate(chi, a * b) == F5.mul_code(evaluate(chi, a), evaluate(chi, b))
 
 
 def test_simple_root_matches_conjugation_action():
@@ -74,7 +86,7 @@ def test_simple_root_matches_conjugation_action():
         lam = evaluate(alpha, t)
         for u in N.elements:
             conj = (t * u) * ti
-            assert conj.entry(1, 2) == lam * u.entry(1, 2)
+            assert conj.codes[1] == F5.mul_code(lam, u.codes[1])
 
 
 def test_frobenius_twist():

@@ -154,7 +154,7 @@ def test_inflation_two_step_agrees_with_cocycles(F9):
         mats = []
         for t in T.generators:
             mats.append([[int(x) for x in row]
-                         for row in F9.mult_matrix(evaluate(chi, t).code)])
+                         for row in F9.mult_matrix(evaluate(chi, t))])
         expected = equivariant_hom_dim(acts, mats, F9.f, Q.dim, 3)
         got = h1_dim(B, char_module(B, chi)).dim_h1
         assert got == expected
@@ -415,7 +415,7 @@ def test_no_solve_over_a_monomial_module_builds_a_table(monkeypatch):
     assert V.verify_thm1(inst) and V.mackey_all(inst) and V.verify_prop4(inst).pairs
     assert len(inst._ind) == len(inst.chars)
     f9 = Instance(3, 2, 2)
-    assert f9.direct_dim(f9.char((0, 0)), f9.char((1, 7)), V.VerifyConfig(budget_mb=2048)) == 2
+    assert f9.direct_dim(f9.char((0, 0)), f9.char((1, 7)), V.VerifyConfig()) == 2
     assert built == []
     assert all(M._all is None for M in list(inst._ind.values()) + list(f9._ind.values()))
 
@@ -608,9 +608,42 @@ def test_memory_budget_error(F3):
     cosets = BruhatCosets(build_torus(F3, 2), build_unipotent(F3, 2), weyl_elements(F3, 2))
     i1 = induced_module(cosets, G, trivial_char(2, 2))
     M = hom_module(i1, i1)
-    with pytest.raises(MemoryBudgetError, match=r"9 \|H\| d\^2 = 9\*48\*16\^2"):
+    terms = cohom.CHUNK_EDGES * (1 + 2 * int(G.bfs_depth.max()))
+    pin = rf"\(9\*\({terms}\+48\)\+16\*{cohom.CHUNK_EDGES}\*2\)\*16\^2"
+    with pytest.raises(MemoryBudgetError, match=pin):
         h1_dim(G, M, budget_mb=0)
     assert M._all is None  # refused before the action table is built
+
+
+def test_memory_budget_refuses_the_b3_solve_before_a_chunk_is_assembled(monkeypatch):
+    # the B3 pair's G-level solve at GL_2(F_9) (d = 200) is charged for a
+    # chunk's rows only, with no table: above 100 MiB, so it is refused
+    # before any chunk is assembled or read from the module
+    inst = Instance(3, 2, 2)
+    M = fq_hom_module(inst.induced(inst.char((0, 0))), inst.induced(inst.char((1, 7))))
+    assembled = []
+    monkeypatch.setattr(cohom._EdgeSweep, "rows", lambda *a: assembled.append(a))
+    monkeypatch.setattr(type(M), "at", lambda *a: assembled.append(a))
+    terms = cohom._edge_sweep(inst.G).terms
+    need = (9 * terms + 16 * cohom.CHUNK_EDGES * 2) * 200**2
+    assert 100 << 20 < need <= 1024 << 20
+    with pytest.raises(MemoryBudgetError, match=rf"may need {need} bytes .*9\*\({terms}\+0\)"):
+        h1_dim(inst.G, M, budget_mb=100)
+    assert assembled == []
+
+
+def test_memory_budget_charges_each_certificate_walk_before_it_runs(monkeypatch):
+    # with the chunk charge shrunk to its (edge, block) grids, the B3 solve
+    # assembles its first chunk at 50 MiB and is refused before walking its
+    # h = 2 candidates: ((S + 3) h + 3) |G| d 8 bytes, about 114 MiB
+    inst = Instance(3, 2, 2)
+    M = fq_hom_module(inst.induced(inst.char((0, 0))), inst.induced(inst.char((1, 7))))
+    monkeypatch.setattr(cohom._edge_sweep(inst.G), "terms", 0)
+    walked = []
+    monkeypatch.setattr(cohom, "_propagate", lambda *a: walked.append(a))
+    with pytest.raises(MemoryBudgetError, match=r"certificate walk .* = \(5\*2\+3\)\*5760\*200\*8"):
+        h1_dim(inst.G, M, budget_mb=50)
+    assert walked == []
 
 
 @functools.lru_cache(maxsize=None)
@@ -892,7 +925,7 @@ def test_p_groups_are_not_gauged(F3):
 def test_thm1_at_gl3_f3_takes_no_matrix_product_or_inverse(monkeypatch):
     # cell_multiplicities conjugates N's generators by T's by scaling entries
     calls = []
-    monkeypatch.setattr(group_mod, "_mul_codes", lambda *a: calls.append("mul"))
+    monkeypatch.setattr(group_mod.Mat, "__mul__", lambda self, other: calls.append("mul"))
     monkeypatch.setattr(group_mod.Mat, "inv", lambda self: calls.append("inv"))
     assert verify_thm1(Instance(3, 1, 3))[0].pairs
     assert calls == []

@@ -1,5 +1,5 @@
-"""Field arithmetic: construction choices, discrete logs and digit sums
-against coefficient vectors, Frobenius, dlog."""
+"""Field arithmetic on codes: construction choices, discrete logs and
+digit sums against coefficient vectors, Frobenius, dlog."""
 
 import itertools
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from borelext import field
-from borelext.field import FieldCtx, FieldError, dlog, frobenius, make_field
+from borelext.field import FieldCtx, FieldError, make_field
 
 from _brute import add_raw, poly_mul_mod, poly_order
 
@@ -66,8 +66,8 @@ def test_f25_modulus_and_generator():
 
 def test_f9_squaring_example():
     F9 = make_field(3, 2)
-    a = F9.element((1, 1))
-    assert (a * a).coeffs == (0, 2)  # (x+1)^2 = 2x mod x^2+1
+    a = F9.coeffs_code((1, 1))
+    assert F9.code_coeffs(F9.mul_code(a, a)) == (0, 2)  # (x+1)^2 = 2x mod x^2+1
 
 
 def test_mul_matches_naive_polynomials():
@@ -106,28 +106,33 @@ def test_inverses():
 
 
 def test_frobenius_is_additive_multiplicative_automorphism():
+    # Frobenius is a -> a^3 on codes; it has order 2 on F_9
     F9 = make_field(3, 2)
-    x = F9.element((0, 1))
-    assert frobenius(x, 1).coeffs == (0, 2)  # x^3 = 2x mod x^2+1
-    for a in F9.elements():
-        assert frobenius(a, 0) == a
-        assert frobenius(frobenius(a, 1), 1) == a
-        for b in F9.elements():
-            assert frobenius(a * b, 1) == frobenius(a, 1) * frobenius(b, 1)
-            assert frobenius(a + b, 1) == frobenius(a, 1) + frobenius(b, 1)
+
+    def frob(a):
+        return F9.pow_code(a, 3)
+
+    x = F9.coeffs_code((0, 1))
+    assert F9.code_coeffs(frob(x)) == (0, 2)  # x^3 = 2x mod x^2+1
+    for a in range(F9.q):
+        assert F9.pow_code(a, 1) == a
+        assert frob(frob(a)) == a
+        for b in range(F9.q):
+            assert frob(F9.mul_code(a, b)) == F9.mul_code(frob(a), frob(b))
+            assert frob(F9.add_code(a, b)) == F9.add_code(frob(a), frob(b))
 
 
 def test_dlog_roundtrip_and_examples():
     F9 = make_field(3, 2)
-    assert dlog(F9.one) == 0
-    assert dlog(F9.element((2, 0))) == 4
+    assert F9.dlog_code(1) == 0
+    assert F9.dlog_code(F9.coeffs_code((2, 0))) == 4
     for e in range(8):
-        a = F9.generator ** e
-        assert dlog(a) == e
+        a = F9.pow_code(F9.generator_code, e)
+        assert F9.dlog_code(a) == e
     with pytest.raises(FieldError):
         F9.dlog_code(0)
     F5 = make_field(5, 1)
-    assert dlog(F5.element((4,))) == 2
+    assert F5.dlog_code(F5.coeffs_code((4,))) == 2
 
 
 def test_dlog_is_bijection():
@@ -160,9 +165,9 @@ def test_mult_matrix_columns():
 
 def test_pow_negative_exponent():
     F9 = make_field(3, 2)
-    a = F9.element((1, 2))
-    assert (a ** -1) * a == F9.one
-    assert a ** 0 == F9.one
+    a = F9.coeffs_code((1, 2))
+    assert F9.mul_code(F9.pow_code(a, -1), a) == 1
+    assert F9.pow_code(a, 0) == 1
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 2), (7, 1)])
@@ -209,7 +214,6 @@ def test_arithmetic_on_a_sample_around_q_1024(p, f):
     dot = 0
     for x in prods:
         dot = add_raw(F, dot, x)
-    assert F.dot_code(a.tolist(), b.tolist()) == dot
     assert F.sum_arrays(iter(np.array(prods)[:, None])).tolist() == [dot]
 
 

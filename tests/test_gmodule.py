@@ -172,7 +172,7 @@ def test_hom_module_action(gl2_f3):
     ratio = chi1.inverse() * chi2
     for s, g in enumerate(B.generators):
         t, _ = tn_factor(g)
-        assert M.gen_action[s][0, 0] == evaluate(ratio, t).code
+        assert M.gen_action[s][0, 0] == evaluate(ratio, t)
 
 
 def test_hom_module_act_from_its_factors(gl2_f3):
@@ -552,7 +552,7 @@ def _coset_change_of_basis(inst, chi, coset_data=None):
     P = np.zeros((old.dim, old.dim), dtype=np.int64)
     for i, (r, k) in enumerate(zip(inst.bruhat_cosets.reps, old_of)):
         t = tn_factor(r * G.elements[rep_ids[k]].inv())[0]
-        P[i * f : (i + 1) * f, k * f : (k + 1) * f] = fld.mult_matrix(evaluate(chi, t).code)
+        P[i * f : (i + 1) * f, k * f : (k + 1) * f] = fld.mult_matrix(evaluate(chi, t))
     return P, old
 
 

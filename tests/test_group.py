@@ -16,7 +16,6 @@ from borelext.group import (
     build_gl,
     build_torus,
     build_unipotent,
-    _mul_codes,
     batch_normal_form,
     commutator_subgroup,
     diag_mat,
@@ -27,6 +26,7 @@ from borelext.group import (
 )
 
 from _brute import (
+    add_raw,
     brute_commutator_subgroup,
     brute_intersect_conjugate,
     brute_unipotent_part,
@@ -114,17 +114,31 @@ def test_cayley_consistency(F5):
 
 
 def test_entrywise_product_against_field_ops(F9):
-    # one multiplication recomputed entry by entry through Fq objects
+    # one multiplication recomputed entry by entry with the scalar code ops
     B = build_borel(F9, 2)
     a, b = B.elements[5], B.elements[17]
     c = a * b
     n = 2
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            acc = F9.zero
-            for k in range(1, n + 1):
-                acc = acc + a.entry(i, k) * b.entry(k, j)
-            assert acc == c.entry(i, j)
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = F9.add_code(acc, F9.mul_code(a.codes[i * n + k], b.codes[k * n + j]))
+            assert acc == c.codes[i * n + j]
+
+
+@pytest.mark.parametrize("p,f,n,which", [(3, 2, 2, "B"), (5, 1, 2, "G")], ids=["B-3-2-2", "G-5-1-2"])
+def test_mat_product_matches_the_table_product(p, f, n, which):
+    # Mat.__mul__ (one batch_mul) against mat_mul's own q x q tables on a
+    # seeded sample of pairs
+    fld = make_field(p, f)
+    H = build_borel(fld, n) if which == "B" else build_gl(fld, n)
+    rng = np.random.default_rng(H.order)
+    for i, j in rng.integers(0, H.order, (200, 2)).tolist():
+        x, y = H.elements[i], H.elements[j]
+        prod = x * y
+        assert prod == mat_mul(x, y)
+        assert all(type(c) is int for c in prod.codes)
 
 
 def test_tn_factorization_unique(F3):
@@ -223,7 +237,8 @@ def test_batch_normal_form_refuses_a_singular_matrix(F3):
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (1031, 1), (37, 2)])
 def test_batch_mul_matches_one_product_at_a_time(p, f):
     # random 3 x 3 code matrices, broadcast against one, array form against
-    # scalar form, including fields with q above 1024
+    # the scalar code ops and against coefficient vectors, including fields
+    # with q above 1024
     fld = make_field(p, f)
     rng = np.random.default_rng(fld.q)
     a = rng.integers(0, fld.q, (12, 3, 3))
@@ -231,9 +246,15 @@ def test_batch_mul_matches_one_product_at_a_time(p, f):
     b = rng.integers(0, fld.q, (3, 3))
     got = group.batch_mul(fld, a, b)
     assert got.shape == (12, 3, 3)
-    for x, y in zip(a, got):
-        want = _mul_codes(fld, 3, tuple(x.ravel().tolist()), tuple(b.ravel().tolist()))
-        assert tuple(y.ravel().tolist()) == want
+    bl = b.tolist()
+    for x, y in zip(a.tolist(), got.tolist()):
+        for i in range(3):
+            for j in range(3):
+                acc = raw = 0
+                for k in range(3):
+                    acc = fld.add_code(acc, fld.mul_code(x[i][k], bl[k][j]))
+                    raw = add_raw(fld, raw, fld._mul_raw(x[i][k], bl[k][j]))
+                assert y[i][j] == acc == raw
 
 
 @pytest.mark.parametrize("p,f,n", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)],
