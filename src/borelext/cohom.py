@@ -13,29 +13,33 @@ whole group is stored.  Which rho(y) lands in which block with which sign
 depends on the group alone, so each group keeps one _EdgeSweep, in a cache
 that does not keep the group alive: the ordered edges, and each chunk's
 terms, walked up the tree on the first solve that feeds the chunk.  A solve
-then assembles a chunk's rows from the module's matrices at the chunk's
-elements (FpModule.at) with one sum over the terms of each (edge, block);
-a monomial module, Hom modules included, writes rho only at those elements.
-The nullspace of the rows fed so far always contains Z^1, and it is
-spanned by B^1 and the candidate H^1 representatives, since coboundaries
-satisfy every edge.  After every chunk the stack of candidates is checked
-against every Cayley edge in one walk of the tree (_propagate), with one
-product rho(x) v per generator (FpModule.apply on the stack).  If all pass,
-the nullspace lies in Z^1 as well, so it equals Z^1 and the answer is
-exact; an empty candidate list passes at once, with no product.  If one
-fails, feeding goes on.  A sweep that feeds every edge has the whole
+then assembles a chunk's rows from the signed sums of rho over the terms of
+each (edge, block), which it asks the module for (FpModule.run_sums): a
+monomial module, Hom modules included, writes each term's k f^2 nonzeros
+from its block skeleton, with no d x d matrix per term.  The nullspace of
+the rows fed so far always contains Z^1, and it is spanned by B^1 and the
+candidate H^1 representatives, since coboundaries satisfy every edge.
+After every chunk the stack of candidates is checked against every Cayley
+edge in one walk of the tree (_propagate), with one product rho(x) v per
+generator (FpModule.apply on the stack).  If all pass, the nullspace lies
+in Z^1 as well, so it equals Z^1 and the answer is exact; an empty
+candidate list passes at once, with no product.  If one fails, feeding
+goes on.  A sweep that feeds every edge has the whole
 system, so its answer is exact as well.  The basis cocycles keep the
 values that the passing walk found, and cell_multiplicities reads them.
 
 A solve is gauged at s*, the first generator of order m prime to p.
 H^1(<s*>, M) = 0, so every cocycle is cohomologous to one in Z' = {f :
-f(s*) = 0}, and Z' meets B^1 in delta(M^{s*}), M^{s*} being the image of
-the projector e = m^{-1} sum_{i<m} rho(s*)^i.  So the system drops the
-unknowns f(s*), H^1 = Z'/delta(M^{s*}) takes a narrow quotient step, the
-dims of Z^1 and B^1 add back the d - dim M^{s*} coboundaries outside Z',
-and the certificate is the argument above on Z', with the candidates
-checked at f(s*) = 0.  A p-group has no such generator, so the N-level
-solve is never gauged.
+f(s*) = 0}, and Z' meets B^1 in delta(M^{s*}).  The module gives a basis
+of M^{s*} (FpModule.invariants): a monomial module reads it from the
+cycles of s*'s block permutation, a table module as the image of the
+projector e = m^{-1} sum_{i<m} rho(s*)^i; the coboundaries delta(v)(t) =
+rho(t) v - v on it are products the module applies.  So the system drops
+the unknowns f(s*), H^1 = Z'/delta(M^{s*}) takes a narrow quotient step,
+the dims of Z^1 and B^1 add back the d - dim M^{s*} coboundaries outside
+Z', and the certificate is the argument above on Z', with the candidates
+checked at f(s*) = 0, where the walk takes no product.  A p-group has no
+such generator, so the N-level solve is never gauged.
 
 Principal-series Ext by Shapiro's lemma is H^1(B, Hom_{F_q}(F_q[chi1],
 Res_B Ind chi2)).  cell_multiplicities computes it at the unipotent
@@ -115,13 +119,14 @@ class Cocycle:
         return self.defect_count() == 0
 
 
-def _edge_defects(H: MatrixGroup, p: int, fvals: np.ndarray, steps: list[np.ndarray]) -> int:
+def _edge_defects(H: MatrixGroup, p: int, fvals: np.ndarray, steps: list) -> int:
     """Defective Cayley edges (g, s), f(g) + rho(g) f(s) != f(g s), summed
-    over a stack of cocycles, from _propagate's values and steps."""
+    over a stack of cocycles, from _propagate's values and steps; where f(s)
+    is 0 in every cocycle the step is None and f(g) is compared with f(g s)."""
     bad = 0
     for s, step in enumerate(steps):  # no (|H|, h, d) temporary outlives its step
-        bad += int(np.count_nonzero(np.any(linalg.mod(fvals + step, p) != fvals[H.cayley[:, s]],
-                                           axis=2)))
+        here = fvals if step is None else linalg.mod(fvals + step, p)
+        bad += int(np.count_nonzero(np.any(here != fvals[H.cayley[:, s]], axis=2)))
     return bad
 
 
@@ -144,18 +149,14 @@ class H1Result:
 def _coboundary_rows(M: FpModule, gauge=None, powers=None) -> tuple[np.ndarray, int]:
     """Rows spanning the coboundaries with f(gauge) = 0, over the other
     generators, and the dims of B^1 they leave out.  Row j is s -> (rho(s)
-    - 1) v_j, v_j = e_j ungauged; gauged at s*, v_j runs over a basis of
-    M^{s*}, the image of the sum of rho over s*'s powers (m e), and d - dim
-    M^{s*} dims are left out."""
-    d = M.dim
-    eye = np.eye(d, dtype=np.int64)
-    blocks = [((a - eye) % M.p).T for s, a in enumerate(M.gen_action) if s != gauge]
-    rows = np.hstack(blocks) if blocks else np.zeros((d, 0), dtype=np.int64)
-    if gauge is None:
-        return rows, 0
-    fixed = linalg.RowReducer(M.p, d)
-    fixed.add_rows(M.at(powers).sum(axis=0, dtype=np.int64).T)
-    return fixed.rows @ rows % M.p, d - fixed.rank
+    - 1) v_j, read with M.apply at the generators, where v_j = e_j
+    ungauged; gauged at s*, v_j runs over a basis of M^{s*}
+    (M.invariants at s*'s powers), and d - dim M^{s*} dims are left out."""
+    H, d = M.group, M.dim
+    fixed = np.eye(d, dtype=np.int64) if gauge is None else M.invariants(powers)
+    gens = np.delete(H.cayley[H.identity_id], [] if gauge is None else [gauge])
+    moved = M.apply(gens, fixed) - fixed  # (S', r, d)
+    return moved.transpose(1, 0, 2).reshape(len(fixed), len(gens) * d) % M.p, d - len(fixed)
 
 
 def _spread_order(E: int) -> np.ndarray:
@@ -273,8 +274,8 @@ class _EdgeSweep:
 
     def rows(self, M: FpModule, start: int, stop: int, gauge: int | None = None) -> np.ndarray:
         """The d rows of each edge in edges[start:stop] over f(s), s not
-        the gauge, not reduced mod p: one scatter of the summed signed
-        rho(element) into (edge, block), with rho read through M.at."""
+        the gauge, not reduced mod p: one scatter into (edge, block) of the
+        signed sums of rho(element) that M.run_sums reads."""
         key = (start, stop, gauge)
         terms = self._chunks.get(key)
         if terms is None:
@@ -282,7 +283,7 @@ class _EdgeSweep:
         elt, sign, starts, slots = terms
         m, S, d = stop - start, self.S - (gauge is not None), M.dim
         out = np.zeros((m * S, d, d), dtype=np.int64)
-        out[slots] = np.add.reduceat(M.at(elt) * sign[:, None, None], starts, axis=0)
+        out[slots] = M.run_sums(elt, sign, starts)
         return out.reshape(m, S, d, d).transpose(0, 2, 1, 3).reshape(m * d, S * d)
 
     def _terms(self, batch: np.ndarray, gauge: int | None) -> tuple[np.ndarray, ...]:
@@ -434,11 +435,16 @@ def _propagate(H: MatrixGroup, M: FpModule, values: np.ndarray) -> tuple[np.ndar
     """f(g) for every element, shape (|H|, h, d), for a stack of h cocycles
     given on the generators, shape (h, S, d), in one walk of the tree; and
     the steps rho(g) f(s) the walk adds, one (|H|, h, d) array per
-    generator s, not reduced mod p."""
-    steps = [M.apply(slice(None), values[:, s]) for s in range(len(H.generators))]
+    generator s, not reduced mod p, or None where f(s) is 0 in every
+    cocycle (the gauge), which the walk copies along."""
+    steps = [M.apply(slice(None), values[:, s]) if values[:, s].any() else None
+             for s in range(len(H.generators))]
     out = np.zeros((H.order, len(values), values.shape[2]), dtype=np.int64)
     for s, parents, children in H.tree_batches:
-        out[children] = linalg.mod(out[parents] + steps[s][parents], M.p)
+        if steps[s] is None:
+            out[children] = out[parents]
+        else:
+            out[children] = linalg.mod(out[parents] + steps[s][parents], M.p)
     return out, steps
 
 

@@ -12,23 +12,30 @@ normal form (group.BruhatCosets), which holds the action of T's and N's
 generators from its search; right_coset_data gives another group's, once
 per group, so no element table of G is walked to build a module.
 
-A module stores one invertible matrix over F_p per group generator; the
-action of an arbitrary element (act) is the product of the generator
-matrices along the element's word in the group's BFS tree.  A cocycle solve
-asks a module for two reads on batches of elements: the matrices (at), and
-their products with a vector or a stack of them (apply).  A monomial
-module answers both from integers, with no table: the group keeps one
-skeleton per block action (the block each element sends each block to,
-and the logs of the diagonal it scales by), chi turns the logs into
-scalars, and a Hom module reads its factors'.  Any other module (trivial,
-det, F_p-Hom, restricted, quotient) answers from the uint8 table of every
-element's action, filled with matrix products along the tree on first use;
-apply multiplies its rows in int64 without converting the table.  Modules
-are immutable apart from that cache.
+A module has one invertible matrix over F_p per group generator (a
+monomial module writes them on first read); the action of an arbitrary
+element (act) is the product of the generator matrices along the element's
+word in the group's BFS tree.  A cocycle solve asks a module for reads on
+batches of elements: the products of their matrices with a vector or a
+stack of them (apply), the signed sums of their matrices over runs of
+terms (run_sums, a chunk's rows), and the vectors an element of order
+prime to p fixes (invariants, the gauge).  A monomial module answers all
+three from integers, with no table and no d x d matrix: the group keeps
+one skeleton per block action (the block each element sends each block
+to, and the logs of the diagonal it scales by), chi turns the logs into
+scalars, and a Hom module reads its factors'.  run_sums scatters each
+term's k f^2 nonzeros, and invariants reads the cycles of the element's
+block permutation.  Any other module (trivial, det, F_p-Hom, restricted,
+quotient) answers from the uint8 table of every element's action (at),
+filled with matrix products along the tree on first use: apply multiplies
+its rows in int64 without converting the table, run_sums adds the
+matrices, and invariants reduces the image of the projector onto them.
+Modules are immutable apart from those caches.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 
@@ -68,6 +75,15 @@ class FpModule:
         self.p = group.field.p
         if self.p >= 256:
             raise ModuleError("module machinery expects p < 256")
+        self.label = label
+        self._all: np.ndarray | None = None
+        # fq_form: the F_p-basis is grouped in blocks of f on which scalar
+        # multiplication by F_q acts block-diagonally and commutes with the
+        # group action (true for character and induced modules)
+        self.fq_form = fq_form
+        if gen_action is None:  # a subclass that writes them on first read
+            self.dim = dim
+            return
         self.gen_action = [np.asarray(a, dtype=np.int64) % self.p for a in gen_action]
         if len(self.gen_action) != len(group.generators):
             raise ModuleError("one action matrix per group generator required")
@@ -80,10 +96,6 @@ class FpModule:
             self.dim = dim
         else:
             raise ModuleError("a module over a generator-free group needs an explicit dim")
-        # fq_form: the F_p-basis is grouped in blocks of f on which scalar
-        # multiplication by F_q acts block-diagonally and commutes with the
-        # group action (true for character and induced modules)
-        self.fq_form = fq_form
         # derived: the generators are invertible by construction, so the
         # check is skipped: hom, F_q-hom and restriction combine checked
         # modules' maps by invertible products, a character (or the torus
@@ -94,8 +106,6 @@ class FpModule:
             for a in self.gen_action:
                 if not linalg.is_invertible_mod(a, self.p):
                     raise ModuleError("generator action is singular")
-        self.label = label
-        self._all: np.ndarray | None = None
 
     def act(self, elt_id: int) -> np.ndarray:
         """Action matrix of an element: the product of the generator
@@ -137,6 +147,20 @@ class FpModule:
         multiplied in int64 without a converted copy of the table."""
         return np.einsum("kij,...j->k...i", self.at(ids), v)
 
+    def run_sums(self, ids, signs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The sums of signs[t] rho(ids[t]) over each run of terms t from
+        starts[r] to starts[r + 1], shape (len(starts), d, d), not reduced
+        mod p."""
+        return np.add.reduceat(self.at(ids) * signs[:, None, None], starts, axis=0)
+
+    def invariants(self, powers: np.ndarray) -> np.ndarray:
+        """Rows spanning the vectors that rho(x) fixes, where powers are the
+        element ids of x^0, ..., x^(m-1), m prime to p: the reduced rows of
+        the image of the projector m^{-1} sum_i rho(x^i)."""
+        fixed = linalg.RowReducer(self.p, self.dim)
+        fixed.add_rows(self.at(powers).sum(axis=0, dtype=np.int64).T)
+        return fixed.rows
+
     def __repr__(self):
         return f"FpModule({self.label or 'module'}, dim={self.dim} over F_{self.p}, group={self.group.label})"
 
@@ -172,8 +196,10 @@ class MonomialModule(FpModule):
     and scales it by zeta^E[x, i], E = L chi, where (P, L) is the group's
     skeleton (_skeleton), which depends on (target, logs) and not on chi;
     a Hom module reads (P, E) from its two factors.  No table is kept: at
-    writes the matrices at the ids asked for, and apply gathers v's blocks
-    along P and scales each once.
+    writes the matrices at the ids asked for, apply gathers v's blocks
+    along P and scales each once, run_sums scatters the nonzeros of the
+    terms, and invariants reads the cycles of P.  The generator matrices
+    are written on first read; h1_dim makes none.
     """
 
     def __init__(self, H: MatrixGroup, target: np.ndarray, logs: np.ndarray, chi: TorusChar,
@@ -182,9 +208,16 @@ class MonomialModule(FpModule):
         self.k = target.shape[0]
         self._scalars = H.field.power_matrices().astype(np.uint8)  # zeta^e, e < q - 1
         self._skel: tuple[np.ndarray, np.ndarray] | None = None  # P and E at every element
-        gen_exps = logs.transpose(1, 0, 2) @ np.array(chi.exps) % (H.field.q - 1)
-        super().__init__(H, list(self._matrices(target.T, gen_exps)), label=label,
-                         dim=self.k * H.field.f, fq_form=True, derived=True)
+        if factors is not None:  # the pair (j, i) of factor blocks of each block j k1 + i
+            self._pair = np.divmod(np.arange(self.k), factors[0].k)
+        super().__init__(H, None, label=label, dim=self.k * H.field.f, fq_form=True)
+
+    @functools.cached_property
+    def gen_action(self) -> list[np.ndarray]:
+        """The generator matrices, int64, written on first read: h1_dim
+        reads none, so a solve the memory guard refuses never holds them."""
+        gen_exps = self.logs.transpose(1, 0, 2) @ np.array(self.chi.exps) % (self.group.field.q - 1)
+        return list(self._matrices(self.target.T, gen_exps).astype(np.int64))
 
     def _blocks(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """P and E at ids, shapes (len(ids), k); a Hom's block (j, i) goes
@@ -192,9 +225,10 @@ class MonomialModule(FpModule):
         qm1 = self.group.field.q - 1
         if self.factors is not None:
             (P1, E1), (P2, E2) = (M._blocks(ids) for M in self.factors)
-            m, k1 = P1.shape
-            return ((P2[:, :, None] * k1 + P1[:, None, :]).reshape(m, self.k),
-                    ((E2[:, :, None] - E1[:, None, :]) % qm1).reshape(m, self.k))
+            j, i = self._pair
+            E = E2[:, j] - E1[:, i]
+            E += qm1 * (E < 0)  # a difference of two logs, back in [0, q - 1) without a %
+            return (P2 * P1.shape[1])[:, j] + P1[:, i], E
         if self._skel is None:
             P, L = _skeleton(self.group, self.target, self.logs)
             self._skel = P, L @ np.array(self.chi.exps) % qm1
@@ -216,13 +250,44 @@ class MonomialModule(FpModule):
 
     def apply(self, ids, v: np.ndarray) -> np.ndarray:
         P, E = self._blocks(ids)
-        stack = v.reshape(-1, self.k, v.shape[-1] // self.k)
-        blocks = stack[np.arange(len(stack))[:, None], P[:, None]]  # (m, h, k, f)
-        scale = self._scalars[E][:, None]
+        blocks = v.reshape(-1, self.k, v.shape[-1] // self.k).take(P, axis=1)  # (h, m, k, f)
+        scale = self._scalars[E]
         out = scale[..., 0] * blocks[..., :1]
         for j in range(1, blocks.shape[-1]):  # the f columns of each zeta^E
             out += scale[..., j] * blocks[..., j : j + 1]
-        return out.reshape(len(P), *v.shape)
+        return out.transpose(1, 0, 2, 3).reshape(len(P), *v.shape)
+
+    def run_sums(self, ids, signs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Each term's k f^2 nonzeros, sign times zeta^E[t, i] at rows of
+        block i and columns of block P[t, i] of its run, summed in one
+        scatter; with one block a term is one gather, summed as a table's."""
+        if self.k == 1:
+            return super().run_sums(ids, signs, starts)
+        P, E = self._blocks(ids)
+        (m, k), f = P.shape, self._scalars.shape[1]
+        run = np.repeat(np.arange(len(starts)), np.diff(starts, append=m))
+        rows = ((run[:, None] * k + np.arange(k))[..., None] * f + np.arange(f)) * k  # (m, k, f)
+        flat = ((rows + P[:, :, None])[..., None] * f + np.arange(f)).ravel()  # (m, k, f, f)
+        out = np.zeros(len(starts) * k * f * k * f, dtype=np.int64)
+        np.add.at(out, flat, (self._scalars[E] * signs[:, None, None, None]).ravel())
+        return out.reshape(len(starts), k * f, k * f)
+
+    def invariants(self, powers: np.ndarray) -> np.ndarray:
+        """M^x from the cycles of x's block permutation, read at x's powers:
+        P[x^j, i] is the block j steps along i's cycle and E[x^j, i] the sum
+        of the logs on the way.  v is fixed iff v_{P(i)} = zeta^{-E_i} v_i
+        along each cycle, so a cycle gives one F_q line (f rows over F_p),
+        zeta^{-E[x^j, r]} u in block P[x^j, r] for its least block r, when
+        its logs sum to 0 mod q - 1, that is when E is 0 wherever x^j brings
+        a block back to itself, and nothing otherwise."""
+        P, E = self._blocks(powers)
+        home = P == np.arange(self.k)
+        lines = np.flatnonzero((P.min(axis=0) == np.arange(self.k)) & ~(home & (E != 0)).any(axis=0))
+        f = self._scalars.shape[1]
+        out = np.zeros((len(lines), f, self.k, f), dtype=np.int64)
+        qm1 = self.group.field.q - 1
+        out[np.arange(len(lines)), :, P[:, lines]] = self._scalars[-E[:, lines] % qm1].swapaxes(2, 3)
+        return out.reshape(len(lines) * f, self.dim)
 
     def act_all(self) -> np.ndarray:
         return self.at(np.arange(self.group.order))

@@ -282,6 +282,11 @@ class Instance:
         return build_unipotent(self.field, self.n)
 
     @cached_property
+    def zero(self):
+        """The zero module over G, M^Z for every pair whose central characters differ."""
+        return trivial_module(self.G, 0)
+
+    @cached_property
     def weyls(self):
         """In Bruhat-length order, so weyls[0] is the identity."""
         return weyl_elements(self.field, self.n)
@@ -357,10 +362,11 @@ class Instance:
         p is prime to |Z| = q - 1, so H^1(G, M) = H^1(G, M^Z).  z = gamma I
         acts on Ind chi as the F_q-scalar c = gamma^{sum chi}, and on M as
         c2 / c1, so M^Z = 0 exactly when sum chi1 != sum chi2 (mod q - 1).
-        Then the Hom module is never built; otherwise M itself is solved,
-        which is exact.  Either way the pair makes one h1_dim call."""
+        Then the Hom module is never built and the instance's one zero
+        module is solved; otherwise M itself is solved, which is exact.
+        Either way the pair makes one h1_dim call."""
         if (sum(chi1.exps) - sum(chi2.exps)) % self.qm1:
-            return _h1(self.G, trivial_module(self.G, 0), cfg)
+            return _h1(self.G, self.zero, cfg)
         return _h1(self.G, fq_hom_module(self.induced(chi1), self.induced(chi2)), cfg)
 
     def shapiro_table(self, cfg: VerifyConfig) -> np.ndarray:

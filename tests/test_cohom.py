@@ -370,6 +370,84 @@ def test_tree_path_edge_rows_match_the_table_reference(p, f, n, group):
     assert (sweep.rows(act, a, b, g) == gauged[a * d : b * d]).all()
 
 
+def _skeleton_case(p, f, which):
+    """A monomial module over G or B at GL_2(F_{p^f}) for the skeleton reads:
+    the F_q-Hom of two principal series over G, the F_q-Hom of a character
+    module into Res_B Ind chi over B (k > 1 blocks of f > 1 coordinates;
+    the Hom of two principal series at GL_2(F_9) is too large for the table
+    references), or a character module over B (k = 1)."""
+    inst = get_instance(p, f, 2)
+    c1, c2 = inst.chars[1], inst.chars[-1]
+    if which == "hom":
+        return inst.G, fq_hom_module(inst.induced(c1), inst.induced(c2))
+    B = inst.B
+    if which == "hom-b":
+        return B, fq_hom_module(char_module(B, c1), induced_module(inst.bruhat_cosets, B, c2))
+    return B, char_module(B, c2)
+
+
+@pytest.mark.parametrize("p,f,which", [(3, 1, "hom"), (5, 1, "hom"), (3, 2, "hom-b"), (3, 2, "char")],
+                         ids=["hom-3-1-2", "hom-5-1-2", "hom-b-3-2-2", "char-b-3-2-2"])
+def test_skeleton_chunk_rows_match_the_table_reference(p, f, which):
+    # a monomial module writes a chunk's rows from its skeleton (each term's
+    # k f^2 nonzeros; one gather when k = 1): they equal the rows read from
+    # the table of f over the whole group, ungauged and gauged, for the
+    # whole sweep and for a chunk that starts mid-list, and the table
+    # module's dense sums of the same terms
+    H, M = _skeleton_case(p, f, which)
+    assert isinstance(M, MonomialModule) and (M.k == 1) == (which == "char")
+    sweep = cohom._edge_sweep(H)
+    edges, d, g = sweep.edges, M.dim, sweep.gauge
+    E = len(edges)
+    a, b = E // 3, E // 3 + 7
+    ref = brute_edge_rows(H, M, edges)
+    keep = [c for c in range(ref.shape[1]) if c // d != g]
+    table = FpModule(H, M.gen_action, derived=True)
+    for gauge, want in ((None, ref), (g, ref[:, keep])):
+        rows = sweep.rows(M, 0, E, gauge)
+        assert (rows % M.p == want).all()
+        assert (rows == sweep.rows(table, 0, E, gauge)).all()
+        mid = sweep.rows(M, a, b, gauge)
+        assert (mid == rows[a * d : b * d]).all()
+        assert (mid % M.p == want[a * d : b * d]).all()
+    assert M._all is None
+
+
+def _invariant_cases():
+    """Every F_q-Hom of two principal series of GL_2(F_3), seeded samples
+    at GL_2(F_5) and GL_2(F_9), and character modules over B at GL_2(F_9)
+    with chi(s*) = 1 and != 1."""
+    cases = []
+    for (p, f), sample in (((3, 1), None), ((5, 1), 4), ((3, 2), 2)):
+        inst = get_instance(p, f, 2)
+        pairs = list(itertools.product(inst.chars, repeat=2))
+        if sample:
+            pairs = [pairs[i] for i in np.random.default_rng(0).choice(len(pairs), sample, replace=False)]
+        cases += [(inst.G, fq_hom_module(inst.induced(c1), inst.induced(c2))) for c1, c2 in pairs]
+    inst = get_instance(3, 2, 2)
+    cases += [(inst.B, char_module(inst.B, inst.char(e))) for e in ((0, 0), (1, 7), (0, 3))]
+    return cases
+
+
+def test_cycle_invariants_span_the_projector_image():
+    # M^{s*} read from the cycles of s*'s block permutation: rows that
+    # rho(s*) fixes, independent, as many as the projector's rank and with
+    # its span; a character with chi(s*) != 1 gives none
+    dims = set()
+    for H, M in _invariant_cases():
+        sweep = cohom._edge_sweep(H)
+        rows = M.invariants(sweep.powers)
+        proj = FpModule.invariants(M, sweep.powers)  # the projector's reduced rows
+        assert rows.shape == (len(proj), M.dim)
+        star = H.cayley[H.identity_id, sweep.gauge]
+        assert not ((M.apply([star], rows)[0] - rows) % M.p).any()
+        assert linalg.rank_mod(rows, M.p) == len(rows)
+        assert linalg.rank_mod(np.vstack([rows, proj]), M.p) == len(proj)
+        dims.add((M.k, len(rows)))
+    assert (1, 0) in dims and (1, 2) in dims  # chi(s*) != 1 and = 1 over B at F_9
+    assert any(k > 1 and 0 < r < k for k, r in dims)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_hom_solve_reads_the_factors_and_builds_no_table(p):
     # the F_q-Hom of two induced modules is solved from its factors' blocks,
@@ -402,7 +480,8 @@ def test_hom_solve_reads_the_factors_and_builds_no_table(p):
 def test_no_solve_over_a_monomial_module_builds_a_table(monkeypatch):
     # thm1 on both routes, the Mackey ledger and prop4 at GL_2(F_3), and the
     # B3 pair's G-level solve at GL_2(F_9): every module they solve over is
-    # monomial, and none fills a table of every element's action
+    # monomial, none fills a table of every element's action, and no Hom
+    # module writes its generator matrices
     built = []
     real = FpModule._build_all
 
@@ -411,12 +490,15 @@ def test_no_solve_over_a_monomial_module_builds_a_table(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(FpModule, "_build_all", recorded)
+    gens = MonomialModule.gen_action
+    monkeypatch.setattr(MonomialModule, "gen_action",
+                        property(lambda self: built.append(self) if self.factors else gens.func(self)))
     inst = Instance(3, 1, 2)
     assert V.verify_thm1(inst) and V.mackey_all(inst) and V.verify_prop4(inst).pairs
     assert len(inst._ind) == len(inst.chars)
     f9 = Instance(3, 2, 2)
     assert f9.direct_dim(f9.char((0, 0)), f9.char((1, 7)), V.VerifyConfig()) == 2
-    assert built == []
+    assert built == []  # and no Hom module's generator matrices were read
     assert all(M._all is None for M in list(inst._ind.values()) + list(f9._ind.values()))
 
 
@@ -532,6 +614,34 @@ def test_stack_certificate_catches_one_non_cocycle_among_cocycles(F3):
         assert (fvals[:, k] == Cocycle(B, M, cocycle.values).propagate()).all()
 
 
+def test_certificate_walk_skips_the_gauge_generator(monkeypatch):
+    # a stack of gauged basis cocycles is 0 at s*, so the walk reads no
+    # product there: its step is None, the tree copies f along it, and the
+    # defects compare f(g) with f(g s*); values and defect counts are those
+    # of the walk with an explicit zero step, also for a broken cocycle
+    inst = get_instance(3, 1, 2)
+    G = inst.G
+    pair = next((c1, c2) for c1 in inst.chars for c2 in inst.chars
+                if h1_dim(G, fq_hom_module(inst.induced(c1), inst.induced(c2))).dim_h1)
+    M = fq_hom_module(*map(inst.induced, pair))
+    r = h1_dim(G, M)
+    g = r.gauge
+    other = next(s for s in range(len(G.generators)) if s != g)
+    broken = r.basis[0].values.copy()
+    broken[other] = (broken[other] + 1) % 3
+    stack = np.stack([c.values for c in r.basis] + [broken])
+    applied = []
+    real = MonomialModule.apply
+    monkeypatch.setattr(MonomialModule, "apply", lambda self, ids, v: applied.append(1) or real(self, ids, v))
+    fvals, steps = cohom._propagate(G, M, stack)
+    assert steps[g] is None and len(applied) == len(G.generators) - 1
+    zero = [np.zeros_like(fvals) if step is None else step for step in steps]
+    assert cohom._edge_defects(G, 3, fvals, steps) == cohom._edge_defects(G, 3, fvals, zero) > 0
+    for k, values in enumerate(stack):
+        assert (fvals[:, k] == brute_cocycle_table(G, M, values)).all()
+    assert cohom._edge_defects(G, 3, fvals[:, :-1], [s if s is None else s[:, :-1] for s in steps]) == 0
+
+
 @pytest.mark.parametrize("which", ["borel-char", "unipotent-induced"])
 def test_basis_keeps_the_values_of_its_certificate_walk(which):
     # sampled solves with h = 2 and h = 4 candidates: each basis cocycle's
@@ -618,12 +728,14 @@ def test_memory_budget_error(F3):
 def test_memory_budget_refuses_the_b3_solve_before_a_chunk_is_assembled(monkeypatch):
     # the B3 pair's G-level solve at GL_2(F_9) (d = 200) is charged for a
     # chunk's rows only, with no table: above 100 MiB, so it is refused
-    # before any chunk is assembled or read from the module
+    # before any chunk is assembled or anything is read from the module
+    # (its matrices, products, run sums or invariants)
     inst = Instance(3, 2, 2)
     M = fq_hom_module(inst.induced(inst.char((0, 0))), inst.induced(inst.char((1, 7))))
     assembled = []
     monkeypatch.setattr(cohom._EdgeSweep, "rows", lambda *a: assembled.append(a))
-    monkeypatch.setattr(type(M), "at", lambda *a: assembled.append(a))
+    for read in ("at", "apply", "run_sums", "invariants"):
+        monkeypatch.setattr(type(M), read, lambda *a: assembled.append(a))
     terms = cohom._edge_sweep(inst.G).terms
     need = (9 * terms + 16 * cohom.CHUNK_EDGES * 2) * 200**2
     assert 100 << 20 < need <= 1024 << 20

@@ -209,15 +209,19 @@ def test_direct_dim_matches_the_full_hom_solve(args, reduced, monkeypatch):
     # one h1_dim call, on the zero module exactly where z = gamma I acts on
     # the two induced factors by different scalars, and its answer is the
     # full Hom module's, solved from its factors' blocks; at f = 1 that
-    # module has hom_module's kron generators
-    dims = []
-    real = V.h1_dim
+    # module has hom_module's kron generators.  The instance builds one zero
+    # module and solves it at every such pair
+    dims, zeros = [], []
+    real, real_zero = V.h1_dim, V.trivial_module
 
     def counted(H, M, **kw):
         dims.append(M.dim)
+        if not M.dim:
+            assert M is inst.zero
         return real(H, M, **kw)
 
     monkeypatch.setattr(V, "h1_dim", counted)
+    monkeypatch.setattr(V, "trivial_module", lambda *a: zeros.append(a) or real_zero(*a))
     inst = V.Instance(*args)
     cfg = V.VerifyConfig()
 
@@ -237,7 +241,7 @@ def test_direct_dim_matches_the_full_hom_solve(args, reduced, monkeypatch):
             kron = hom_module(inst.induced(chi1), inst.induced(chi2))
             assert all((a == b).all() for a, b in zip(M.gen_action, kron.gen_action))
             assert got == real(inst.G, M).dim_h1
-    assert apart == reduced
+    assert apart == reduced and zeros == [(inst.G, 0)]
 
 
 @pytest.fixture(scope="module")
