@@ -2,7 +2,8 @@
 the verification suites, and emit JSON/CSV/text reports.
 
 Exit codes: 0 all checks passed (findings allowed), 1 a verification
-contract failed, 2 usage or configuration error.
+contract failed, 2 usage or configuration error, or an --out path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -281,7 +282,8 @@ def main(argv=None) -> int:
     try:
         _check_sizes(args)
         return _COMMANDS[args.command](args)
-    except (UsageError, FieldError, SizeBudgetError, MemoryBudgetError, ValueError) as e:
+    except (UsageError, FieldError, SizeBudgetError, MemoryBudgetError, ValueError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -254,7 +254,7 @@ class _EdgeSweep:
     def __init__(self, H: MatrixGroup):
         size, S = H.order, len(H.generators)
         tree_edge = np.zeros((size, S), dtype=bool)
-        tree_edge[H.bfs_parent[H.bfs_order[1:]], H.bfs_gen[H.bfs_order[1:]]] = True
+        tree_edge[H.bfs_parent[1:], H.bfs_gen[1:]] = True  # ids are BFS order
         edges = np.argwhere(~tree_edge)  # rows (g, s)
         self.edges = edges[_spread_order(len(edges))]
         self.S = S

@@ -248,9 +248,10 @@ class FieldCtx:
 
     def power_matrices(self) -> np.ndarray:
         """mult_matrix of generator^e for every e < q - 1, shape (q - 1, f,
-        f), built on first use and read-only."""
+        f), as uint8, built on first use and read-only.  Its one reader is
+        the module code, which needs p < 256, so the entries fit."""
         if self._powmats is None:
-            self._powmats = np.stack([self.mult_matrix(int(c)) for c in self._gpow])
+            self._powmats = np.stack([self.mult_matrix(int(c)) for c in self._gpow]).astype(np.uint8)
             self._powmats.setflags(write=False)
         return self._powmats
 

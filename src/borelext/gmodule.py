@@ -206,11 +206,11 @@ class MonomialModule(FpModule):
                  label: str, factors: tuple[MonomialModule, MonomialModule] | None = None):
         self.target, self.logs, self.chi, self.factors = target, logs, chi, factors
         self.k = target.shape[0]
-        self._scalars = H.field.power_matrices().astype(np.uint8)  # zeta^e, e < q - 1
         self._skel: tuple[np.ndarray, np.ndarray] | None = None  # P and E at every element
         if factors is not None:  # the pair (j, i) of factor blocks of each block j k1 + i
             self._pair = np.divmod(np.arange(self.k), factors[0].k)
         super().__init__(H, None, label=label, dim=self.k * H.field.f, fq_form=True)
+        self._scalars = H.field.power_matrices()  # zeta^e, e < q - 1, uint8
 
     @functools.cached_property
     def gen_action(self) -> list[np.ndarray]:

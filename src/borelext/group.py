@@ -3,12 +3,14 @@ groups: full element tables, Cayley edges against a fixed generator set,
 and the right cosets B\\G in Bruhat normal form, which need no table of G
 or of B.
 
-B, T, N, B∩B^w, its unipotent part N'_w and the commutator subgroups are
-all pattern groups T·U_Φ or U_Φ for a closed set Φ of positive roots, and
-one constructor, `_pattern_group`, builds each of them from (Φ, torus): the
-elements by direct enumeration, the generators from the roots of Φ that are
-not a sum of two of its roots.  G alone is found by BFS closure from
-two generators.
+Every group is built one way: MatrixGroup walks the closure of its
+generators from the identity, one BFS level at a time, and the walk that
+finds the elements also writes the Cayley table and the BFS tree.  G is the
+closure of two generators.  B, T, N, B∩B^w, its unipotent part N'_w and the
+commutator subgroups are all pattern groups T·U_Φ or U_Φ for a closed set Φ
+of positive roots, and `_pattern_group` gives each of them its generators
+from (Φ, torus), the roots of Φ that are not a sum of two of its roots, and
+its order.  A closure that misses that order raises StructureError.
 
 Groups are immutable once built.  Elements are canonicalized as flat tuples
 of F_q codes, which makes identity tests and table lookups cheap.  Every
@@ -196,78 +198,58 @@ def weyl_elements(field: FieldCtx, n: int) -> list[WeylElement]:
 
 
 class MatrixGroup:
-    """A finite matrix group with a full element table and Cayley edges.
+    """A finite matrix group: the closure of its generators, with its
+    element table, Cayley edges and BFS tree.
 
-    elements[i] is the i-th element; index maps entry tuples back to ids;
-    cayley[i, s] is the id of elements[i] * generators[s].  bfs_order walks
-    ids from the identity so that bfs_parent/bfs_gen give, for every
-    non-identity element, a tree edge along which generator words resolve
-    (word), and bfs_depth its distance from the identity.
+    The closure walks from the identity one BFS level at a time: one
+    batch_mul of the level with every generator, then one lookup of each
+    product in index.  Unseen products get the next id where they first
+    occur in (element, generator) order, so ids are BFS order and the
+    identity is 0.  elements[i] is the i-th element; index maps entry
+    tuples back to ids; cayley[i, s] is the id of elements[i] *
+    generators[s].  bfs_parent/bfs_gen give, for every non-identity
+    element, the tree edge along which generator words resolve (word),
+    bfs_depth its distance from the identity, and tree_batches the tree
+    edges grouped by (depth, generator) as (generator, parents, children).
+    The closure must have `order` elements, or StructureError is raised.
     """
 
-    def __init__(self, field, n, label, elements, generators):
+    identity_id = 0
+
+    def __init__(self, field, n, label, generators, order):
         self.field = field
         self.n = n
         self.label = label
-        self.elements: list[Mat] = elements
         self.generators: list[Mat] = generators
-        self.index: dict[tuple[int, ...], int] = {m.codes: i for i, m in enumerate(elements)}
-        if len(self.index) != len(elements):
-            raise StructureError("duplicate elements in table")
-        mats = code_stack(elements, n)
-        self.cayley = np.empty((len(elements), len(generators)), dtype=np.int32)
-        for s, g in enumerate(code_stack(generators, n)):
-            prods = batch_mul(field, mats, g).reshape(-1, n * n).tolist()
-            ids = [self.index.get(tuple(c), -1) for c in prods]
-            if -1 in ids:
-                raise StructureError("element table not closed under generators")
-            self.cayley[:, s] = ids
-        self.identity_id = self.index.get(identity_mat(field, n).codes, -1)
-        if self.identity_id < 0:
-            raise StructureError("element table lacks the identity")
-        self._build_bfs()
+        S = len(generators)
+        gens = code_stack(generators, n)
+        level = code_stack([identity_mat(field, n)], n)
+        self.index: dict[tuple[int, ...], int] = {tuple(level.ravel().tolist()): 0}
+        rows, parent, via, depth, batches = [], [[-1]], [[-1]], [[0]], []
+        while len(level) and len(self.index) <= order:
+            first = len(self.index)
+            prods = batch_mul(field, level[:, None], gens).reshape(-1, n, n)
+            ids, new = _add_new(self.index, prods)
+            rows.append(ids)
+            up, gen = np.divmod(new.astype(np.int32), S)
+            up += first - len(level)
+            children = np.arange(first, len(self.index), dtype=np.int32)
+            parent.append(up)
+            via.append(gen)
+            depth.append(np.full(len(new), len(rows)))
+            for s in range(S):
+                if (mask := gen == s).any():
+                    batches.append((s, up[mask], children[mask]))
+            level = prods[new]
+        if len(self.index) != order:
+            raise StructureError(f"the generators of {label} do not close to {order} elements")
+        self.elements: list[Mat] = [Mat(field, n, c) for c in self.index]
+        self.cayley = np.concatenate(rows).astype(np.int32).reshape(order, S)
+        self.bfs_parent, self.bfs_gen, self.bfs_depth = (
+            np.concatenate(a).astype(np.int32) for a in (parent, via, depth))
+        self.tree_batches = batches
         self._inv_table: np.ndarray | None = None
         self.pattern: tuple | None = None  # (roots, torus) of a pattern group
-
-    def _build_bfs(self):
-        """The BFS tree from the identity, one level at a time: the next
-        level is the unseen products of the level with the generators, each
-        kept where it first occurs in (element, generator) order, which is
-        the order a first-in first-out walk reaches them."""
-        size, S = self.cayley.shape
-        parent = np.full(size, -1, dtype=np.int32)
-        via = np.full(size, -1, dtype=np.int32)
-        depth = np.zeros(size, dtype=np.int32)
-        seen = np.zeros(size, dtype=bool)
-        seen[self.identity_id] = True
-        # first[e]: the first position of e among its level's products
-        first = np.full(size, size * S, dtype=np.int64)
-        level = np.array([self.identity_id], dtype=np.int32)
-        levels, batches = [level], []
-        while True:
-            products = self.cayley[level].ravel()
-            at = np.flatnonzero(~seen[products])
-            if not at.size:
-                break
-            np.minimum.at(first, products[at], at)
-            at = at[first[products[at]] == at]
-            level = products[at]
-            seen[level] = True
-            parent[level], via[level] = levels[-1][at // S], at % S
-            depth[level] = len(levels)
-            levels.append(level)
-            # tree edges grouped by (BFS depth, generator) for batched propagation
-            for s in range(S):
-                children = level[via[level] == s]
-                if children.size:
-                    batches.append((s, parent[children], children))
-        self.bfs_order = np.concatenate(levels)
-        if len(self.bfs_order) != size:
-            raise StructureError("generators do not generate the element table")
-        self.bfs_parent = parent
-        self.bfs_gen = via
-        self.bfs_depth = depth
-        self.tree_batches = batches
 
     @property
     def order(self) -> int:
@@ -334,12 +316,13 @@ class MatrixGroup:
 
 
 def build_gl(field: FieldCtx, n: int) -> MatrixGroup:
-    """Full GL_n(F_q) by BFS closure from Taylor's two generators (D. E.
-    Taylor, Pairs of generators for matrix groups I, 1987): diag(ζ, 1, …, 1)
-    for the field generator ζ, and the matrix with first row (−1, 0, …, 0, 1)
-    and −1 on the subdiagonal.  The closure must have |GL_n(F_q)| elements,
-    so a pair that fails to generate raises StructureError.  The order is
-    checked against DEFAULT_GROUP_BUDGET, read at call time."""
+    """Full GL_n(F_q), the closure of Taylor's two generators (D. E. Taylor,
+    Pairs of generators for matrix groups I, 1987): diag(ζ, 1, …, 1) for the
+    field generator ζ, and the matrix with first row (−1, 0, …, 0, 1) and −1
+    on the subdiagonal.  The closure must have |GL_n(F_q)| elements, so a
+    pair that fails to generate raises StructureError.  The order is checked
+    against DEFAULT_GROUP_BUDGET, read at call time, before any matrix is
+    built."""
     expected = gl_order(field.q, n)
     if expected > DEFAULT_GROUP_BUDGET:
         raise SizeBudgetError(f"|GL_{n}(F_{field.q})| = {expected} exceeds the enumeration "
@@ -352,34 +335,18 @@ def build_gl(field: FieldCtx, n: int) -> MatrixGroup:
         for i in range(1, n):
             ent[i * n + i - 1] = minus
         gens.append(Mat(field, n, tuple(ent)))
-    elements = _bfs_elements(field, n, gens)
-    if len(elements) != expected:
-        raise StructureError(f"GL closure has {len(elements)} elements, expected {expected}")
-    return MatrixGroup(field, n, "G", elements, gens)
+    return MatrixGroup(field, n, "G", gens, expected)
 
 
-def _bfs_elements(field, n, gens) -> list[Mat]:
-    """The closure of the generators from the identity in BFS order, one
-    level at a time: one batch_mul of the level with every generator, and
-    the new products kept in the order (element, generator) reaches them."""
-    ident = identity_mat(field, n)
-    seen = {ident.codes: None}
-    level, gens = code_stack([ident], n), code_stack(gens, n)
-    while len(level):
-        prods = batch_mul(field, level[:, None], gens).reshape(-1, n, n)
-        level = prods[_add_new(seen, prods)]
-    return [Mat(field, n, c) for c in seen]
-
-
-def _add_new(seen: dict, mats: np.ndarray) -> list[int]:
-    """The positions in a stack of code matrices of those not in seen, each
-    added to seen (a dict, kept in insertion order) where it first occurs."""
-    new = []
-    for j, c in enumerate(map(tuple, mats.reshape(-1, mats.shape[-1] ** 2).tolist())):
-        if c not in seen:
-            seen[c] = None
-            new.append(j)
-    return new
+def _add_new(index: dict, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The id in index of each matrix of a stack of code matrices, each one
+    not in it added with the next id, and the positions where the added ones
+    first occur: there an id exceeds every id before it."""
+    known = len(index)
+    codes = map(tuple, mats.reshape(-1, mats.shape[-1] ** 2).tolist())
+    ids = np.array([index.setdefault(c, len(index)) for c in codes], dtype=np.int64)
+    before = np.maximum.accumulate(np.concatenate(([known - 1], ids[:-1])))
+    return ids, np.flatnonzero(ids > before)
 
 
 def _positive_roots(n: int) -> list[tuple[int, int]]:
@@ -403,14 +370,15 @@ def _pattern_group(field: FieldCtx, n: int, roots, torus: bool, label: str) -> M
 
     `roots` holds the positions (i, j), 0-based with i < j, where entries
     off the diagonal may be nonzero.  The diagonal is invertible with the
-    torus and 1 without it.  Elements are enumerated with the diagonal
-    varying slowest, then the root entries in row-major order.  The
-    generators are the n torus generators, then e_α(x^m) for each root α
-    that is not a sum of two roots of Φ, ordered by (j - i, i, m): m < f
-    without the torus, and m = 0 with it, because conjugation by T moves
-    e_α(1) through all of U_α.  The Chevalley relation [e_ik(a), e_kj(b)] =
-    e_ij(ab) gives the other roots, and MatrixGroup checks by BFS that the
-    generators reach every element.
+    torus and 1 without it.  The generators are the n torus generators,
+    then e_α(x^m) for each root α that is not a sum of two roots of Φ,
+    ordered by (j - i, i, m): m < f without the torus, and m = 0 with it,
+    because conjugation by T moves e_α(1) through all of U_α.  The
+    Chevalley relation [e_ik(a), e_kj(b)] = e_ij(ab) gives the other roots.
+    The generators lie in T·U_Φ, so their closure is all of it exactly when
+    it has ((q - 1)^n or 1)·q^|Φ| elements, which MatrixGroup checks.  That
+    order is checked against DEFAULT_GROUP_BUDGET, read at call time,
+    before any matrix is built.
     """
     roots = tuple(sorted(roots))
     q = field.q
@@ -418,14 +386,6 @@ def _pattern_group(field: FieldCtx, n: int, roots, torus: bool, label: str) -> M
     if size > DEFAULT_GROUP_BUDGET:
         raise SizeBudgetError(
             f"|{label}| = {size} exceeds the enumeration budget of {DEFAULT_GROUP_BUDGET}")
-    elements = []
-    for diag in itertools.product(range(1, q), repeat=n) if torus else [(1,) * n]:
-        base = list(diag_mat(field, diag).codes)
-        for entries in itertools.product(range(q), repeat=len(roots)):
-            ent = base[:]
-            for (i, j), c in zip(roots, entries):
-                ent[i * n + j] = c
-            elements.append(Mat(field, n, tuple(ent)))
     gens = []
     if torus:
         for i in range(n):
@@ -435,7 +395,7 @@ def _pattern_group(field: FieldCtx, n: int, roots, torus: bool, label: str) -> M
     for i, j in indecomposable_roots(roots):
         for m in range(1 if torus else field.f):
             gens.append(transvection(field, n, i + 1, j + 1, field._pp[m]))
-    grp = MatrixGroup(field, n, label, elements, gens)
+    grp = MatrixGroup(field, n, label, gens, size)
     grp.pattern = (roots, torus)
     return grp
 
@@ -507,12 +467,12 @@ class BruhatCosets:
         gens = code_stack(T.generators + N.generators, n)
         level = batch_normal_form(fld, code_stack([w.rep for w in weyls], n))[0]
         cell = np.arange(len(weyls))
-        seen = dict.fromkeys(map(tuple, level.reshape(len(level), -1).tolist()))
+        seen = {c: i for i, c in enumerate(map(tuple, level.reshape(len(level), -1).tolist()))}
         levels = []
         while len(level):
             image, diag = batch_normal_form(fld, batch_mul(fld, level[:, None], gens))
             levels.append((level, cell, image, diag))
-            new = _add_new(seen, image)
+            new = _add_new(seen, image)[1]
             level, cell = image.reshape(-1, n, n)[new], np.repeat(cell, len(gens))[new]
         found, cell, images, diags = map(np.concatenate, zip(*levels))
         order = np.argsort(cell, kind="stable")

@@ -16,7 +16,8 @@ solve on its restriction through the scalar twist that Hom_{F_q} from a
 module of one F_q-dimension once was (brute_fq_hom), the twist-matching predicates that build a
 TorusChar for every (k, i, w) they try, and the Bruhat coset normal form of
 one matrix with the one-coset-at-a-time search that BruhatCosets once ran,
-and the first-in first-out walk that built a group's BFS tree.  The
+the first-in first-out walk that built a group's BFS tree, and the
+enumeration of a pattern group's elements that its closure replaced.  The
 subgroup, double-coset, induced-module and H^1 references multiply
 matrices with mat_mul, through q x q tables built from coefficient
 vectors, not through the field's discrete logs.  Where brute_h1's |H| d
@@ -478,6 +479,21 @@ def ext1_dim_shapiro(B, chi1, res_ind):
     return h1_dim(B, brute_fq_hom(char_module(B, chi1), res_ind))
 
 
+def pattern_elements(field, n, roots, torus):
+    """Codes of T·U_Φ, or U_Φ without the torus, by enumerating the
+    diagonal (invertible with the torus, 1 without it) and every entry at
+    the roots (i, j) of Φ, 0-based."""
+    out = set()
+    for diag in itertools.product(range(1, field.q), repeat=n) if torus else [(1,) * n]:
+        base = list(diag_mat(field, diag).codes)
+        for entries in itertools.product(range(field.q), repeat=len(roots)):
+            ent = base[:]
+            for (i, j), c in zip(roots, entries):
+                ent[i * n + j] = c
+            out.add(tuple(ent))
+    return out
+
+
 def brute_intersect_conjugate(B, w):
     """Codes of {m in B : w m w^{-1} in B}, by filtering B's element table."""
     wi = w.rep.inv()
@@ -620,7 +636,7 @@ def brute_edge_rows(H, M, batch):
 
 def non_tree_edges(H):
     """Every (g, s) with g s not reached from g along the BFS tree."""
-    tree = {(int(H.bfs_parent[c]), int(H.bfs_gen[c])) for c in H.bfs_order[1:]}
+    tree = {(int(H.bfs_parent[c]), int(H.bfs_gen[c])) for c in range(1, H.order)}
     return np.array([(g, s) for g in range(H.order) for s in range(len(H.generators))
                      if (g, s) not in tree], dtype=np.int64).reshape(-1, 2)
 

@@ -1,5 +1,6 @@
-"""The command line and the report format: removed flags and sizes below 1
-are usage errors, `verify all` needs no --p while a single statement does,
+"""The command line and the report format: removed flags, sizes below 1
+and an unwritable --out path are usage errors, `verify all` needs no --p
+while a single statement does,
 CSV and JSON carry schema 2 without a solver-mode field, ExtReport.check
 rejects contract-breaking rows, a failing report sets exit code 1, and
 ext-ps gives the same dims on its direct and Shapiro paths and passes at
@@ -39,6 +40,16 @@ def test_sizes_below_one_are_usage_errors(argv, flag, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} must be at least 1" in captured.err
+
+
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means a failed contract, so a report that cannot be written
+    # exits 2 with a message and prints nothing
+    out = tmp_path / "missing" / "field.json"
+    assert cli.main(["field", "--p", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.parent.exists()
 
 
 def test_verify_all_needs_no_p(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Field arithmetic on codes: construction choices, discrete logs and
-digit sums against coefficient vectors, Frobenius, dlog."""
+digit sums against coefficient vectors, Frobenius, dlog, and the one
+uint8 power table that every module of a field reads."""
 
 import itertools
 
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 from borelext import field
+from borelext.chars import TorusChar
 from borelext.field import FieldCtx, FieldError, make_field
+from borelext.gmodule import char_module
+from borelext.group import build_torus
 
 from _brute import add_raw, poly_mul_mod, poly_order
 
@@ -161,6 +165,21 @@ def test_mult_matrix_columns():
     # (x+1)*1 = 1+x, (x+1)*x = x^2+x = 2+x
     assert m[:, 0].tolist() == [1, 1]
     assert m[:, 1].tolist() == [2, 1]
+
+
+def test_power_matrices_are_one_read_only_uint8_table():
+    # every module of a field reads this one table, so it is kept as uint8
+    # and never copied
+    F9 = make_field(3, 2)
+    table = F9.power_matrices()
+    assert table.dtype == np.uint8 and not table.flags.writeable
+    assert table is F9.power_matrices()
+    zeta = F9.generator_code
+    for e in range(F9.q - 1):
+        assert (table[e] == F9.mult_matrix(F9.pow_code(zeta, e))).all()
+    T = build_torus(F9, 2)
+    chi = [char_module(T, TorusChar(c, 8)) for c in ((0, 0), (1, 3))]
+    assert all(M._scalars is table for M in chi)
 
 
 def test_pow_negative_exponent():

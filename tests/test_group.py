@@ -20,6 +20,7 @@ from borelext.group import (
     commutator_subgroup,
     diag_mat,
     gl_order,
+    identity_mat,
     intersect_conjugate,
     unipotent_part,
     weyl_elements,
@@ -35,6 +36,7 @@ from _brute import (
     fifo_bfs,
     mat_mul,
     one_by_one_bruhat_cosets,
+    pattern_elements,
     tn_factor,
     word_for,
 )
@@ -551,12 +553,15 @@ def test_bfs_words_resolve(F5):
         assert acc.codes == G.elements[i].codes
 
 
-def test_a_table_without_the_identity_is_refused(F3):
-    # the coset diag(1, 2)·<diag(2, 1)> of GL_2(F_3) is closed under its
-    # generator, so only the identity lookup can see the fault
-    a, s = diag_mat(F3, (1, 2)), diag_mat(F3, (2, 1))
-    with pytest.raises(StructureError, match="identity"):
-        MatrixGroup(F3, 2, "coset", [a, mat_mul(a, s)], [s])
+def test_a_closure_that_misses_its_order_is_refused(F3):
+    # diag(zeta, 1) alone closes to 2 elements, not the 4 of the torus of
+    # GL_2(F_3); Taylor's pair closes past a claimed order of 10, and the
+    # walk stops at the level that passes it
+    zeta = diag_mat(F3, (F3.generator_code, 1))
+    with pytest.raises(StructureError, match="do not close to 4 elements"):
+        MatrixGroup(F3, 2, "T", [zeta], 4)
+    with pytest.raises(StructureError, match="do not close to 10 elements"):
+        MatrixGroup(F3, 2, "G", build_gl(F3, 2).generators, 10)
 
 
 ARRAY_CASES = [(3, 1, 2), (3, 2, 2), (5, 1, 2), (3, 1, 3)]
@@ -581,8 +586,8 @@ def test_level_bfs_matches_the_fifo_walk(p, f, n):
     groups += [intersect_conjugate(B, w) for w in weyl_elements(fld, n)]
     for H in groups:
         order, parent, gen, depth, batches = fifo_bfs(H)
-        pairs = [(H.bfs_order, order), (H.bfs_parent, parent), (H.bfs_gen, gen),
-                 (H.bfs_depth, depth)]
+        assert order.tolist() == list(range(H.order))  # ids are the FIFO order
+        pairs = [(H.bfs_parent, parent), (H.bfs_gen, gen), (H.bfs_depth, depth)]
         assert [s for s, _, _ in H.tree_batches] == [s for s, _, _ in batches]
         for (_, got_par, got_ch), (_, par, ch) in zip(H.tree_batches, batches):
             pairs += [(got_par, par), (got_ch, ch)]
@@ -602,3 +607,24 @@ def test_torus_conjugates_by_scaling_match_the_product(p, f, n):
         assert group.torus_conjugate_ids(N, t) == want
     with pytest.raises(StructureError):
         group.torus_conjugate_ids(N, N.generators[0])
+
+
+@pytest.mark.parametrize("p,f,n", ARRAY_CASES, ids=["3-1-2", "3-2-2", "5-1-2", "3-1-3"])
+def test_pattern_closures_are_the_enumerated_groups(p, f, n):
+    # each pattern group is the closure of its generators: its elements are
+    # the enumeration of T·U_Φ or U_Φ, the identity has id 0, and its Cayley
+    # rows are the mat_mul products looked up in its index
+    fld = make_field(p, f)
+    B = build_borel(fld, n)
+    groups = [build_torus(fld, n), build_unipotent(fld, n), B]
+    for w in weyl_elements(fld, n):
+        Bw = intersect_conjugate(B, w)
+        Np = unipotent_part(Bw)
+        groups += [Bw, Np, commutator_subgroup(Np)]
+    for H in groups:
+        want = pattern_elements(fld, n, *H.pattern)
+        assert len(H.elements) == H.order == len(want)
+        assert {m.codes for m in H.elements} == want
+        assert H.identity_id == 0 and H.elements[0] == identity_mat(fld, n)
+        assert H.cayley.tolist() == [[H.index[mat_mul(m, s).codes] for s in H.generators]
+                                     for m in H.elements]
